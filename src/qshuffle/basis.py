@@ -147,6 +147,17 @@ class GoodLyndonTable:
             {self._w_in(w): c for w, c in e.terms.items()},
         )
 
+    def _where(self, g: Word, pivot: Word | None = None) -> str:
+        """Where a construction failed: datum, order, weight, good word, pivot."""
+        nu = self._nu_out(cartan.word_weight(self._idatum, g))
+        text = (
+            f"[{self.datum} order {','.join(map(str, self.order))} weight {cartan.format_weight(nu)}"
+            f" good word {format_word(self._w_out(g))}"
+        )
+        if pivot is not None:
+            text += f" pivot {format_word(self._w_out(pivot))}"
+        return text + "]"
+
     # -- the bijection and the convex order --------------------------------------
 
     def lyndon_words(self) -> tuple[Word, ...]:
@@ -260,7 +271,7 @@ class GoodLyndonTable:
             {w: laurent.exact_div(c, kappa) for w, c in normalized.terms.items()},
         )
         if shuffle.max_word(elt) != l:
-            raise StraighteningFailure(f"dual root vector of {format_word(l)} has wrong maximal word")
+            raise StraighteningFailure(f"dual root vector has wrong maximal word {self._where(l)}")
         self._dual_root_cache[l] = (elt, kappa)
         return elt, kappa
 
@@ -274,7 +285,8 @@ class GoodLyndonTable:
     def _d_of_lyndon(self, l: Word) -> int:
         beta = self._root_of_lyndon[l]
         d = cartan.bilinear_form(self._idatum, beta, beta) // 2
-        assert d in (1, 2, 3), (l, d)
+        if d not in (1, 2, 3):
+            raise laurent.TheoryViolation(f"root has (b,b)/2 = {d}, not 1, 2 or 3 {self._where(l)}")
         return d
 
     def _kappa_i(self, factors: Iterable[tuple[Word, int]]) -> LaurentPoly:
@@ -309,11 +321,12 @@ class GoodLyndonTable:
             for _ in range(a - 1):
                 power = shuffle.qshuffle(power, base)
             elt = power if elt is None else shuffle.qshuffle(elt, power)
-        assert elt is not None
+        if elt is None:
+            raise laurent.TheoryViolation(f"no factors to multiply {self._where(wi)}")
         elt = elt.scaled(laurent.monomial(shift))
         kappa = self._kappa_i(factors)
         if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:
-            raise StraighteningFailure(f"dual PBW vector of {format_word(wi)} has wrong leading term")
+            raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
         return elt, kappa
 
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
@@ -338,41 +351,52 @@ class GoodLyndonTable:
             w = tuple(a for l in factors for a in l)
             goods.append(w)
         goods.sort()
+        # Every word of a weight-nu element has weight nu, so a word is good
+        # exactly when it is one of these.
+        good_set = frozenset(goods)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         out: list[tuple[Word, ShuffleElt, LaurentPoly]] = []
         for g in goods:
             factors = self._factors_i(g)
-            assert factors is not None
-            elt, kappa = self._dual_pbw_i(g, factors)
+            if factors is None:
+                raise laurent.TheoryViolation(f"Kostant partition gave a word that is not good {self._where(g)}")
+            pbw, kappa = self._dual_pbw_i(g, factors)
+            # Corrections subtract in place from a private copy; only words in
+            # a pivot vector's support can change their bar symmetry.
+            acc = {w: dict(c.terms) for w, c in pbw.terms.items()}
+            bad = {w for w, c in pbw.terms.items() if not c.is_bar_symmetric()}
             last_pivot: Word | None = None
-            while True:
-                bad = [w for w, c in elt.terms.items() if not c.is_bar_symmetric()]
-                if not bad:
-                    break
-                pivots = [w for w in bad if self._factors_i(w) is not None]
+            while bad:
+                pivots = bad & good_set
                 if not pivots:
                     raise StraighteningFailure(
-                        f"no good pivot below {format_word(g)}; asymmetric words "
-                        f"{[format_word(w) for w in sorted(bad, reverse=True)]}"
+                        f"no good pivot {self._where(g)}; asymmetric words "
+                        f"{[format_word(self._w_out(w)) for w in sorted(bad, reverse=True)]}"
                     )
                 pivot = max(pivots)
                 if pivot >= g or (last_pivot is not None and pivot >= last_pivot):
-                    raise StraighteningFailure(f"pivot {format_word(pivot)} fails to decrease")
+                    raise StraighteningFailure(f"pivot fails to decrease {self._where(g, pivot)}")
                 last_pivot = pivot
-                alpha = elt.terms[pivot]
-                kappa_p = self._kappa_i(self._factors_i(pivot))
+                alpha = laurent._raw(acc[pivot])
+                b_pivot, kappa_p = done[pivot]
                 # Bar symmetry of alpha - gamma*kappa_p with gamma in q Z[q]
                 # pins gamma: gamma - bar(gamma) = (alpha - bar(alpha)) / kappa_p.
                 delta = laurent.exact_div(alpha - alpha.bar(), kappa_p)
                 if delta.bar() != -delta:
-                    raise StraighteningFailure(f"correction at {format_word(pivot)} is not antisymmetric")
+                    raise StraighteningFailure(f"correction is not antisymmetric {self._where(g, pivot)}")
                 gamma = delta.positive_part()
                 if not gamma:
-                    raise StraighteningFailure(f"empty correction at {format_word(pivot)}")
-                b_pivot, _ = done[pivot]
-                elt = elt - b_pivot.scaled(gamma)
+                    raise StraighteningFailure(f"empty correction {self._where(g, pivot)}")
+                shuffle._sub_scaled(acc, b_pivot, gamma)
+                for w in b_pivot.terms:
+                    d = acc.get(w)
+                    if d is not None and not laurent._raw(d).is_bar_symmetric():
+                        bad.add(w)
+                    else:
+                        bad.discard(w)
+            elt = shuffle._raw_elt(self._idatum, pbw.weight, {w: laurent._raw(d) for w, d in acc.items()})
             if shuffle.max_word(elt) != g or elt.terms[g] != kappa:
-                raise StraighteningFailure(f"straightened vector at {format_word(g)} has wrong leading term")
+                raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
             done[g] = (elt, kappa)
             out.append((g, elt, kappa))
         result = tuple(out)
@@ -401,20 +425,20 @@ class GoodLyndonTable:
     # -- expansion over the dual PBW family ------------------------------------------------
 
     def _expand_i(self, elt_i: ShuffleElt) -> dict[Word, LaurentPoly]:
-        residual = elt_i
+        residual = {w: dict(c.terms) for w, c in elt_i.terms.items()}
         out: dict[Word, LaurentPoly] = {}
         while residual:
-            w = shuffle.max_word(residual)
+            w = max(residual)
             factors = self._factors_i(w)
             if factors is None:
                 raise NotInU(f"maximal word {format_word(self._w_out(w))} of the residual is not good")
             elt, kappa = self._dual_pbw_i(w, factors)
             try:
-                c = laurent.exact_div(residual.terms[w], kappa)
+                c = laurent.exact_div(laurent._raw(residual[w]), kappa)
             except laurent.InexactDivision as exc:
                 raise NotInU(f"leading coefficient at {format_word(self._w_out(w))} not divisible") from exc
             out[w] = c
-            residual = residual - elt.scaled(c)
+            shuffle._sub_scaled(residual, elt, c)
         return out
 
     def expand_in_dual_pbw(self, f: ShuffleElt) -> dict[Word, LaurentPoly]:
@@ -663,6 +687,6 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
         w0 = time.perf_counter()
         violations = tuple(run(table, nu))
-        vectors = len(table.dual_canonical_weight(nu))
+        vectors = len(table._dual_canonical_weight_i(table._nu_in(nu)))
         entries.append(WeightEntry(nu, vectors, violations, time.perf_counter() - w0))
     return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)

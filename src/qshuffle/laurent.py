@@ -10,6 +10,7 @@ inexactness always means a bug or a violated structural assumption upstream.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Mapping
 
@@ -215,8 +216,13 @@ def q_factorial(k: int, d: int = 1) -> LaurentPoly:
     return out
 
 
+@lru_cache(maxsize=1024)
 def q_binom(m: int, k: int, d: int = 1) -> LaurentPoly:
-    """[m choose k]_d; the quotient of q-factorials is always exact."""
+    """[m choose k]_d; the quotient of q-factorials is always exact.
+
+    Memoized (at most 1024 entries): results are shared, which is safe
+    because no caller mutates a LaurentPoly.
+    """
     if not 0 <= k <= m:
         raise ValueError("q-binomial needs 0 <= k <= m")
     return exact_div(q_factorial(m, d), q_factorial(k, d) * q_factorial(m - k, d))

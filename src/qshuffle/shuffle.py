@@ -104,6 +104,16 @@ class ShuffleElt:
             c = LaurentPoly({0: c})
         if not c:
             return ShuffleElt.zero(self.datum, self.weight)
+        if len(c.terms) == 1:
+            # a monomial m q^k shifts exponents and multiplies integers
+            ((k, m),) = c.terms.items()
+            if k == 0 and m == 1:
+                return self
+            return _raw_elt(
+                self.datum,
+                self.weight,
+                {w: laurent._raw({e + k: m * x for e, x in v.terms.items()}) for w, v in self.terms.items()},
+            )
         return _raw_elt(self.datum, self.weight, {w: v * c for w, v in self.terms.items()})
 
     def _check_peer(self, other: ShuffleElt, same_weight: bool = False) -> None:
@@ -188,6 +198,20 @@ def _shift_add(acc: dict[int, int], p: Mapping[int, int], k: int) -> None:
             acc[e + k] = s
         else:
             del acc[e + k]
+
+
+def _sub_scaled(acc: dict[Word, dict[int, int]], f: ShuffleElt, c: LaurentPoly) -> None:
+    """acc -= c * f on a raw {word: {exponent: coeff}} map the caller owns.
+
+    Coefficients and words that cancel are deleted, so acc stays normalized;
+    f and c are only read, and no map of theirs is shared into acc.
+    """
+    neg = {e: -x for e, x in c.terms.items()}
+    for w, v in f.terms.items():
+        d = acc.setdefault(w, {})
+        _mul_add(d, v.terms, neg)
+        if not d:
+            del acc[w]
 
 
 def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[int, int]]:

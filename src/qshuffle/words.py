@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from .laurent import TheoryViolation
+
 if TYPE_CHECKING:
     from .cartan import CartanDatum
 
@@ -99,7 +101,8 @@ def costandard_factorization(l: Word) -> tuple[Word, Word]:
         if is_lyndon(l[:s]):
             left, right = l[:s], l[s:]
             # Both halves of either canonical split are Lyndon again.
-            assert is_lyndon(right), format_word(l)
+            if not is_lyndon(right):
+                raise TheoryViolation(f"co-standard right factor of {format_word(l)} is not Lyndon")
             return left, right
     raise AssertionError("unreachable: the first letter is always Lyndon")
 

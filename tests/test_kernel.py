@@ -1,0 +1,174 @@
+"""The in-place straightening and expansion kernel: agreement with the
+element-level reference algorithms, the laws of the fused subtract-scaled
+step, and where a failed straightening says it failed."""
+
+import copy
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import straightening_oracle as oracle
+from qshuffle import basis, cartan, laurent, shuffle
+from qshuffle.basis import StraighteningFailure
+from qshuffle.laurent import ONE, LaurentPoly, monomial
+from qshuffle.shuffle import ShuffleElt
+
+DIFFERENTIAL_RANGES = [
+    ("A3", 6, None),
+    ("B2", 5, None),
+    ("G2", 6, None),
+    ("C3", 5, None),
+    ("B3", 4, (2, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("label, max_height, order", DIFFERENTIAL_RANGES)
+def test_kernel_agrees_with_reference(label, max_height, order):
+    datum = cartan.parse(label)
+    table = basis.GoodLyndonTable(datum, order)
+    for nu in cartan.weights_up_to_height(datum.rank, max_height):
+        nui = table._nu_in(nu)
+        vectors = table._dual_canonical_weight_i(nui)
+        reference = oracle.dual_canonical_weight(table, nui)
+        assert [(g, e.weight, e.terms, k) for g, e, k in vectors] == [
+            (g, e.weight, e.terms, k) for g, e, k in reference
+        ], nu
+        for g, elt, _ in vectors:
+            pbw, _ = table._dual_pbw_i(g, table._factors_i(g))
+            for f in (elt, pbw):
+                assert table._expand_i(f) == oracle.expand(table, f), (nu, g)
+
+
+def _outcome(build):
+    try:
+        return [(g, e.terms, k) for g, e, k in build()]
+    except laurent.TheoryViolation as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("label, max_height", [("A3", 5), ("B2", 5), ("G2", 5)])
+def test_kernel_agrees_with_reference_on_perturbed_input(label, max_height):
+    # On true dual PBW vectors a correction never meets a word whose
+    # coefficient is still bar-symmetric.  Symmetrizing the coefficients at
+    # the words that are not good makes corrections turn symmetric
+    # coefficients asymmetric, which the kernel must notice as the reference does.
+    datum = cartan.parse(label)
+    for nu in cartan.weights_up_to_height(datum.rank, max_height):
+        table = basis.GoodLyndonTable(datum)
+        real = table._dual_pbw_i
+
+        def perturbed(wi, factors):
+            elt, kappa = real(wi, factors)
+            terms = {
+                w: c if table._factors_i(w) is not None else c + c.bar()
+                for w, c in elt.terms.items()
+            }
+            return ShuffleElt(elt.datum, elt.weight, terms), kappa
+
+        table._dual_pbw_i = perturbed
+        assert _outcome(lambda: table._dual_canonical_weight_i(nu)) == _outcome(
+            lambda: oracle.dual_canonical_weight(table, nu)
+        ), nu
+
+
+def test_expansion_rejects_what_the_reference_rejects():
+    table = basis.GoodLyndonTable(cartan.parse("A2"))
+    not_in_u = ShuffleElt.from_word(table._idatum, (1, 1, 2))
+    with pytest.raises(basis.NotInU) as reference:
+        oracle.expand(table, not_in_u)
+    with pytest.raises(basis.NotInU) as kernel:
+        table._expand_i(not_in_u)
+    assert str(kernel.value) == str(reference.value)
+
+
+# -- the fused step -------------------------------------------------------------
+
+DATUM = cartan.parse("A3")
+WORDS = sorted(set(permutations((1, 2, 2, 3))))
+WEIGHT = (1, 2, 1)
+
+exponent_maps = st.dictionaries(
+    st.integers(-4, 4), st.integers(-3, 3).filter(bool), min_size=1, max_size=4
+)
+raw_elements = st.dictionaries(st.sampled_from(WORDS), exponent_maps, max_size=len(WORDS))
+coefficients = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-3, 3).filter(bool)).map(lambda t: {t[0]: t[1]}),
+    exponent_maps,
+    st.just({}),
+)
+
+
+def _elt(raw):
+    return ShuffleElt(DATUM, WEIGHT, {w: LaurentPoly(d) for w, d in raw.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_elements, raw_elements, coefficients)
+def test_sub_scaled_matches_element_arithmetic(acc, f_raw, c_raw):
+    f, c = _elt(f_raw), LaurentPoly(c_raw)
+    expected = _elt(acc) - f.scaled(c)
+    f_before, c_before = copy.deepcopy(f.terms), dict(c.terms)
+    shuffle._sub_scaled(acc, f, c)
+    assert _elt(acc) == expected
+    assert all(d and all(d.values()) for d in acc.values())
+    assert f.terms == f_before and c.terms == c_before
+    # the accumulator never shares a map with its operand
+    assert not {id(d) for d in acc.values()} & {id(v.terms) for v in f.terms.values()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_elements, st.integers(-4, 4), st.integers(-3, 3).filter(bool))
+def test_scaled_by_a_monomial_matches_the_product(f_raw, k, m):
+    f, c = _elt(f_raw), monomial(k, m)
+    scaled = f.scaled(c)
+    assert scaled.terms == {w: v * c for w, v in f.terms.items()}
+    assert scaled.weight == f.weight
+    assert f.scaled(ONE) is f
+
+
+def test_q_binom_is_memoized():
+    assert laurent.q_binom(4, 2, 3) is laurent.q_binom(4, 2, 3)
+    assert laurent.q_binom(4, 2) == LaurentPoly({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
+
+
+# -- where straightening failed ----------------------------------------------------
+
+
+def _broken_table(monkeypatch, scale):
+    """An A3 table with order 2,1,3 whose dual PBW vector at the largest good
+    word of weight (1,1,1) is multiplied by `scale`."""
+    table = basis.GoodLyndonTable(cartan.parse("A3"), (2, 1, 3))
+    target = table.good_words_of_weight((1, 1, 1))[-1].word
+    real = table._dual_pbw_i
+
+    def broken(wi, factors):
+        elt, kappa = real(wi, factors)
+        if wi == table._w_in(target):
+            return elt.scaled(scale), kappa
+        return elt, kappa
+
+    monkeypatch.setattr(table, "_dual_pbw_i", broken)
+    return table, target
+
+
+def test_failure_names_datum_order_weight_good_word_and_pivot(monkeypatch):
+    # q times kappa is not bar-symmetric, so the good word is its own pivot
+    table, target = _broken_table(monkeypatch, monomial(1))
+    with pytest.raises(StraighteningFailure) as info:
+        table.dual_canonical_weight((1, 1, 1))
+    message = str(info.value)
+    word = shuffle.format_word(target)
+    for field in ("A3", "order 2,1,3", "weight 1,1,1", f"good word {word}", f"pivot {word}"):
+        assert field in message, (field, message)
+
+
+def test_failure_without_pivot_names_the_rest(monkeypatch):
+    table, target = _broken_table(monkeypatch, 2)
+    with pytest.raises(StraighteningFailure, match="wrong leading term") as info:
+        table.dual_canonical_weight((1, 1, 1))
+    message = str(info.value)
+    for field in ("A3", "order 2,1,3", "weight 1,1,1", f"good word {shuffle.format_word(target)}"):
+        assert field in message, (field, message)
+    assert "pivot" not in message
