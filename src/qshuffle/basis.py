@@ -314,15 +314,16 @@ class GoodLyndonTable:
         if len(factors) == 1 and factors[0][1] == 1:
             return self._dual_root_i(wi)
         shift = sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
-        elt: ShuffleElt | None = None
+        powers = []
         for l, a in reversed(factors):
             base, _ = self._dual_root_i(l)
             power = base
             for _ in range(a - 1):
                 power = shuffle.qshuffle(power, base)
-            elt = power if elt is None else shuffle.qshuffle(elt, power)
-        if elt is None:
-            raise laurent.TheoryViolation(f"no factors to multiply {self._where(wi)}")
+            powers.append(power)
+        elt = powers[0]
+        for power in powers[1:]:
+            elt = shuffle.qshuffle(elt, power)
         elt = elt.scaled(laurent.monomial(shift))
         kappa = self._kappa_i(factors)
         if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:

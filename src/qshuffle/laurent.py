@@ -216,12 +216,12 @@ def q_factorial(k: int, d: int = 1) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=None)
 def q_binom(m: int, k: int, d: int = 1) -> LaurentPoly:
     """[m choose k]_d; the quotient of q-factorials is always exact.
 
-    Memoized (at most 1024 entries): results are shared, which is safe
-    because no caller mutates a LaurentPoly.
+    Memoized: results are shared, which is safe because no caller mutates
+    a LaurentPoly.
     """
     if not 0 <= k <= m:
         raise ValueError("q-binomial needs 0 <= k <= m")

@@ -104,16 +104,8 @@ class ShuffleElt:
             c = LaurentPoly({0: c})
         if not c:
             return ShuffleElt.zero(self.datum, self.weight)
-        if len(c.terms) == 1:
-            # a monomial m q^k shifts exponents and multiplies integers
-            ((k, m),) = c.terms.items()
-            if k == 0 and m == 1:
-                return self
-            return _raw_elt(
-                self.datum,
-                self.weight,
-                {w: laurent._raw({e + k: m * x for e, x in v.terms.items()}) for w, v in self.terms.items()},
-            )
+        if c == ONE:
+            return self
         return _raw_elt(self.datum, self.weight, {w: v * c for w, v in self.terms.items()})
 
     def _check_peer(self, other: ShuffleElt, same_weight: bool = False) -> None:
