@@ -51,7 +51,6 @@ from .basis import (
     StraighteningFailure,
     closed_form_root_vector,
     commutation_class_root_vector,
-    good_lyndon_words,
     is_real,
     positivity_report,
     scan,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 from typing import Iterable, Sequence
 
@@ -186,13 +187,20 @@ class GoodLyndonTable:
         parts = words.lyndon_factorization(w)
         if any(p not in self._gl for p in parts):
             return None
-        grouped: list[tuple[Word, int]] = []
-        for p in parts:
-            if grouped and grouped[-1][0] == p:
-                grouped[-1] = (p, grouped[-1][1] + 1)
-            else:
-                grouped.append((p, 1))
-        return tuple(grouped)
+        return _grouped(parts)
+
+    def _good_words_i(self, nui: Weight) -> list[tuple[Word, tuple[tuple[Word, int], ...]]]:
+        """The good word of each Kostant partition of nu with its grouped
+        factors, ascending.  A non-increasing product of good Lyndon words has
+        exactly those words as its Lyndon factorization."""
+        out = []
+        for part in cartan.kostant_partitions(self._idatum, nui):
+            lyndons = sorted((self._lyndon_of_root[b] for b in part), reverse=True)
+            out.append((tuple(a for l in lyndons for a in l), _grouped(lyndons)))
+        return sorted(out)
+
+    def _good_out(self, wi: Word, factors: tuple[tuple[Word, int], ...]) -> GoodWord:
+        return GoodWord(self._w_out(wi), tuple((self._w_out(l), m) for l, m in factors))
 
     def is_good(self, w: Word) -> bool:
         return self._factors_i(self._w_in(tuple(w))) is not None
@@ -202,18 +210,11 @@ class GoodLyndonTable:
         factors = self._factors_i(wi)
         if factors is None:
             raise NotGoodWord(f"{format_word(w)} is not a good word")
-        return GoodWord(tuple(w), tuple((self._w_out(l), m) for l, m in factors))
+        return self._good_out(wi, factors)
 
     def good_words_of_weight(self, nu: Weight) -> tuple[GoodWord, ...]:
         """One good word per Kostant partition of nu, ascending lexicographically."""
-        nui = self._nu_in(tuple(nu))
-        out = []
-        for part in cartan.kostant_partitions(self._idatum, nui):
-            factors = sorted((self._lyndon_of_root[b] for b in part), reverse=True)
-            w = tuple(a for l in factors for a in l)
-            out.append(w)
-        out.sort()
-        return tuple(self.good_word(self._w_out(w)) for w in out)
+        return tuple(self._good_out(w, f) for w, f in self._good_words_i(self._nu_in(tuple(nu))))
 
     # -- Lyndon basis vectors -------------------------------------------------------
 
@@ -346,56 +347,38 @@ class GoodLyndonTable:
         hit = self._canonical_cache.get(nui)
         if hit is not None:
             return hit
-        goods: list[tuple[Word, tuple[tuple[Word, int], ...]]] = []
-        for part in cartan.kostant_partitions(self._idatum, nui):
-            factors = sorted((self._lyndon_of_root[b] for b in part), reverse=True)
-            w = tuple(a for l in factors for a in l)
-            goods.append(w)
-        goods.sort()
-        # Every word of a weight-nu element has weight nu, so a word is good
-        # exactly when it is one of these.
-        good_set = frozenset(goods)
+        goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         out: list[tuple[Word, ShuffleElt, LaurentPoly]] = []
-        for g in goods:
-            factors = self._factors_i(g)
-            if factors is None:
-                raise laurent.TheoryViolation(f"Kostant partition gave a word that is not good {self._where(g)}")
+        for k, (g, factors) in enumerate(goods):
             pbw, kappa = self._dual_pbw_i(g, factors)
-            # Corrections subtract in place from a private copy; only words in
-            # a pivot vector's support can change their bar symmetry.
+            # The dual PBW vectors are triangular on the good words, so one
+            # pass from g down fixes every good coefficient: a correction at p
+            # subtracts in place from a private copy and changes only words <= p.
             acc = {w: dict(c.terms) for w, c in pbw.terms.items()}
-            bad = {w for w, c in pbw.terms.items() if not c.is_bar_symmetric()}
-            last_pivot: Word | None = None
-            while bad:
-                pivots = bad & good_set
-                if not pivots:
-                    raise StraighteningFailure(
-                        f"no good pivot {self._where(g)}; asymmetric words "
-                        f"{[format_word(self._w_out(w)) for w in sorted(bad, reverse=True)]}"
-                    )
-                pivot = max(pivots)
-                if pivot >= g or (last_pivot is not None and pivot >= last_pivot):
-                    raise StraighteningFailure(f"pivot fails to decrease {self._where(g, pivot)}")
-                last_pivot = pivot
-                alpha = laurent._raw(acc[pivot])
-                b_pivot, kappa_p = done[pivot]
+            for p, _ in goods[k::-1]:
+                alpha = laurent._raw(acc.get(p, {}))
+                if alpha.is_bar_symmetric():
+                    continue
+                if p == g:
+                    raise StraighteningFailure(f"leading coefficient is not bar-symmetric {self._where(g, p)}")
+                b_pivot, kappa_p = done[p]
                 # Bar symmetry of alpha - gamma*kappa_p with gamma in q Z[q]
                 # pins gamma: gamma - bar(gamma) = (alpha - bar(alpha)) / kappa_p.
                 delta = laurent.exact_div(alpha - alpha.bar(), kappa_p)
                 if delta.bar() != -delta:
-                    raise StraighteningFailure(f"correction is not antisymmetric {self._where(g, pivot)}")
+                    raise StraighteningFailure(f"correction is not antisymmetric {self._where(g, p)}")
                 gamma = delta.positive_part()
                 if not gamma:
-                    raise StraighteningFailure(f"empty correction {self._where(g, pivot)}")
+                    raise StraighteningFailure(f"empty correction {self._where(g, p)}")
                 shuffle._sub_scaled(acc, b_pivot, gamma)
-                for w in b_pivot.terms:
-                    d = acc.get(w)
-                    if d is not None and not laurent._raw(d).is_bar_symmetric():
-                        bad.add(w)
-                    else:
-                        bad.discard(w)
             elt = shuffle._raw_elt(self._idatum, pbw.weight, {w: laurent._raw(d) for w, d in acc.items()})
+            bad = [w for w, c in elt.terms.items() if not c.is_bar_symmetric()]
+            if bad:
+                raise StraighteningFailure(
+                    f"no good pivot {self._where(g)}; asymmetric words "
+                    f"{[format_word(self._w_out(w)) for w in sorted(bad, reverse=True)]}"
+                )
             if shuffle.max_word(elt) != g or elt.terms[g] != kappa:
                 raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
             done[g] = (elt, kappa)
@@ -448,9 +431,9 @@ class GoodLyndonTable:
         return {self._w_out(w): c for w, c in self._expand_i(self._elt_in(f)).items()}
 
 
-def good_lyndon_words(datum: CartanDatum, order: Sequence[int] | None = None) -> GoodLyndonTable:
-    """Build the table of good Lyndon words for a datum and a simple-root order."""
-    return GoodLyndonTable(datum, order)
+def _grouped(lyndons: Sequence[Word]) -> tuple[tuple[Word, int], ...]:
+    """Runs of equal words in a non-increasing Lyndon factorization, with multiplicities."""
+    return tuple((l, len(list(run))) for l, run in groupby(lyndons))
 
 
 def _good_lyndon_map(datum: CartanDatum) -> dict[Weight, Word]:

@@ -244,37 +244,6 @@ def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
     return _raw_elt(datum, weight, terms)
 
 
-def qshuffle_by_interleaving(datum: CartanDatum, w1: Word, w2: Word) -> ShuffleElt:
-    """The same product of two words by direct enumeration of interleavings.
-
-    Each way of placing w1's letters (in order) among len(w1)+len(w2) slots
-    contributes the interleaved word with exponent minus the sum of pairings
-    of every w1-letter with every w2-letter placed after it.  Exists to
-    cross-check the recursive route at small size.
-    """
-    from itertools import combinations
-
-    bil = datum.bilinear
-    m, n = len(w1), len(w2)
-    acc: dict[Word, dict[int, int]] = {}
-    for pos in combinations(range(m + n), m):
-        chosen = set(pos)
-        rest = [p for p in range(m + n) if p not in chosen]
-        letters = [0] * (m + n)
-        for k, p in enumerate(pos):
-            letters[p] = w1[k]
-        for k, p in enumerate(rest):
-            letters[p] = w2[k]
-        e = 0
-        for k, p in enumerate(pos):
-            for l, p2 in enumerate(rest):
-                if p < p2:
-                    e += bil[w1[k] - 1][w2[l] - 1]
-        _shift_add(acc.setdefault(tuple(letters), {}), {0: 1}, -e)
-    terms = {w: laurent.LaurentPoly(d) for w, d in acc.items() if d}
-    return _raw_elt(datum, cartan.word_weight(datum, w1 + w2), terms)
-
-
 def concat(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
     """Coefficient-wise bilinear concatenation of words."""
     f._check_peer(g)

@@ -49,13 +49,6 @@ def parse_word(text: str, rank: int | None = None) -> Word:
     return w
 
 
-def lex_compare(w: Word, x: Word) -> int:
-    """-1, 0 or 1; a proper prefix compares smaller."""
-    if w == x:
-        return 0
-    return -1 if w < x else 1
-
-
 def is_lyndon(w: Word) -> bool:
     """True iff w is strictly smaller than every proper right factor."""
     if not w:

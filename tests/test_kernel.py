@@ -21,6 +21,9 @@ DIFFERENTIAL_RANGES = [
     ("G2", 6, None),
     ("C3", 5, None),
     ("B3", 4, (2, 3, 1)),
+    ("D4", 5, None),
+    ("A3", 6, (2, 1, 3)),
+    ("F4", 4, None),
 ]
 
 
@@ -136,9 +139,9 @@ def test_q_binom_is_memoized():
 # -- where straightening failed ----------------------------------------------------
 
 
-def _broken_table(monkeypatch, scale):
+def _broken_table(monkeypatch, alter):
     """An A3 table with order 2,1,3 whose dual PBW vector at the largest good
-    word of weight (1,1,1) is multiplied by `scale`."""
+    word of weight (1,1,1) is replaced by `alter(table, vector)`."""
     table = basis.GoodLyndonTable(cartan.parse("A3"), (2, 1, 3))
     target = table.good_words_of_weight((1, 1, 1))[-1].word
     real = table._dual_pbw_i
@@ -146,7 +149,7 @@ def _broken_table(monkeypatch, scale):
     def broken(wi, factors):
         elt, kappa = real(wi, factors)
         if wi == table._w_in(target):
-            return elt.scaled(scale), kappa
+            return alter(table, elt), kappa
         return elt, kappa
 
     monkeypatch.setattr(table, "_dual_pbw_i", broken)
@@ -155,7 +158,7 @@ def _broken_table(monkeypatch, scale):
 
 def test_failure_names_datum_order_weight_good_word_and_pivot(monkeypatch):
     # q times kappa is not bar-symmetric, so the good word is its own pivot
-    table, target = _broken_table(monkeypatch, monomial(1))
+    table, target = _broken_table(monkeypatch, lambda t, e: e.scaled(monomial(1)))
     with pytest.raises(StraighteningFailure) as info:
         table.dual_canonical_weight((1, 1, 1))
     message = str(info.value)
@@ -165,10 +168,28 @@ def test_failure_names_datum_order_weight_good_word_and_pivot(monkeypatch):
 
 
 def test_failure_without_pivot_names_the_rest(monkeypatch):
-    table, target = _broken_table(monkeypatch, 2)
+    table, target = _broken_table(monkeypatch, lambda t, e: e.scaled(2))
     with pytest.raises(StraighteningFailure, match="wrong leading term") as info:
         table.dual_canonical_weight((1, 1, 1))
     message = str(info.value)
     for field in ("A3", "order 2,1,3", "weight 1,1,1", f"good word {shuffle.format_word(target)}"):
         assert field in message, (field, message)
     assert "pivot" not in message
+
+
+def test_failure_at_a_word_that_is_not_good_lists_it(monkeypatch):
+    # corrections read only good coefficients, so the asymmetry survives the
+    # pass and the final full-support guard must catch it
+    spoilt = []
+
+    def add_q(table, elt):
+        w = max(w for w in elt.terms if table._factors_i(w) is None)
+        spoilt.append(shuffle.format_word(table._w_out(w)))
+        return elt + ShuffleElt.from_word(elt.datum, w, monomial(1))
+
+    table, target = _broken_table(monkeypatch, add_q)
+    with pytest.raises(StraighteningFailure, match="asymmetric words") as info:
+        table.dual_canonical_weight((1, 1, 1))
+    message = str(info.value)
+    for field in ("A3", "order 2,1,3", "weight 1,1,1", f"good word {shuffle.format_word(target)}", spoilt[0]):
+        assert field in message, (field, message)

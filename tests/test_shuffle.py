@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,6 @@ from qshuffle.shuffle import (
     max_word,
     prepend_letter,
     qshuffle,
-    qshuffle_by_interleaving,
     serre_membership,
     shuffle_bracket,
     sigma,
@@ -69,6 +69,29 @@ def test_qshuffle_examples():
     unit = ShuffleElt.from_word(B2, ())
     assert qshuffle(unit, f) == f
     assert qshuffle(f, unit) == f
+
+
+def qshuffle_by_interleaving(datum, w1, w2):
+    """Reference product of two words by direct enumeration of interleavings.
+
+    Each way of placing w1's letters (in order) among len(w1)+len(w2) slots
+    contributes the interleaved word times q to minus the sum of pairings of
+    every w1-letter with every w2-letter placed after it.
+    """
+    bil = datum.bilinear
+    slots = range(len(w1) + len(w2))
+    terms = {}
+    for pos in combinations(slots, len(w1)):
+        rest = [p for p in slots if p not in pos]
+        letters = [0] * len(slots)
+        for p, a in zip(pos, w1):
+            letters[p] = a
+        for p, b in zip(rest, w2):
+            letters[p] = b
+        e = sum(bil[a - 1][b - 1] for p, a in zip(pos, w1) for p2, b in zip(rest, w2) if p < p2)
+        w = tuple(letters)
+        terms[w] = terms.get(w, ZERO) + monomial(-e)
+    return ShuffleElt(datum, cartan.word_weight(datum, w1 + w2), terms)
 
 
 def test_qshuffle_matches_interleaving_expansion():

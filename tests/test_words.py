@@ -11,7 +11,6 @@ from qshuffle.words import (
     costandard_factorization,
     format_word,
     is_lyndon,
-    lex_compare,
     lyndon_factorization,
     parse_word,
     standard_factorization,
@@ -36,10 +35,11 @@ def greedy_factorization(w):
 
 
 def test_lex_compare_examples():
-    assert lex_compare((1,), (1, 1)) == -1  # proper prefix is smaller
-    assert lex_compare((1, 1, 2), (1, 2)) == -1
-    assert lex_compare((2,), (1, 9, 9)) == 1
-    assert lex_compare((1, 2), (1, 2)) == 0
+    # words are tuples, and tuple order is the lexicographic order
+    assert (1,) < (1, 1)  # proper prefix is smaller
+    assert (1, 1, 2) < (1, 2)
+    assert (2,) > (1, 9, 9)
+    assert (1, 2) == (1, 2)
 
 
 def test_is_lyndon_examples():
