@@ -52,7 +52,6 @@ from .basis import (
     closed_form_root_vector,
     commutation_class_root_vector,
     is_real,
-    positivity_report,
     scan,
 )
 from .characters import (

@@ -333,13 +333,13 @@ class GoodLyndonTable:
 
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
-        good = g if isinstance(g, GoodWord) else self.good_word(tuple(g))
-        wi = self._w_in(good.word)
+        w = tuple(g.word if isinstance(g, GoodWord) else g)
+        wi = self._w_in(w)
         factors = self._factors_i(wi)
         if factors is None:
-            raise NotGoodWord(f"{format_word(good.word)} is not a good word")
+            raise NotGoodWord(f"{format_word(w)} is not a good word")
         elt, kappa = self._dual_pbw_i(wi, factors)
-        return DualPBWVector(good, self._elt_out(elt), kappa)
+        return DualPBWVector(self._good_out(wi, factors), self._elt_out(elt), kappa)
 
     # -- the dual canonical basis --------------------------------------------------------
 
@@ -390,12 +390,12 @@ class GoodLyndonTable:
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
         nui = self._nu_in(tuple(nu))
-        out = []
-        for g, elt, kappa in self._dual_canonical_weight_i(nui):
-            out.append(
-                DualCanonicalVector(self.good_word(self._w_out(g)), self._elt_out(elt), kappa)
-            )
-        return tuple(out)
+        vectors = self._dual_canonical_weight_i(nui)
+        # both ascend by good word, so each vector meets its own factors
+        return tuple(
+            DualCanonicalVector(self._good_out(g, factors), self._elt_out(elt), kappa)
+            for (g, factors), (_, elt, kappa) in zip(self._good_words_i(nui), vectors)
+        )
 
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
         """The dual canonical vector indexed by one good word."""
@@ -466,31 +466,6 @@ def _good_lyndon_map(datum: CartanDatum) -> dict[Weight, Word]:
 
 
 # -- reports and scans ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Negative-coefficient witnesses for one weight; empty means all positive."""
-
-    weight: Weight
-    checked: int
-    violations: tuple[tuple[Word, Word, LaurentPoly], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def positivity_report(table: GoodLyndonTable, nu: Weight) -> PositivityReport:
-    """Scan every dual canonical vector of weight nu for negative coefficients."""
-    violations = []
-    vectors = table.dual_canonical_weight(nu)
-    for vec in vectors:
-        for w in sorted(vec.elt.terms):
-            c = vec.elt.terms[w]
-            if any(v < 0 for v in c.terms.values()):
-                violations.append((vec.good_word.word, w, c))
-    return PositivityReport(tuple(nu), len(vectors), tuple(violations))
 
 
 def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
@@ -603,11 +578,14 @@ class ScanReport:
 
 
 def _positivity_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
-    report = positivity_report(table, nu)
-    return [
-        {"good_word": list(g), "word": list(w), "coefficient": c.to_json()}
-        for g, w, c in report.violations
-    ]
+    """Every negative coefficient of the dual canonical vectors of weight nu."""
+    out = []
+    for vec in table.dual_canonical_weight(nu):
+        for w in sorted(vec.elt.terms):
+            c = vec.elt.terms[w]
+            if any(v < 0 for v in c.terms.values()):
+                out.append({"good_word": list(vec.good_word.word), "word": list(w), "coefficient": c.to_json()})
+    return out
 
 
 def _reality_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:

@@ -4,7 +4,8 @@ Subcommands: roots, good-words, dual-pbw, dual-canonical, expand, scan,
 character, is-real.  Output is deterministic (collections are sorted before
 rendering and timing goes to stderr), in plain text or JSON.
 
-Exit codes: 0 success, 1 usage error, 2 internal exactness violation.
+Exit codes: 0 success, 1 usage error, 2 internal error (exactness violation or
+broken invariant).
 """
 
 from __future__ import annotations
@@ -76,11 +77,9 @@ def _build_parser() -> _Parser:
 
 
 def _table(args: argparse.Namespace) -> basis.GoodLyndonTable:
-    datum = cartan.parse(args.type)
-    order = None
-    if args.order:
-        order = tuple(int(p) for p in args.order.split(","))
     try:
+        datum = cartan.parse(args.type)
+        order = tuple(int(p) for p in args.order.split(",")) if args.order else None
         return basis.GoodLyndonTable(datum, order)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -244,7 +243,10 @@ def _cmd_character(args) -> int:
             shape_str = args.shifted
     except (characters.ShapeConstraintViolated, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    computed = table.dual_canonical_vector(char.good_word)
+    try:
+        computed = table.dual_canonical_vector(char.good_word)
+    except basis.NotGoodWord as exc:  # the shape's word is not good under --order
+        raise UsageError(str(exc)) from exc
     verdict = "MATCH" if computed.elt == char.element else "MISMATCH"
     lines = [
         _header(args, shape=shape_str),
@@ -297,11 +299,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TheoryViolation as exc:
-        print(f"exactness violation: {exc}", file=sys.stderr)
+    except (TheoryViolation, ValueError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

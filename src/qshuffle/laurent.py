@@ -6,6 +6,11 @@ integers, and support the bar involution q -> q^{-1}, exact division and exact
 square roots.  Division and square roots fail loudly (`InexactDivision`,
 `NotAPerfectSquare`) instead of ever falling back to rational arithmetic:
 inexactness always means a bug or a violated structural assumption upstream.
+
+This module owns raw exponent-map arithmetic: `_add_into` and `_mul_add` are
+the only loops that accumulate into an exponent -> coefficient map.  The ring
+operations here and the shuffle kernel, which keeps its coefficients as raw
+maps, all go through them.
 """
 
 from __future__ import annotations
@@ -90,22 +95,12 @@ class LaurentPoly:
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        _add_into(out, other.terms)
         return _raw(out)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+        _add_into(out, other.terms, 0, -1)
         return _raw(out)
 
     def __neg__(self) -> LaurentPoly:
@@ -115,14 +110,7 @@ class LaurentPoly:
         if isinstance(other, int):
             return _raw({e: c * other for e, c in self.terms.items()}) if other else ZERO
         out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        _mul_add(out, self.terms, other.terms)
         return _raw(out)
 
     def __rmul__(self, other: int) -> LaurentPoly:
@@ -191,6 +179,33 @@ def _raw(terms: dict[int, int]) -> LaurentPoly:
     return p
 
 
+# Raw exponent maps: acc is owned by the caller and stays normalized (no zero
+# coefficient); the operands are only read and must be normalized, with c != 0.
+
+
+def _add_into(acc: dict[int, int], p: Mapping[int, int], k: int = 0, c: int = 1) -> None:
+    """acc += c * q^k * p on raw exponent maps."""
+    for e, x in p.items():
+        e += k
+        s = acc.get(e, 0) + c * x
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
+def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> None:
+    """acc += p * q on raw exponent maps."""
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 
@@ -249,13 +264,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         if r:
             raise InexactDivision(f"({p}) is not divisible by ({d})")
         out[qe] = qc
-        for e, c in d.terms.items():
-            e2 = e + qe
-            s = rem.get(e2, 0) - c * qc
-            if s:
-                rem[e2] = s
-            else:
-                rem.pop(e2, None)
+        _add_into(rem, d.terms, qe, -qc)
     return _raw(out)
 
 

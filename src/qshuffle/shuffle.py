@@ -7,7 +7,8 @@ membership test for the subalgebra generated by the letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping
 
 from . import cartan, laurent
 from .cartan import CartanDatum, Weight
@@ -84,14 +85,8 @@ class ShuffleElt:
 
     def __add__(self, other: ShuffleElt) -> ShuffleElt:
         self._check_peer(other, same_weight=True)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return _raw_elt(self.datum, self.weight if self.terms or not other.terms else other.weight, out)
+        weight = self.weight if self.terms or not other.terms else other.weight
+        return _collect(self.datum, weight, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: ShuffleElt) -> ShuffleElt:
         return self + (-other)
@@ -159,6 +154,14 @@ def _raw_elt(datum: CartanDatum, weight: Weight, terms: dict[Word, LaurentPoly])
     return e
 
 
+def _collect(datum: CartanDatum, weight: Weight, pairs: Iterable[tuple[Word, LaurentPoly]]) -> ShuffleElt:
+    """The element sum of c * w over (w, c) pairs; words that cancel are dropped."""
+    acc: dict[Word, dict[int, int]] = {}
+    for w, c in pairs:
+        laurent._add_into(acc.setdefault(w, {}), c.terms)
+    return _raw_elt(datum, weight, {w: laurent._raw(d) for w, d in acc.items() if d})
+
+
 # -- the q-shuffle product -----------------------------------------------------
 
 # Word-pair shuffles are memoized as raw {word: {exponent: coeff}} maps; cached
@@ -170,28 +173,6 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> None:
-    """acc += p * q on raw exponent maps."""
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-
-
-def _shift_add(acc: dict[int, int], p: Mapping[int, int], k: int) -> None:
-    """acc += q^k * p on raw exponent maps."""
-    for e, c in p.items():
-        s = acc.get(e + k, 0) + c
-        if s:
-            acc[e + k] = s
-        else:
-            del acc[e + k]
-
-
 def _sub_scaled(acc: dict[Word, dict[int, int]], f: ShuffleElt, c: LaurentPoly) -> None:
     """acc -= c * f on a raw {word: {exponent: coeff}} map the caller owns.
 
@@ -201,7 +182,7 @@ def _sub_scaled(acc: dict[Word, dict[int, int]], f: ShuffleElt, c: LaurentPoly) 
     neg = {e: -x for e, x in c.terms.items()}
     for w, v in f.terms.items():
         d = acc.setdefault(w, {})
-        _mul_add(d, v.terms, neg)
+        laurent._mul_add(d, v.terms, neg)
         if not d:
             del acc[w]
 
@@ -221,10 +202,10 @@ def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[in
     bil = datum.bilinear
     out: dict[Word, dict[int, int]] = {}
     for u, p in _shuffle_words(datum, w1[:-1], w2).items():
-        _shift_add(out.setdefault(u + (a,), {}), p, 0)
+        laurent._add_into(out.setdefault(u + (a,), {}), p)
     shift = -sum(bil[x - 1][b - 1] for x in w1)
     for u, p in _shuffle_words(datum, w1, w2[:-1]).items():
-        _shift_add(out.setdefault(u + (b,), {}), p, shift)
+        laurent._add_into(out.setdefault(u + (b,), {}), p, shift)
     _CACHE[key] = out
     return out
 
@@ -239,24 +220,16 @@ def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
         for wg, cg in g.terms.items():
             scale = (cf * cg).terms
             for u, p in _shuffle_words(datum, wf, wg).items():
-                _mul_add(acc.setdefault(u, {}), scale, p)
-    terms = {w: laurent.LaurentPoly(d) for w, d in acc.items() if d}
+                laurent._mul_add(acc.setdefault(u, {}), scale, p)
+    terms = {w: laurent._raw(d) for w, d in acc.items() if d}
     return _raw_elt(datum, weight, terms)
 
 
 def concat(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
     """Coefficient-wise bilinear concatenation of words."""
     f._check_peer(g)
-    out: dict[Word, LaurentPoly] = {}
-    for wf, cf in f.terms.items():
-        for wg, cg in g.terms.items():
-            w = wf + wg
-            s = out.get(w, ZERO) + cf * cg
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return _raw_elt(f.datum, cartan.add(f.weight, g.weight), out)
+    pairs = ((wf + wg, cf * cg) for wf, cf in f.terms.items() for wg, cg in g.terms.items())
+    return _collect(f.datum, cartan.add(f.weight, g.weight), pairs)
 
 
 def prepend_letter(i: int, f: ShuffleElt) -> ShuffleElt:
@@ -281,31 +254,15 @@ def shuffle_bracket(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
 def e_prime(f: ShuffleElt, i: int) -> ShuffleElt:
     """Linear extension of last-letter deletion (delete a trailing i)."""
     alpha = cartan.simple_root(f.datum, i)
-    out: dict[Word, LaurentPoly] = {}
-    for w, c in f.terms.items():
-        if w and w[-1] == i:
-            u = w[:-1]
-            s = out.get(u, ZERO) + c
-            if s:
-                out[u] = s
-            else:
-                out.pop(u, None)
-    return _raw_elt(f.datum, cartan.sub(f.weight, alpha), out)
+    pairs = ((w[:-1], c) for w, c in f.terms.items() if w and w[-1] == i)
+    return _collect(f.datum, cartan.sub(f.weight, alpha), pairs)
 
 
 def e_prime_dag(f: ShuffleElt, i: int) -> ShuffleElt:
     """Linear extension of first-letter deletion (delete a leading i)."""
     alpha = cartan.simple_root(f.datum, i)
-    out: dict[Word, LaurentPoly] = {}
-    for w, c in f.terms.items():
-        if w and w[0] == i:
-            u = w[1:]
-            s = out.get(u, ZERO) + c
-            if s:
-                out[u] = s
-            else:
-                out.pop(u, None)
-    return _raw_elt(f.datum, cartan.sub(f.weight, alpha), out)
+    pairs = ((w[1:], c) for w, c in f.terms.items() if w and w[0] == i)
+    return _collect(f.datum, cartan.sub(f.weight, alpha), pairs)
 
 
 def _pair_sum(datum: CartanDatum, w: Word) -> int:
@@ -321,24 +278,14 @@ def _pair_sum(datum: CartanDatum, w: Word) -> int:
 
 def tau(f: ShuffleElt) -> ShuffleElt:
     """Word reversal; an anti-automorphism of the shuffle product."""
-    out: dict[Word, LaurentPoly] = {}
-    for w, c in f.terms.items():
-        u = w[::-1]
-        s = out.get(u, ZERO) + c
-        out[u] = s
-    return _raw_elt(f.datum, f.weight, {w: c for w, c in out.items() if c})
+    return _collect(f.datum, f.weight, ((w[::-1], c) for w, c in f.terms.items()))
 
 
 def bar_elt(f: ShuffleElt) -> ShuffleElt:
     """q -> q^{-1} on coefficients, each word reversed and twisted by
     q^{-sum_{s<t}(alpha_{w_s}, alpha_{w_t})}."""
-    out: dict[Word, LaurentPoly] = {}
-    for w, c in f.terms.items():
-        u = w[::-1]
-        v = c.bar().shifted(-_pair_sum(f.datum, w))
-        s = out.get(u, ZERO) + v
-        out[u] = s
-    return _raw_elt(f.datum, f.weight, {w: c for w, c in out.items() if c})
+    pairs = ((w[::-1], c.bar().shifted(-_pair_sum(f.datum, w))) for w, c in f.terms.items())
+    return _collect(f.datum, f.weight, pairs)
 
 
 def sigma(f: ShuffleElt) -> ShuffleElt:

@@ -1,6 +1,8 @@
 import json
 
-from qshuffle import cartan
+import pytest
+
+from qshuffle import basis, cartan, shuffle
 from qshuffle.cli import main
 from qshuffle.laurent import LaurentPoly
 from qshuffle.shuffle import ShuffleElt
@@ -129,3 +131,20 @@ def test_usage_errors(capsys):
     # argparse-level failures (unknown subcommand, bad choice) also exit 1
     assert run(capsys, "frobnicate", "A2")[0] == 1
     assert run(capsys, "scan", "A2", "--max-height", "2", "--check", "bogus")[0] == 1
+
+
+def test_input_errors_found_past_argument_parsing_exit_1(capsys):
+    assert run(capsys, "roots", "A2", "--order", "1,x")[0] == 1
+    # under this order the shape's word w[2,3,1] is not good
+    assert run(capsys, "character", "A3", "--skew", "2,1/0", "--shift", "2", "--order", "3,2,1")[0] == 1
+
+
+@pytest.mark.parametrize("error", [shuffle.HomogeneityError, basis.StraighteningFailure])
+def test_internal_errors_exit_2_and_name_the_class(capsys, monkeypatch, error):
+    def broken(*args):
+        raise error("broken invariant")
+
+    monkeypatch.setattr(basis, "scan", broken)
+    code, out, err = run(capsys, "scan", "A2", "--max-height", "2")
+    assert code == 2 and out == ""
+    assert error.__name__ in err and "broken invariant" in err
