@@ -98,6 +98,8 @@ class GoodLyndonTable:
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         self._canonical_cache: dict[Weight, tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]] = {}
+        self._pbw_memo_weight: Weight | None = None
+        self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
 
     # -- letter/weight/element translation -------------------------------------
 
@@ -404,19 +406,31 @@ class GoodLyndonTable:
         for vec in self.dual_canonical_weight(nu):
             if vec.good_word.word == good.word:
                 return vec
-        raise AssertionError("unreachable: every good word indexes a vector")
+        raise laurent.TheoryViolation(
+            f"no dual canonical vector for good word {format_word(good.word)}; every good word indexes one"
+        )
 
     # -- expansion over the dual PBW family ------------------------------------------------
 
     def _expand_i(self, elt_i: ShuffleElt) -> dict[Word, LaurentPoly]:
+        # The memo holds the dual PBW vectors of one weight only, so the
+        # expansions of that weight's vectors share one build per good word
+        # and no vector outlives the weight that uses it.
+        if elt_i.weight != self._pbw_memo_weight:
+            self._pbw_memo_weight = elt_i.weight
+            self._pbw_memo = {}
+        memo = self._pbw_memo
         residual = {w: dict(c.terms) for w, c in elt_i.terms.items()}
         out: dict[Word, LaurentPoly] = {}
         while residual:
             w = max(residual)
-            factors = self._factors_i(w)
-            if factors is None:
-                raise NotInU(f"maximal word {format_word(self._w_out(w))} of the residual is not good")
-            elt, kappa = self._dual_pbw_i(w, factors)
+            hit = memo.get(w)
+            if hit is None:
+                factors = self._factors_i(w)
+                if factors is None:
+                    raise NotInU(f"maximal word {format_word(self._w_out(w))} of the residual is not good")
+                hit = memo[w] = self._dual_pbw_i(w, factors)
+            elt, kappa = hit
             try:
                 c = laurent.exact_div(laurent._raw(residual[w]), kappa)
             except laurent.InexactDivision as exc:
@@ -460,7 +474,7 @@ def _good_lyndon_map(datum: CartanDatum) -> dict[Weight, Word]:
                 if best is None or cand > best:
                     best = cand
         if best is None or not words.is_lyndon(best):
-            raise RuntimeError(f"no Lyndon cover found for root {beta}")
+            raise laurent.TheoryViolation(f"no Lyndon cover found for root {beta}")
         table[beta] = best
     return table
 

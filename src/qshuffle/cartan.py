@@ -24,6 +24,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
+from .laurent import TheoryViolation
+
 Weight = tuple[int, ...]
 
 
@@ -250,7 +252,7 @@ def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
         current = nxt
     expected = _ROOT_COUNTS[datum.family](datum.rank)
     if len(roots) != expected:
-        raise RuntimeError(f"root closure for {datum} found {len(roots)} roots, expected {expected}")
+        raise TheoryViolation(f"root closure for {datum} found {len(roots)} roots, expected {expected}")
     return tuple(sorted(roots, key=lambda w: (height(w), w)))
 
 

@@ -7,6 +7,7 @@ membership test for the subalgebra generated by the letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -341,45 +342,56 @@ class MembershipResult:
         return self.ok
 
 
+@lru_cache(maxsize=None)
+def _serre_weights(m: int, d: int) -> tuple[dict[int, int], ...]:
+    """(-1)^k [m choose k]_d as raw exponent maps, k = 0..m; shared and never mutated."""
+    return tuple(
+        {e: -x if k % 2 else x for e, x in laurent.q_binom(m, k, d).terms.items()} for k in range(m + 1)
+    )
+
+
 def serre_membership(f: ShuffleElt) -> MembershipResult:
     """Test membership in the subalgebra generated by the letters.
 
-    For every pair i != j and every context (z, t), the alternating sum of
-    coefficients of z i^k j i^{1-a_ij-k} t, weighted by [1-a_ij choose k]_i,
-    must vanish.  Contexts are harvested from the support, so absent words
-    contribute zero; the first failing relation is reported as a witness.
+    For every pair i != j, with m = 1 - a_ij, and every context (z, t), the
+    alternating sum of coefficients of z i^k j i^{m-k} t, weighted by
+    [m choose k]_i, must vanish.  Contexts are harvested from the support, so
+    absent words contribute zero; the first failing relation, in sorted
+    context order, is reported as a witness.
+
+    The harvest reads run lengths.  Since m >= 1, a word z i^k j i^{m-k} t
+    has an i next to its j, so a position p holding j only needs the letters
+    i != j beside it.  With L and R the runs of i ending just left of p and
+    starting just right of it, both capped at m, the contexts through p are
+    exactly those with k in range(m - R, L + 1).
     """
     datum = f.datum
     a = datum.cartan
-    r = datum.rank
     contexts: set[tuple[int, int, Word, Word]] = set()
     for w in f.terms:
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
+        n = len(w)
+        for p, j in enumerate(w):
+            left = w[p - 1] if p else j
+            right = w[p + 1] if p + 1 < n else j
+            for i in {left, right}:
                 if i == j:
                     continue
                 m = 1 - a[i - 1][j - 1]
-                for p, letter in enumerate(w):
-                    if letter != j:
-                        continue
-                    for k in range(m + 1):
-                        if p - k < 0 or p + 1 + m - k > len(w):
-                            continue
-                        if all(x == i for x in w[p - k : p]) and all(
-                            x == i for x in w[p + 1 : p + 1 + m - k]
-                        ):
-                            contexts.add((i, j, w[: p - k], w[p + 1 + m - k :]))
+                left_run = 0
+                while left_run < m and left_run < p and w[p - 1 - left_run] == i:
+                    left_run += 1
+                right_run = 0
+                while right_run < m and p + 1 + right_run < n and w[p + 1 + right_run] == i:
+                    right_run += 1
+                for k in range(m - right_run, left_run + 1):
+                    contexts.add((i, j, w[: p - k], w[p + 1 + m - k :]))
     for i, j, z, t in sorted(contexts):
         m = 1 - a[i - 1][j - 1]
-        d = datum.d[i - 1]
-        total = ZERO
-        for k in range(m + 1):
-            wk = z + (i,) * k + (j,) + (i,) * (m - k) + t
-            c = f.terms.get(wk)
-            if c is None:
-                continue
-            term = laurent.q_binom(m, k, d) * c
-            total = total - term if k % 2 else total + term
+        total: dict[int, int] = {}
+        for k, weight in enumerate(_serre_weights(m, datum.d[i - 1])):
+            c = f.terms.get(z + (i,) * k + (j,) + (i,) * (m - k) + t)
+            if c is not None:
+                laurent._mul_add(total, weight, c.terms)
         if total:
-            return MembershipResult(False, MembershipWitness(i, j, z, t, total))
+            return MembershipResult(False, MembershipWitness(i, j, z, t, laurent._raw(total)))
     return MembershipResult(True, None)

@@ -84,7 +84,7 @@ def standard_factorization(l: Word) -> tuple[Word, Word]:
     for s in range(1, len(l)):
         if is_lyndon(l[s:]):
             return l[:s], l[s:]
-    raise AssertionError("unreachable: the last letter is always Lyndon")
+    raise TheoryViolation(f"no Lyndon right factor of {format_word(l)}; the last letter is always one")
 
 
 def costandard_factorization(l: Word) -> tuple[Word, Word]:
@@ -97,7 +97,7 @@ def costandard_factorization(l: Word) -> tuple[Word, Word]:
             if not is_lyndon(right):
                 raise TheoryViolation(f"co-standard right factor of {format_word(l)} is not Lyndon")
             return left, right
-    raise AssertionError("unreachable: the first letter is always Lyndon")
+    raise TheoryViolation(f"no Lyndon left factor of {format_word(l)}; the first letter is always one")
 
 
 def commutation_class(w: Word, datum: "CartanDatum") -> frozenset[Word]:

@@ -537,3 +537,10 @@ def test_not_good_lyndon_errors(tables):
         t.dual_root_vector((2, 1))
     with pytest.raises(NotGoodLyndon):
         t.lyndon_of_root((2, 2))
+
+
+def test_good_word_without_a_canonical_vector_is_an_internal_error(monkeypatch):
+    t = basis.GoodLyndonTable(cartan.parse("A2"))
+    monkeypatch.setattr(t, "dual_canonical_weight", lambda nu: ())
+    with pytest.raises(laurent.TheoryViolation, match="no dual canonical vector for good word w\\[1,2\\]"):
+        t.dual_canonical_vector((1, 2))

@@ -1,6 +1,7 @@
 import pytest
 
 from qshuffle import cartan
+from qshuffle.laurent import TheoryViolation
 from qshuffle.cartan import (
     UnsupportedRank,
     bilinear_form,
@@ -96,6 +97,12 @@ def test_root_closure_is_idempotent():
                 pairing = sum(beta[j] * datum.cartan[i - 1][j] for j in range(r))
                 up_is_root = cartan.add(beta, alpha) in roots
                 assert up_is_root == (p - pairing > 0)
+
+
+def test_root_closure_with_the_wrong_count_is_an_internal_error(monkeypatch):
+    monkeypatch.setitem(cartan._ROOT_COUNTS, "A", lambda r: 0)
+    with pytest.raises(TheoryViolation, match="found 3 roots, expected 0"):
+        positive_roots.__wrapped__(parse("A2"))  # bypasses the memo
 
 
 def test_bilinear_examples():

@@ -1,0 +1,104 @@
+"""The invariants check layer: the run-length Serre membership test against
+the reference harvest in `serre_oracle`, and the one-weight memo of dual PBW
+vectors that the expansion shares between the vectors of a weight."""
+
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import serre_oracle
+from qshuffle import basis, cartan
+from qshuffle.laurent import LaurentPoly, monomial
+from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
+
+MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
+
+
+def _canonical_vectors(table, max_height):
+    for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
+        for _, elt, _ in table._dual_canonical_weight_i(table._nu_in(nu)):
+            yield elt
+
+
+def _shifted(elt, n):
+    """Two copies of elt, one coefficient moved by +q^k and one by -q^k."""
+    support = sorted(elt.terms)
+    k = n % 5 - 2
+    for w, sign in ((support[n % len(support)], 1), (support[(7 * n + 3) % len(support)], -1)):
+        yield elt + ShuffleElt(elt.datum, elt.weight, {w: monomial(k, sign)})
+
+
+@pytest.mark.parametrize("label, max_height", MEMBERSHIP_RANGES)
+def test_membership_agrees_with_reference(tables, label, max_height):
+    members = non_members = 0
+    for n, elt in enumerate(_canonical_vectors(tables(label), max_height)):
+        result = serre_membership(elt)
+        assert result.ok and result == serre_oracle.serre_membership(elt)
+        members += 1
+        for f in _shifted(elt, n):
+            result = serre_membership(f)
+            assert result == serre_oracle.serre_membership(f), (elt, f)
+            non_members += not result.ok
+    # a shift at a word that shares a relation with another word breaks it,
+    # so most of the 2 * members copies are non-members, with witnesses
+    assert non_members > members
+
+
+B2 = cartan.parse("B2")
+G2 = cartan.parse("G2")
+polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def homogeneous_elements(draw):
+    """A letter-generated element (a scaled shuffle product of letters) plus
+    noise on permutations of the same letters.  In B2 and G2 the relations
+    have m = 1 - a_ij up to 2 and 4, and up to six letters reach them."""
+    datum = draw(st.sampled_from([B2, G2]))
+    letters = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=6))
+    member = ShuffleElt.from_word(datum, ())
+    for a in letters:
+        member = qshuffle(member, ShuffleElt.from_word(datum, (a,)))
+    member = member.scaled(draw(polys))
+    words = sorted(set(permutations(letters)))
+    noise = draw(st.dictionaries(st.sampled_from(words), polys, max_size=3))
+    weight = cartan.word_weight(datum, letters)
+    return ShuffleElt(datum, weight, member.terms) + ShuffleElt(datum, weight, noise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_elements())
+def test_membership_agrees_with_reference_on_random_elements(f):
+    assert serre_membership(f) == serre_oracle.serre_membership(f)
+
+
+# -- one dual PBW build per good word per expanded weight ----------------------------
+
+
+def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch):
+    # 320 builds for straightening, one per good word of D4 up to height 5,
+    # and at most 320 more for the expansions, one per good word and weight
+    table = basis.GoodLyndonTable(cartan.parse("D4"))
+    real = table._dual_pbw_i
+    built = []
+
+    def counting(wi, factors):
+        built.append(wi)
+        return real(wi, factors)
+
+    monkeypatch.setattr(table, "_dual_pbw_i", counting)
+    report = basis.scan(table, 5, "invariants")
+    assert report.total_violations == 0 and report.total_vectors == 320
+    assert len(built) <= 640
+
+
+def test_expansion_memo_holds_one_weight_only():
+    table = basis.GoodLyndonTable(B2)
+    for nu in ((2, 1), (1, 2)):
+        for g, elt, _ in table._dual_canonical_weight_i(nu):
+            assert table._expand_i(elt)[g] == 1
+    assert table._pbw_memo
+    assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} == {(1, 2)}
+    assert all(elt.weight == (1, 2) for elt, _ in table._pbw_memo.values())

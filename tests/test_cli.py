@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qshuffle import basis, cartan, shuffle
+from qshuffle import basis, cartan, shuffle, words
 from qshuffle.cli import main
 from qshuffle.laurent import LaurentPoly
 from qshuffle.shuffle import ShuffleElt
@@ -139,12 +139,34 @@ def test_input_errors_found_past_argument_parsing_exit_1(capsys):
     assert run(capsys, "character", "A3", "--skew", "2,1/0", "--shift", "2", "--order", "3,2,1")[0] == 1
 
 
-@pytest.mark.parametrize("error", [shuffle.HomogeneityError, basis.StraighteningFailure])
-def test_internal_errors_exit_2_and_name_the_class(capsys, monkeypatch, error):
+def _raising(error):
     def broken(*args):
         raise error("broken invariant")
 
-    monkeypatch.setattr(basis, "scan", broken)
+    return broken
+
+
+@pytest.mark.parametrize(
+    "owner, name, replacement, message",
+    [
+        pytest.param(
+            basis, "scan", _raising(shuffle.HomogeneityError), "HomogeneityError: broken invariant",
+            id="HomogeneityError",
+        ),
+        pytest.param(
+            basis, "scan", _raising(basis.StraighteningFailure), "StraighteningFailure: broken invariant",
+            id="StraighteningFailure",
+        ),
+        # with no Lyndon words the root -> Lyndon word map cannot be built,
+        # a branch correct code never reaches
+        pytest.param(
+            words, "is_lyndon", lambda w: False, "TheoryViolation: no Lyndon cover found for root",
+            id="no-lyndon-cover",
+        ),
+    ],
+)
+def test_internal_errors_exit_2_and_name_the_class(capsys, monkeypatch, owner, name, replacement, message):
+    monkeypatch.setattr(owner, name, replacement)
     code, out, err = run(capsys, "scan", "A2", "--max-height", "2")
     assert code == 2 and out == ""
-    assert error.__name__ in err and "broken invariant" in err
+    assert message in err

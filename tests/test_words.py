@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from qshuffle import cartan
+from qshuffle import cartan, words
+from qshuffle.laurent import TheoryViolation
 from qshuffle.words import (
     EmptyWord,
     NotLyndon,
@@ -95,6 +96,15 @@ def test_factorization_errors():
             fn((1,))
         with pytest.raises(NotLyndon):
             fn((2, 1))
+
+
+def test_factorization_without_a_lyndon_half_is_an_internal_error(monkeypatch):
+    # only the whole word passes the Lyndon test, so neither split finds a
+    # half; correct code never gets here, and the failure must not be an assert
+    monkeypatch.setattr(words, "is_lyndon", lambda w: w == (1, 2))
+    for fn in (standard_factorization, costandard_factorization):
+        with pytest.raises(TheoryViolation, match="w\\[1,2\\]"):
+            fn((1, 2))
 
 
 def test_both_factorizations_give_increasing_lyndon_halves():
