@@ -261,18 +261,12 @@ class GoodLyndonTable:
         sign = 1 if len(l) % 2 else -1
         scale = numerator.shifted(-n_val) * sign
         scaled = self._r_i(l).scaled(scale)
-        normalized = ShuffleElt(
-            datum,
-            scaled.weight,
-            {w: laurent.exact_div(c, denominator) for w, c in scaled.terms.items()},
-        )
-        kappa_sq = normalized.terms.get(l, ZERO)
-        kappa = laurent.sqrt_exact(kappa_sq)
-        elt = ShuffleElt(
-            datum,
-            normalized.weight,
-            {w: laurent.exact_div(c, kappa) for w, c in normalized.terms.items()},
-        )
+        try:
+            normalized = {w: laurent.exact_div(c, denominator) for w, c in scaled.terms.items()}
+            kappa = laurent.sqrt_exact(normalized.get(l, ZERO))
+            elt = ShuffleElt(datum, beta, {w: laurent.exact_div(c, kappa) for w, c in normalized.items()})
+        except (laurent.InexactDivision, laurent.NotAPerfectSquare) as exc:
+            raise type(exc)(f"{exc} {self._where(l)}") from exc
         if shuffle.max_word(elt) != l:
             raise StraighteningFailure(f"dual root vector has wrong maximal word {self._where(l)}")
         self._dual_root_cache[l] = (elt, kappa)
@@ -311,27 +305,45 @@ class GoodLyndonTable:
             raise NotGoodWord(f"{format_word(g)} is not a good word")
         return self._kappa_i(factors)
 
-    def _dual_pbw_i(self, wi: Word, factors: tuple[tuple[Word, int], ...]) -> tuple[ShuffleElt, LaurentPoly]:
+    def _dual_pbw_i(
+        self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None
+    ) -> tuple[ShuffleElt, LaurentPoly]:
+        """The one route to a dual PBW vector.  The memo holds the vectors of
+        one weight only, so straightening and the expansions of that weight
+        share one build per good word and no vector outlives its weight.
+        Without `factors` the word is factorized on a miss only."""
+        hit = self._pbw_memo.get(wi)
+        if hit is not None:
+            return hit
+        nui = cartan.word_weight(self._idatum, wi)
+        if nui != self._pbw_memo_weight:
+            self._pbw_memo_weight, self._pbw_memo = nui, {}
+        if factors is None and (factors := self._factors_i(wi)) is None:
+            raise NotGoodWord(f"{format_word(self._w_out(wi))} is not a good word")
         if not factors:  # the empty good word indexes the unit
-            return ShuffleElt.from_word(self._idatum, ()), ONE
-        if len(factors) == 1 and factors[0][1] == 1:
-            return self._dual_root_i(wi)
-        shift = sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
-        powers = []
-        for l, a in reversed(factors):
-            base, _ = self._dual_root_i(l)
-            power = base
-            for _ in range(a - 1):
-                power = shuffle.qshuffle(power, base)
-            powers.append(power)
-        elt = powers[0]
-        for power in powers[1:]:
-            elt = shuffle.qshuffle(elt, power)
-        elt = elt.scaled(laurent.monomial(shift))
-        kappa = self._kappa_i(factors)
-        if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:
-            raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
-        return elt, kappa
+            hit = ShuffleElt.from_word(self._idatum, ()), ONE
+        elif len(factors) == 1 and factors[0][1] == 1:
+            hit = self._dual_root_i(wi)
+        else:
+            # qshuffle is bilinear, so the normalizing power of q scales the
+            # smallest factor, not the product's whole support
+            shift = sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
+            powers = []
+            for l, a in reversed(factors):
+                base, _ = self._dual_root_i(l)
+                power = base if powers else base.scaled(laurent.monomial(shift))
+                for _ in range(a - 1):
+                    power = shuffle.qshuffle(power, base)
+                powers.append(power)
+            elt = powers[0]
+            for power in powers[1:]:
+                elt = shuffle.qshuffle(elt, power)
+            kappa = self._kappa_i(factors)
+            if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:
+                raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
+            hit = elt, kappa
+        self._pbw_memo[wi] = hit
+        return hit
 
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
@@ -367,7 +379,10 @@ class GoodLyndonTable:
                 b_pivot, kappa_p = done[p]
                 # Bar symmetry of alpha - gamma*kappa_p with gamma in q Z[q]
                 # pins gamma: gamma - bar(gamma) = (alpha - bar(alpha)) / kappa_p.
-                delta = laurent.exact_div(alpha - alpha.bar(), kappa_p)
+                try:
+                    delta = laurent.exact_div(alpha - alpha.bar(), kappa_p)
+                except laurent.InexactDivision as exc:
+                    raise laurent.InexactDivision(f"{exc} {self._where(g, p)}") from exc
                 if delta.bar() != -delta:
                     raise StraighteningFailure(f"correction is not antisymmetric {self._where(g, p)}")
                 gamma = delta.positive_part()
@@ -413,24 +428,16 @@ class GoodLyndonTable:
     # -- expansion over the dual PBW family ------------------------------------------------
 
     def _expand_i(self, elt_i: ShuffleElt) -> dict[Word, LaurentPoly]:
-        # The memo holds the dual PBW vectors of one weight only, so the
-        # expansions of that weight's vectors share one build per good word
-        # and no vector outlives the weight that uses it.
-        if elt_i.weight != self._pbw_memo_weight:
-            self._pbw_memo_weight = elt_i.weight
-            self._pbw_memo = {}
-        memo = self._pbw_memo
         residual = {w: dict(c.terms) for w, c in elt_i.terms.items()}
         out: dict[Word, LaurentPoly] = {}
         while residual:
             w = max(residual)
-            hit = memo.get(w)
-            if hit is None:
-                factors = self._factors_i(w)
-                if factors is None:
-                    raise NotInU(f"maximal word {format_word(self._w_out(w))} of the residual is not good")
-                hit = memo[w] = self._dual_pbw_i(w, factors)
-            elt, kappa = hit
+            try:
+                elt, kappa = self._dual_pbw_i(w)
+            except NotGoodWord:
+                raise NotInU(
+                    f"maximal word {format_word(self._w_out(w))} of the residual is not good"
+                ) from None
             try:
                 c = laurent.exact_div(laurent._raw(residual[w]), kappa)
             except laurent.InexactDivision as exc:

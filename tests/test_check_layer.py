@@ -74,24 +74,45 @@ def test_membership_agrees_with_reference_on_random_elements(f):
     assert serre_membership(f) == serre_oracle.serre_membership(f)
 
 
-# -- one dual PBW build per good word per expanded weight ----------------------------
+# -- one dual PBW build per good word per weight ---------------------------------------
 
 
-def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch):
-    # 320 builds for straightening, one per good word of D4 up to height 5,
-    # and at most 320 more for the expansions, one per good word and weight
-    table = basis.GoodLyndonTable(cartan.parse("D4"))
+def _count_builds(monkeypatch, table):
+    """Wrap the table's dual PBW route; a call builds exactly when its word
+    is not in the one-weight memo yet."""
     real = table._dual_pbw_i
     built = []
 
-    def counting(wi, factors):
-        built.append(wi)
+    def counting(wi, factors=None):
+        if wi not in table._pbw_memo:
+            built.append(wi)
         return real(wi, factors)
 
     monkeypatch.setattr(table, "_dual_pbw_i", counting)
+    return built
+
+
+def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch):
+    # one build per good word of D4 up to height 5: straightening fills the
+    # memo and the expansions of the same weight only read it
+    table = basis.GoodLyndonTable(cartan.parse("D4"))
+    built = _count_builds(monkeypatch, table)
     report = basis.scan(table, 5, "invariants")
     assert report.total_violations == 0 and report.total_vectors == 320
-    assert len(built) <= 640
+    assert len(built) == 320 and len(set(built)) == 320
+
+
+@pytest.mark.parametrize("label, nu", [("B2", (2, 2)), ("G2", (3, 2)), ("D4", (1, 1, 1, 1))])
+def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
+    table = basis.GoodLyndonTable(cartan.parse(label))
+    built = _count_builds(monkeypatch, table)
+    vectors = table._dual_canonical_weight_i(nu)
+    assert len(built) == len(vectors)
+    for g, elt, _ in vectors:
+        assert table._expand_i(elt)[g] == 1
+        pbw, _ = table._pbw_memo[g]
+        assert table._expand_i(pbw) == {g: 1}
+    assert len(built) == len(vectors)
 
 
 def test_expansion_memo_holds_one_weight_only():
@@ -102,3 +123,4 @@ def test_expansion_memo_holds_one_weight_only():
     assert table._pbw_memo
     assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} == {(1, 2)}
     assert all(elt.weight == (1, 2) for elt, _ in table._pbw_memo.values())
+    assert table._pbw_memo_weight == (1, 2)

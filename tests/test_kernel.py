@@ -1,6 +1,6 @@
 """The in-place straightening and expansion kernel: agreement with the
 element-level reference algorithms, the laws of the fused subtract-scaled
-step, and where a failed straightening says it failed."""
+step, and where a failed straightening or exact division says it failed."""
 
 import copy
 from itertools import permutations
@@ -193,3 +193,59 @@ def test_failure_at_a_word_that_is_not_good_lists_it(monkeypatch):
     message = str(info.value)
     for field in ("A3", "order 2,1,3", "weight 1,1,1", f"good word {shuffle.format_word(target)}", spoilt[0]):
         assert field in message, (field, message)
+
+
+# -- where an exact division failed ---------------------------------------------------
+
+
+def _fields(message, *fields):
+    for field in fields:
+        assert field in message, (field, message)
+
+
+def test_inexact_correction_names_datum_order_weight_good_word_and_pivot(monkeypatch):
+    # doubling the smallest vector and its kappa keeps it a valid pivot, but
+    # the correction at the next good word then divides an odd difference by 2
+    table = basis.GoodLyndonTable(cartan.parse("A3"), (2, 1, 3))
+    pivot, good = (g.word for g in table.good_words_of_weight((1, 1, 1))[:2])
+    real = table._dual_pbw_i
+
+    def doubled(wi, factors=None):
+        elt, kappa = real(wi, factors)
+        return (elt.scaled(2), kappa * 2) if wi == table._w_in(pivot) else (elt, kappa)
+
+    monkeypatch.setattr(table, "_dual_pbw_i", doubled)
+    with pytest.raises(laurent.InexactDivision) as info:
+        table.dual_canonical_weight((1, 1, 1))
+    assert type(info.value) is laurent.InexactDivision
+    assert type(info.value.__cause__) is laurent.InexactDivision
+    assert "[" not in str(info.value.__cause__)
+    _fields(
+        str(info.value),
+        "A3",
+        "order 2,1,3",
+        "weight 1,1,1",
+        f"good word {shuffle.format_word(good)}",
+        f"pivot {shuffle.format_word(pivot)}",
+    )
+
+
+@pytest.mark.parametrize(
+    "alter, error",
+    [
+        (lambda r: r.scaled(3), laurent.NotAPerfectSquare),
+        (lambda r: r + ShuffleElt.from_word(r.datum, min(r.terms)), laurent.InexactDivision),
+    ],
+    ids=["not-a-square", "inexact-division"],
+)
+def test_failed_root_normalization_names_datum_order_weight_and_good_word(monkeypatch, alter, error):
+    table = basis.GoodLyndonTable(cartan.parse("B2"), (2, 1))
+    target = table._w_in((2, 1, 1))
+    real = table._r_i
+    monkeypatch.setattr(table, "_r_i", lambda l: alter(real(l)) if l == target else real(l))
+    with pytest.raises(error) as info:
+        table.dual_canonical_weight((2, 1))
+    assert type(info.value) is error and type(info.value.__cause__) is error
+    message = str(info.value)
+    _fields(message, "B2", "order 2,1", "weight 2,1", "good word w[2,1,1]")
+    assert "pivot" not in message

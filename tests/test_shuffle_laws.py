@@ -1,7 +1,8 @@
 """The algebraic laws of the q-shuffle product that the basis construction
 relies on, as properties of random homogeneous elements and random words:
-associativity, `tau` as an anti-automorphism, `bar_elt` as an automorphism,
-and agreement of the recursive product with direct interleaving."""
+associativity, bilinearity over Laurent scalars, `tau` as an
+anti-automorphism, `bar_elt` as an automorphism, and agreement of the
+recursive product with direct interleaving."""
 
 from itertools import permutations
 
@@ -40,6 +41,14 @@ def same_datum(n):
 def test_qshuffle_is_associative(fgh):
     f, g, h = fgh
     assert qshuffle(qshuffle(f, g), h) == qshuffle(f, qshuffle(g, h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(same_datum(2), nonzero_polys)
+def test_a_scalar_moves_through_qshuffle(fg, c):
+    # the dual PBW build scales its smallest factor instead of the product
+    f, g = fg
+    assert qshuffle(f.scaled(c), g) == qshuffle(f, g).scaled(c) == qshuffle(f, g.scaled(c))
 
 
 @settings(max_examples=100, deadline=None)
