@@ -4,8 +4,7 @@ The package realizes the positive half of a quantized enveloping algebra
 inside the q-shuffle algebra on words, computes the good Lyndon words
 attached to a total order on the simple roots, builds the dual PBW vectors
 by bracketing and exact normalization, straightens them into the dual
-canonical basis, and cross-checks everything against closed formulas and
-tableau character sums.
+canonical basis, and compares it against tableau character sums.
 """
 
 from .cartan import CartanDatum, UnsupportedRank, build, parse, positive_roots, kostant_partitions
@@ -49,22 +48,15 @@ from .basis import (
     NotGoodWord,
     NotInU,
     StraighteningFailure,
-    closed_form_root_vector,
-    commutation_class_root_vector,
     is_real,
     scan,
 )
 from .characters import (
-    MultiSegment,
-    Segment,
     ShapeConstraintViolated,
     ShiftedSkewShape,
     SkewShape,
-    multi_segment,
-    multisegment_to_good_word,
     shifted_tableau_character,
     skew_tableau_character,
-    standard_module_character,
 )
 
 __version__ = "0.1.0"

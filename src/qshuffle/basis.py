@@ -36,14 +36,6 @@ class NotInU(ValueError):
     letter-generated subalgebra (or has non-integral expansion coefficients)."""
 
 
-class UnsupportedFamily(ValueError):
-    """The closed-form root vectors exist for the classical families only."""
-
-
-class NotSimplyLaced(ValueError):
-    """The commutation-class description needs a simply-laced datum."""
-
-
 class StraighteningFailure(laurent.TheoryViolation):
     """The correction step of the straightening loop could not proceed."""
 
@@ -509,66 +501,6 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     if not ratio.is_monomial() or ratio.leading_coefficient() != 1:
         return False
     return square == candidate.elt.scaled(ratio)
-
-
-def _segment_elt(datum: CartanDatum, lo: int, hi: int) -> ShuffleElt:
-    """The word w[lo..hi], or the empty word when hi < lo."""
-    return ShuffleElt.from_word(datum, tuple(range(lo, hi + 1)))
-
-
-def closed_form_root_vector(datum: CartanDatum, beta: Weight) -> ShuffleElt:
-    """Closed shuffle formulas for the root vectors of the classical families
-    under the standard node order; independent of the bracketing route."""
-    if datum.family not in "ABCD":
-        raise UnsupportedFamily(f"no closed form for family {datum.family}")
-    beta = tuple(beta)
-    if not cartan.is_positive_root(datum, beta):
-        raise ValueError(f"{beta} is not a positive root of {datum}")
-    r = datum.rank
-    support = [i + 1 for i, c in enumerate(beta) if c]
-    if datum.family == "A":
-        return _segment_elt(datum, support[0], support[-1])
-    if datum.family == "B":
-        if max(beta) == 1:
-            return _segment_elt(datum, support[0], support[-1])
-        j = max(i + 1 for i, c in enumerate(beta) if c == 2)
-        k = support[-1]
-        inner = shuffle.qshuffle(_segment_elt(datum, 2, j), _segment_elt(datum, 1, k))
-        return shuffle.prepend_letter(1, inner).scaled(laurent.q_int(2, datum.d[0]))
-    if datum.family == "C":
-        if max(beta) == 1:
-            return _segment_elt(datum, support[0], support[-1])
-        j = max(i + 1 for i, c in enumerate(beta) if c == 2)
-        k = support[-1]
-        inner = shuffle.qshuffle(_segment_elt(datum, 2, j), _segment_elt(datum, 2, k))
-        out = shuffle.prepend_letter(1, inner)
-        # Equal factors double the leading interleaving; the extra q restores
-        # the bar-symmetric leading coefficient the root vector must carry.
-        return out.scaled(laurent.monomial(1)) if j == k else out
-    # family D: chains avoiding a fork node, the 1-3-...-i chain, or the full fork
-    if beta[0] == 0:
-        return _segment_elt(datum, support[0], support[-1])
-    if beta[1] == 0:
-        w = (1,) + tuple(range(3, support[-1] + 1))
-        return ShuffleElt.from_word(datum, w)
-    doubled = [i + 1 for i, c in enumerate(beta) if c == 2]
-    j = max(doubled) if doubled else 2
-    k = support[-1]
-    inner = shuffle.qshuffle(_segment_elt(datum, 2, j), _segment_elt(datum, 3, k)) - shuffle.qshuffle(
-        _segment_elt(datum, 2, k), _segment_elt(datum, 3, j)
-    ).scaled(laurent.monomial(1))
-    return shuffle.prepend_letter(1, inner)
-
-
-def commutation_class_root_vector(table: GoodLyndonTable, l: Word) -> ShuffleElt:
-    """For simply-laced data the root vector is the plain sum, coefficient one,
-    of the commutation class of its good Lyndon word."""
-    datum = table.datum
-    if any(d != 1 for d in datum.d):
-        raise NotSimplyLaced(f"{datum} is not simply laced")
-    table.root_of_lyndon(l)  # validates membership
-    cls = words.commutation_class(tuple(l), datum)
-    return ShuffleElt(datum, cartan.word_weight(datum, l), {w: ONE for w in cls})
 
 
 # -- whole-range scans ------------------------------------------------------------------

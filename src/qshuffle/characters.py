@@ -1,18 +1,17 @@
-"""Combinatorial character oracles: segments and multisegments, skew Young
-diagrams and shifted Young diagrams with their standard tableaux, the
-tableau-to-word maps, and the resulting character sums as shuffle elements.
+"""Tableau characters: skew Young diagrams and shifted Young diagrams with
+their standard tableaux, the tableau-to-word map, and the resulting character
+sums as shuffle elements.
 
 These are built by direct enumeration, independently of the basis machinery,
-so they can serve as cross-checks against computed dual canonical vectors.
+so they can be compared against computed dual canonical vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator
 
-from . import cartan, words
+from . import cartan
 from .cartan import CartanDatum
 from .laurent import ONE
 from .shuffle import ShuffleElt
@@ -23,92 +22,9 @@ class ShapeConstraintViolated(ValueError):
     """The diagram does not satisfy the constraints of its character formula."""
 
 
-# -- segments and multisegments -------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class Segment:
-    """An integer interval [start, end] with 1 <= start <= end."""
-
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.start <= self.end:
-            raise ValueError(f"invalid segment [{self.start},{self.end}]")
-
-    def word(self) -> Word:
-        return tuple(range(self.start, self.end + 1))
-
-    def __str__(self) -> str:
-        return f"[{self.start},{self.end}]"
-
-
-MultiSegment = tuple[Segment, ...]
-
-
-def multi_segment(spans: Sequence[tuple[int, int]]) -> MultiSegment:
-    """A multisegment: the given intervals sorted increasingly."""
-    return tuple(sorted(Segment(i, j) for i, j in spans))
-
-
-def multisegment_to_good_word(m: MultiSegment) -> Word:
-    """Concatenate the segment words in decreasing order of segment."""
-    out: tuple[int, ...] = ()
-    for seg in sorted(m, reverse=True):
-        out += seg.word()
-    return out
-
-
-def good_word_to_multisegment(g: Word) -> MultiSegment:
-    """Inverse of the correspondence; the factors must be interval words."""
-    spans = []
-    for factor in words.lyndon_factorization(tuple(g)):
-        if factor != tuple(range(factor[0], factor[0] + len(factor))):
-            raise ValueError(f"factor {words.format_word(factor)} is not an interval word")
-        spans.append((factor[0], factor[-1]))
-    return multi_segment(spans)
-
-
-@lru_cache(maxsize=None)
-def _interleavings(w1: Word, w2: Word) -> tuple[tuple[Word, int], ...]:
-    if not w1:
-        return ((w2, 1),)
-    if not w2:
-        return ((w1, 1),)
-    acc: dict[Word, int] = {}
-    for u, c in _interleavings(w1[1:], w2):
-        w = (w1[0],) + u
-        acc[w] = acc.get(w, 0) + c
-    for u, c in _interleavings(w1, w2[1:]):
-        w = (w2[0],) + u
-        acc[w] = acc.get(w, 0) + c
-    return tuple(sorted(acc.items()))
-
-
-def standard_module_character(m: MultiSegment) -> dict[Word, int]:
-    """The plain (q = 1) shuffle of the segment words, with multiplicities."""
-    chars: dict[Word, int] = {(): 1}
-    for seg in m:
-        nxt: dict[Word, int] = {}
-        for w, c in chars.items():
-            for u, k in _interleavings(w, seg.word()):
-                nxt[u] = nxt.get(u, 0) + c * k
-        chars = nxt
-    return chars
-
-
 # -- diagrams and standard tableaux ------------------------------------------------
 
 Cell = tuple[int, int]
-
-
-def _check_partition(p: Sequence[int], strict: bool) -> None:
-    if any(x <= 0 for x in p):
-        raise ShapeConstraintViolated("partition parts must be positive")
-    for a, b in zip(p, p[1:]):
-        if (strict and a <= b) or (not strict and a < b):
-            raise ShapeConstraintViolated("partition parts must decrease")
 
 
 @dataclass(frozen=True)
@@ -118,12 +34,21 @@ class SkewShape:
     lam: tuple[int, ...]
     mu: tuple[int, ...] = ()
 
+    # whether the parts of lam and mu must decrease strictly
+    _strict: ClassVar[bool] = False
+
     def __post_init__(self) -> None:
-        _check_partition(self.lam, strict=False)
-        if self.mu:
-            _check_partition(self.mu, strict=False)
+        for p in (self.lam, self.mu):
+            if any(x <= 0 for x in p):
+                raise ShapeConstraintViolated("partition parts must be positive")
+            if any(a < b or (self._strict and a == b) for a, b in zip(p, p[1:])):
+                raise ShapeConstraintViolated("partition parts must decrease")
         if len(self.mu) > len(self.lam) or any(m > l for m, l in zip(self.mu, self.lam)):
             raise ShapeConstraintViolated("inner shape must fit inside the outer shape")
+
+    def _indent(self, i: int) -> int:
+        """How many columns row i is moved to the right."""
+        return 0
 
     def rows(self) -> int:
         return len(self.lam)
@@ -132,7 +57,8 @@ class SkewShape:
         out = []
         for i, l in enumerate(self.lam, start=1):
             m = self.mu[i - 1] if i - 1 < len(self.mu) else 0
-            out.extend((i, j) for j in range(m + 1, l + 1))
+            k = self._indent(i)
+            out.extend((i, j) for j in range(k + m + 1, k + l + 1))
         return out
 
     def content(self, cell: Cell) -> int:
@@ -143,38 +69,20 @@ class SkewShape:
 
 
 @dataclass(frozen=True)
-class ShiftedSkewShape:
+class ShiftedSkewShape(SkewShape):
     """A (skew) shifted Young diagram of strict partitions; row i is indented
     i - 1 cells and cell (i, j) has content j - i + 1."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...] = ()
+    _strict: ClassVar[bool] = True
 
-    def __post_init__(self) -> None:
-        _check_partition(self.lam, strict=True)
-        if self.mu:
-            _check_partition(self.mu, strict=True)
-        if len(self.mu) > len(self.lam) or any(m > l for m, l in zip(self.mu, self.lam)):
-            raise ShapeConstraintViolated("inner shape must fit inside the outer shape")
-
-    def rows(self) -> int:
-        return len(self.lam)
-
-    def cells(self) -> list[Cell]:
-        out = []
-        for i, l in enumerate(self.lam, start=1):
-            m = self.mu[i - 1] if i - 1 < len(self.mu) else 0
-            out.extend((i, j) for j in range(i + m, i + l))
-        return out
+    def _indent(self, i: int) -> int:
+        return i - 1
 
     def content(self, cell: Cell) -> int:
         return cell[1] - cell[0] + 1
 
-    def size(self) -> int:
-        return len(self.cells())
 
-
-def standard_tableaux(shape: SkewShape | ShiftedSkewShape) -> Iterator[tuple[Cell, ...]]:
+def standard_tableaux(shape: SkewShape) -> Iterator[tuple[Cell, ...]]:
     """All standard fillings, each as the cell sequence in numbering order.
 
     Backtracks over the values 1..m: a cell may receive the next value once
@@ -185,17 +93,8 @@ def standard_tableaux(shape: SkewShape | ShiftedSkewShape) -> Iterator[tuple[Cel
     filled: set[Cell] = set()
 
     def addable() -> list[Cell]:
-        out = []
-        for cell in cells:
-            if cell in filled:
-                continue
-            i, j = cell
-            if (i, j - 1) in cells and (i, j - 1) not in filled:
-                continue
-            if (i - 1, j) in cells and (i - 1, j) not in filled:
-                continue
-            out.append(cell)
-        return sorted(out)
+        empty = cells - filled
+        return sorted((i, j) for i, j in empty if (i, j - 1) not in empty and (i - 1, j) not in empty)
 
     def descend() -> Iterator[tuple[Cell, ...]]:
         if len(placed) == len(cells):
@@ -226,23 +125,17 @@ class TableauCharacter:
         return sum(c.at_one() for c in self.element.terms.values())
 
 
-def skew_tableau_character(datum: CartanDatum, shape: SkewShape, shift: int) -> TableauCharacter:
-    """Sum of w[T, s] over standard tableaux of a skew shape, letters shifted
-    into 1..r, together with the row-reading good word of the shape."""
-    if datum.family != "A":
-        raise ShapeConstraintViolated("skew characters live over the A family")
-    r = datum.rank
-    j = shape.rows()
-    if 1 - shape.lam[0] + r < j:
-        raise ShapeConstraintViolated(f"shape too wide for rank {r}")
-    if not j <= shift <= 1 - shape.lam[0] + r:
-        raise ShapeConstraintViolated(f"shift must lie in [{j}, {1 - shape.lam[0] + r}]")
+def _require(datum: CartanDatum, shape: SkewShape, family: str, kind: str) -> None:
+    if datum.family != family:
+        raise ShapeConstraintViolated(f"{kind} characters live over the {family} family")
     if shape.size() == 0:
         raise ShapeConstraintViolated("empty shape")
-    good: tuple[int, ...] = ()
-    for i in range(1, j + 1):
-        m = shape.mu[i - 1] if i - 1 < len(shape.mu) else 0
-        good += tuple(c + shift for c in range(m - i + 1, shape.lam[i - 1] - i + 1))
+
+
+def _character(datum: CartanDatum, shape: SkewShape, shift: int) -> TableauCharacter:
+    """Sum of w[T] over standard tableaux T of the shape, each letter the
+    content of its cell plus shift, with the row-reading word of the shape."""
+    good = tuple(shape.content(cell) + shift for cell in shape.cells())
     terms: dict[Word, int] = {}
     for filling in standard_tableaux(shape):
         w = tuple(shape.content(cell) + shift for cell in filling)
@@ -255,28 +148,26 @@ def skew_tableau_character(datum: CartanDatum, shape: SkewShape, shift: int) -> 
     return TableauCharacter(good, elt)
 
 
+def skew_tableau_character(datum: CartanDatum, shape: SkewShape, shift: int) -> TableauCharacter:
+    """Sum of w[T, s] over standard tableaux of a skew shape, letters shifted
+    into 1..r, together with the row-reading good word of the shape."""
+    _require(datum, shape, "A", "skew")
+    r = datum.rank
+    j = shape.rows()
+    widest = 1 - shape.lam[0] + r
+    if widest < j:
+        raise ShapeConstraintViolated(f"shape too wide for rank {r}")
+    if not j <= shift <= widest:
+        raise ShapeConstraintViolated(f"shift must lie in [{j}, {widest}]")
+    return _character(datum, shape, shift)
+
+
 def shifted_tableau_character(datum: CartanDatum, shape: ShiftedSkewShape) -> TableauCharacter:
     """Sum of w[T] over standard shifted tableaux, with the row-reading good word."""
-    if datum.family != "B":
-        raise ShapeConstraintViolated("shifted characters live over the B family")
+    _require(datum, shape, "B", "shifted")
     if shape.lam[0] > datum.rank:
         raise ShapeConstraintViolated(f"first part must be at most the rank {datum.rank}")
-    if shape.size() == 0:
-        raise ShapeConstraintViolated("empty shape")
-    good: tuple[int, ...] = ()
-    for i in range(1, shape.rows() + 1):
-        m = shape.mu[i - 1] if i - 1 < len(shape.mu) else 0
-        good += tuple(range(m + 1, shape.lam[i - 1] + 1))
-    terms: dict[Word, int] = {}
-    for filling in standard_tableaux(shape):
-        w = tuple(shape.content(cell) for cell in filling)
-        terms[w] = terms.get(w, 0) + 1
-    elt = ShuffleElt(
-        datum,
-        cartan.word_weight(datum, good),
-        {w: ONE * c for w, c in terms.items()},
-    )
-    return TableauCharacter(good, elt)
+    return _character(datum, shape, 0)
 
 
 def parse_shape(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:

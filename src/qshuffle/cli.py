@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import basis, cartan, characters, shuffle
+from . import basis, cartan, characters
 from .laurent import TheoryViolation
 from .words import format_word
 
@@ -238,6 +238,8 @@ def _cmd_character(args) -> int:
             char = characters.skew_tableau_character(datum, characters.SkewShape(lam, mu), args.shift)
             shape_str = f"{args.skew}+{args.shift}"
         else:
+            if args.shift is not None:
+                raise UsageError("--shifted takes no --shift")
             lam, mu = characters.parse_shape(args.shifted)
             char = characters.shifted_tableau_character(datum, characters.ShiftedSkewShape(lam, mu))
             shape_str = args.shifted

@@ -81,9 +81,6 @@ class ShuffleElt:
     def __hash__(self) -> int:
         return hash((self.datum, frozenset(self.terms.items())))
 
-    def support(self) -> list[Word]:
-        return sorted(self.terms)
-
     def __add__(self, other: ShuffleElt) -> ShuffleElt:
         self._check_peer(other, same_weight=True)
         weight = self.weight if self.terms or not other.terms else other.weight
@@ -168,10 +165,6 @@ def _collect(datum: CartanDatum, weight: Weight, pairs: Iterable[tuple[Word, Lau
 # Word-pair shuffles are memoized as raw {word: {exponent: coeff}} maps; cached
 # values are shared and must never be mutated.
 _CACHE: dict[tuple[CartanDatum, Word, Word], dict[Word, dict[int, int]]] = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
 
 
 def _sub_scaled(acc: dict[Word, dict[int, int]], f: ShuffleElt, c: LaurentPoly) -> None:

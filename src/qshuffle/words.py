@@ -1,5 +1,5 @@
-"""Words over the alphabet 1..r: lexicographic order, Lyndon machinery,
-canonical factorizations and commutation classes.
+"""Words over the alphabet 1..r: the Lyndon test, the Lyndon factorization
+and the co-standard factorization of a Lyndon word.
 
 Words are plain tuples of integers, so Python's tuple comparison is exactly
 the lexicographic order in which a proper prefix is smaller.
@@ -7,12 +7,9 @@ the lexicographic order in which a proper prefix is smaller.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .laurent import TheoryViolation
-
-if TYPE_CHECKING:
-    from .cartan import CartanDatum
 
 Word = tuple[int, ...]
 
@@ -29,24 +26,8 @@ class TooShort(ValueError):
     """Factorization needs a word of length at least 2."""
 
 
-def word(*letters: int) -> Word:
-    return tuple(letters)
-
-
 def format_word(w: Sequence[int]) -> str:
     return "w[" + ",".join(str(a) for a in w) + "]"
-
-
-def parse_word(text: str, rank: int | None = None) -> Word:
-    text = text.strip()
-    if text.startswith("w[") and text.endswith("]"):
-        text = text[2:-1]
-    if not text:
-        return ()
-    w = tuple(int(p) for p in text.split(","))
-    if any(a < 1 for a in w) or (rank is not None and any(a > rank for a in w)):
-        raise ValueError(f"letters must lie in 1..{rank}")
-    return w
 
 
 def is_lyndon(w: Word) -> bool:
@@ -78,15 +59,6 @@ def _check_factorable(l: Word) -> None:
         raise NotLyndon(f"{format_word(l)} is not Lyndon")
 
 
-def standard_factorization(l: Word) -> tuple[Word, Word]:
-    """Split before the longest proper right factor that is Lyndon."""
-    _check_factorable(l)
-    for s in range(1, len(l)):
-        if is_lyndon(l[s:]):
-            return l[:s], l[s:]
-    raise TheoryViolation(f"no Lyndon right factor of {format_word(l)}; the last letter is always one")
-
-
 def costandard_factorization(l: Word) -> tuple[Word, Word]:
     """Split after the longest proper left factor that is Lyndon."""
     _check_factorable(l)
@@ -99,19 +71,3 @@ def costandard_factorization(l: Word) -> tuple[Word, Word]:
             return left, right
     raise TheoryViolation(f"no Lyndon left factor of {format_word(l)}; the first letter is always one")
 
-
-def commutation_class(w: Word, datum: "CartanDatum") -> frozenset[Word]:
-    """Closure of w under swaps of adjacent letters i, j with a_ij = 0."""
-    a = datum.cartan
-    seen = {w}
-    stack = [w]
-    while stack:
-        v = stack.pop()
-        for p in range(len(v) - 1):
-            x, y = v[p], v[p + 1]
-            if x != y and a[x - 1][y - 1] == 0:
-                u = v[:p] + (y, x) + v[p + 2 :]
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return frozenset(seen)

@@ -7,8 +7,9 @@ import random
 import time
 from itertools import product
 
+from oracles import closed_form_root_vector, commutation_class_root_vector
 from qshuffle import basis, cartan, shuffle
-from qshuffle.basis import closed_form_root_vector, commutation_class_root_vector, is_real
+from qshuffle.basis import is_real
 from qshuffle.characters import (
     ShiftedSkewShape,
     SkewShape,

@@ -1,16 +1,14 @@
 import pytest
 
-from qshuffle import basis, cartan, laurent, shuffle, words
-from qshuffle.basis import (
-    NotGoodLyndon,
-    NotGoodWord,
-    NotInU,
+from oracles import (
     NotSimplyLaced,
     UnsupportedFamily,
     closed_form_root_vector,
+    commutation_class,
     commutation_class_root_vector,
-    is_real,
 )
+from qshuffle import basis, cartan, laurent, shuffle, words
+from qshuffle.basis import NotGoodLyndon, NotGoodWord, NotInU, is_real
 from qshuffle.laurent import ONE, LaurentPoly, monomial, q_int
 from qshuffle.shuffle import ShuffleElt, max_word, qshuffle, serre_membership
 
@@ -475,7 +473,7 @@ def test_commutation_class_root_vectors(tables):
     v = commutation_class_root_vector(d4, (1, 3, 2))
     assert v == ShuffleElt(d4.datum, (1, 1, 1, 0), {(1, 3, 2): ONE})
     full = commutation_class_root_vector(d4, (1, 3, 4, 2))
-    assert set(full.terms) == words.commutation_class((1, 3, 4, 2), d4.datum)
+    assert set(full.terms) == commutation_class((1, 3, 4, 2), d4.datum)
     assert all(c == ONE for c in full.terms.values())
 
 

@@ -2,19 +2,21 @@ from math import factorial
 
 import pytest
 
-from qshuffle import cartan, shuffle
-from qshuffle.characters import (
+from oracles import (
     Segment,
-    ShapeConstraintViolated,
-    ShiftedSkewShape,
-    SkewShape,
     good_word_to_multisegment,
     multi_segment,
     multisegment_to_good_word,
+    standard_module_character,
+)
+from qshuffle import cartan, shuffle
+from qshuffle.characters import (
+    ShapeConstraintViolated,
+    ShiftedSkewShape,
+    SkewShape,
     parse_shape,
     shifted_tableau_character,
     skew_tableau_character,
-    standard_module_character,
     standard_tableaux,
 )
 from qshuffle.laurent import ONE
@@ -186,11 +188,15 @@ def test_shape_constraints():
         skew_tableau_character(a3, SkewShape((2, 1)), 1)  # shift below the row count
     with pytest.raises(ShapeConstraintViolated):
         skew_tableau_character(a3, SkewShape((4, 4)), 2)  # too wide for the rank
+    with pytest.raises(ShapeConstraintViolated):
+        skew_tableau_character(a3, SkewShape(()), 1)  # empty outer shape
     b2 = cartan.parse("B2")
     with pytest.raises(ShapeConstraintViolated):
         shifted_tableau_character(b2, ShiftedSkewShape((3, 1)))  # first part exceeds rank
     with pytest.raises(ShapeConstraintViolated):
         shifted_tableau_character(b2, ShiftedSkewShape((2, 1), (2, 1)))  # empty
+    with pytest.raises(ShapeConstraintViolated):
+        shifted_tableau_character(b2, ShiftedSkewShape(()))  # empty outer shape
     with pytest.raises(ShapeConstraintViolated):
         skew_tableau_character(cartan.parse("B3"), SkewShape((2,)), 1)  # wrong family
 

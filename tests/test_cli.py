@@ -126,6 +126,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "dual-canonical", "A2", "--weight", "-1,2")[0] == 1
     assert run(capsys, "character", "A3", "--skew", "2,1")[0] == 1  # missing --shift
     assert run(capsys, "character", "A3", "--skew", "9,9/1", "--shift", "1")[0] == 1
+    assert run(capsys, "character", "B2", "--shifted", "2,1", "--shift", "5")[0] == 1
     assert run(capsys, "scan", "A2", "--max-height", "0")[0] == 1
     assert run(capsys, "roots", "A2", "--order", "1,1")[0] == 1
     # argparse-level failures (unknown subcommand, bad choice) also exit 1

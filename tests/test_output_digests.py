@@ -1,9 +1,13 @@
 """The output contract beyond the benchmark goldens: the SHA-256 digest of
-the stdout of each run below, recorded once from the code before the dual
-PBW memo and the first-factor q-shift were introduced.  The runs reach the
-dual PBW route through straightening, expansion, the reality squares and
-`dual-pbw`, in natural and non-natural orders.  A mismatch means the output
-changed; it is a failure, never a digest to refresh."""
+the stdout of each run below.  The first seven were recorded from the code
+before the dual PBW memo and the first-factor q-shift were introduced; they
+reach the dual PBW route through straightening, expansion, the reality
+squares and `dual-pbw`, in natural and non-natural orders.  The rest were
+recorded from commit e2a9ecd, before the two tableau-character loops became
+one; they cover the E family, the positivity and reality checks on B3 and
+C2, `dual-canonical --format json`, `good-words`, `roots`, `is-real`, and
+skew and shifted `character` samples.  A mismatch means the output changed;
+it is a failure, never a digest to refresh."""
 
 import hashlib
 
@@ -26,6 +30,40 @@ DIGESTS = {
         "6611fa6f2f174783bb7a9ab362118c3b73a5df62e78fc8c9f978014e0617fa23",
     "dual-pbw G2 --weight 3,2 --order 2,1":
         "63e45dbbba90a1a008640837890bdb77878185b3859e2c283302ef083266f80f",
+    "scan E6 --max-height 4 --check invariants":
+        "34962c7e3420efd3e728dd08bb07275c2c03a1a94657feb1027fb02155dbfc73",
+    "scan E7 --max-height 3 --check invariants":
+        "fa3fbd63be5dbe2160cfaadbc01960eac9f3b546cf639efb0b3331af4e440af5",
+    "scan E8 --max-height 3 --check invariants":
+        "84bddac161b2e5380e9aef0950a6175b9bc51eab5ae9d9141eb23f784147a29a",
+    "scan B3 --max-height 5 --check positivity --order 2,3,1":
+        "6c6b6c8d2eb64b982c26097c93a818d0f6151d5e709d99393074b111591cb702",
+    "scan C2 --max-height 5 --check reality":
+        "82b9aee477125225d3788db584e5cba376e57a2663369f5ee83f809b321e43ea",
+    "dual-canonical B2 --weight 2,1 --format json":
+        "f99cddbe689fcd49ad20daaef7fc6874dfe3bfe2d54a046e2282537c902bebef",
+    "dual-canonical G2 --weight 3,2 --order 2,1 --format json":
+        "34b5b0113076599ccf8b158c172cea7dd7eb7a71c365df8ab0a8b2a070ea9545",
+    "good-words D4 --weight 1,1,2,1":
+        "700ace5dba0ca155c34b37b1be0d0e67f6632b5383b78eda7733bbbfed7438e3",
+    "roots G2 --order 2,1 --format json":
+        "7c70641f4fec1cd5e6eb5c220a5ee69003f2f7b0749edbaccb72f236972d5703",
+    "is-real A2 --weight 1,1":
+        "ce36801c8a4a5d61c85e55486ce0ffd0a16d0a6a394ade613cb9f831d41e662c",
+    "is-real B2 --weight 2,2 --order 2,1":
+        "6bdb5dd395c39b5f20c6f86d52cc08e9524a1f2df56264fcd50859f33b0179fe",
+    "character A3 --skew 2,1/0 --shift 2":
+        "a739c96d1276ada4f629ead8fc9465caf489cf7bcc3ae3431d6115b3f313f4d3",
+    "character A4 --skew 3,2/1 --shift 2":
+        "788e5f9b1064cd759bb8e84a406fad01971cfba4c0d613e9961c272a9c571a4a",
+    "character A4 --skew 3,1/1 --shift 2 --order 2,1,3,4":
+        "08d9252957e0d936ce404ca8c66cb147a9e8ccd7942fc1a5a16d871d08f26031",
+    "character B3 --shifted 3,1":
+        "b020dec12520ae5f91620ef53508112822fab6985e85860b41b09da0f3e53ba3",
+    "character B3 --shifted 3,2 --order 2,1,3":
+        "de798e7c9f8ba974e16f46e53a6d4c6f90e37eed8c15e829cccb8dc1550ed97c",
+    "character B4 --shifted 4,2/1":
+        "e08d846e4a44d0073fe93d4c895bd2bad2670b3df538d8f0c49d0de140abe1ca",
 }
 
 

@@ -2,19 +2,17 @@ from itertools import product
 
 import pytest
 
+from oracles import commutation_class, standard_factorization
 from qshuffle import cartan, words
 from qshuffle.laurent import TheoryViolation
 from qshuffle.words import (
     EmptyWord,
     NotLyndon,
     TooShort,
-    commutation_class,
     costandard_factorization,
     format_word,
     is_lyndon,
     lyndon_factorization,
-    parse_word,
-    standard_factorization,
 )
 
 
@@ -163,13 +161,6 @@ def test_commutation_classes_partition_a_weight_space():
     assert total == len(weight_words)
 
 
-def test_word_parse_format():
+def test_format_word():
     assert format_word((1, 1, 2)) == "w[1,1,2]"
     assert format_word(()) == "w[]"
-    assert parse_word("w[1,2,3]") == (1, 2, 3)
-    assert parse_word("1,2") == (1, 2)
-    assert parse_word("w[]") == ()
-    with pytest.raises(ValueError):
-        parse_word("w[0,1]")
-    with pytest.raises(ValueError):
-        parse_word("w[4]", rank=3)
