@@ -11,10 +11,10 @@ simultaneous relabeling of letters and Cartan data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import groupby
 from math import comb
-from typing import Iterable, Sequence
 
 from . import cartan, laurent, shuffle, words
 from .cartan import CartanDatum, Weight
@@ -40,29 +40,21 @@ class StraighteningFailure(laurent.TheoryViolation):
     """The correction step of the straightening loop could not proceed."""
 
 
-@dataclass(frozen=True)
-class GoodWord:
+class GoodWord(namedtuple("GoodWord", "word factors")):
     """A good word together with its non-increasing good-Lyndon factorization."""
 
-    word: Word
-    factors: tuple[tuple[Word, int], ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_word(self.word)
 
 
-@dataclass(frozen=True)
-class DualPBWVector:
-    good_word: GoodWord
-    elt: ShuffleElt
-    kappa: LaurentPoly
+class DualPBWVector(namedtuple("DualPBWVector", "good_word elt kappa")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualCanonicalVector:
-    good_word: GoodWord
-    elt: ShuffleElt
-    kappa: LaurentPoly
+class DualCanonicalVector(namedtuple("DualCanonicalVector", "good_word elt kappa")):
+    __slots__ = ()
 
 
 class GoodLyndonTable:
@@ -84,12 +76,13 @@ class GoodLyndonTable:
             inv[orig] = k
         self._in_letters = tuple(inv)
 
-        self._lyndon_of_root: dict[Weight, Word] = _good_lyndon_map(self._idatum)
+        self._lyndon_of_root: dict[Weight, Word] = self._good_lyndon_map()
         self._root_of_lyndon = {l: b for b, l in self._lyndon_of_root.items()}
         self._gl = frozenset(self._root_of_lyndon)
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        self._canonical_cache: dict[Weight, tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]] = {}
+        # per weight: the straightened (g, elt, kappa) and the factors of each g
+        self._canonical_cache: dict[Weight, tuple[tuple, tuple]] = {}
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
 
@@ -142,18 +135,47 @@ class GoodLyndonTable:
             {self._w_in(w): c for w, c in e.terms.items()},
         )
 
-    def _where(self, g: Word, pivot: Word | None = None) -> str:
-        """Where a construction failed: datum, order, weight, good word, pivot."""
-        nu = self._nu_out(cartan.word_weight(self._idatum, g))
-        text = (
-            f"[{self.datum} order {','.join(map(str, self.order))} weight {cartan.format_weight(nu)}"
-            f" good word {format_word(self._w_out(g))}"
-        )
+    def _where(self, g: Word | None = None, pivot: Word | None = None) -> str:
+        """Where a construction failed: datum and order, then the weight, good
+        word and pivot where there is one."""
+        text = f"[{self.datum} order {','.join(map(str, self.order))}"
+        if g is not None:
+            nu = self._nu_out(cartan.word_weight(self._idatum, g))
+            text += f" weight {cartan.format_weight(nu)} good word {format_word(self._w_out(g))}"
         if pivot is not None:
             text += f" pivot {format_word(self._w_out(pivot))}"
         return text + "]"
 
     # -- the bijection and the convex order --------------------------------------
+
+    def _good_lyndon_map(self) -> dict[Weight, Word]:
+        """The bijection root -> Lyndon word, by increasing height: a simple root
+        maps to its letter, and a composite root takes the maximal concatenation
+        l(b1) l(b2) over decompositions b1 + b2 = b with l(b1) < l(b2)."""
+        roots = cartan.positive_roots(self._idatum)
+        root_set = set(roots)
+        table: dict[Weight, Word] = {}
+        for beta in roots:  # already ordered by increasing height
+            if cartan.height(beta) == 1:
+                table[beta] = (beta.index(1) + 1,)
+                continue
+            best: Word | None = None
+            for gamma in roots:
+                if cartan.height(gamma) >= cartan.height(beta):
+                    break
+                delta = cartan.sub(beta, gamma)
+                if any(x < 0 for x in delta) or delta not in root_set:
+                    continue
+                l1, l2 = table[gamma], table[delta]
+                if l1 < l2:
+                    cand = l1 + l2
+                    if best is None or cand > best:
+                        best = cand
+            if best is None or not words.is_lyndon(best):
+                root = cartan.format_weight(self._nu_out(beta))
+                raise laurent.TheoryViolation(f"no Lyndon cover found for root {root} {self._where()}")
+            table[beta] = best
+        return table
 
     def lyndon_words(self) -> tuple[Word, ...]:
         """All good Lyndon words, ascending in the table's lexicographic order."""
@@ -352,7 +374,7 @@ class GoodLyndonTable:
     def _dual_canonical_weight_i(self, nui: Weight) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
         hit = self._canonical_cache.get(nui)
         if hit is not None:
-            return hit
+            return hit[0]
         goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         out: list[tuple[Word, ShuffleElt, LaurentPoly]] = []
@@ -393,17 +415,17 @@ class GoodLyndonTable:
             done[g] = (elt, kappa)
             out.append((g, elt, kappa))
         result = tuple(out)
-        self._canonical_cache[nui] = result
+        self._canonical_cache[nui] = result, tuple(factors for _, factors in goods)
         return result
 
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
         nui = self._nu_in(tuple(nu))
         vectors = self._dual_canonical_weight_i(nui)
-        # both ascend by good word, so each vector meets its own factors
+        factors = self._canonical_cache[nui][1]  # cached with the vectors, in their order
         return tuple(
-            DualCanonicalVector(self._good_out(g, factors), self._elt_out(elt), kappa)
-            for (g, factors), (_, elt, kappa) in zip(self._good_words_i(nui), vectors)
+            DualCanonicalVector(self._good_out(g, f), self._elt_out(elt), kappa)
+            for (g, elt, kappa), f in zip(vectors, factors)
         )
 
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
@@ -449,35 +471,6 @@ def _grouped(lyndons: Sequence[Word]) -> tuple[tuple[Word, int], ...]:
     return tuple((l, len(list(run))) for l, run in groupby(lyndons))
 
 
-def _good_lyndon_map(datum: CartanDatum) -> dict[Weight, Word]:
-    """The bijection root -> Lyndon word, by increasing height: a simple root
-    maps to its letter, and a composite root takes the maximal concatenation
-    l(b1) l(b2) over decompositions b1 + b2 = b with l(b1) < l(b2)."""
-    roots = cartan.positive_roots(datum)
-    root_set = set(roots)
-    table: dict[Weight, Word] = {}
-    for beta in roots:  # already ordered by increasing height
-        if cartan.height(beta) == 1:
-            table[beta] = (beta.index(1) + 1,)
-            continue
-        best: Word | None = None
-        for gamma in roots:
-            if cartan.height(gamma) >= cartan.height(beta):
-                break
-            delta = cartan.sub(beta, gamma)
-            if any(x < 0 for x in delta) or delta not in root_set:
-                continue
-            l1, l2 = table[gamma], table[delta]
-            if l1 < l2:
-                cand = l1 + l2
-                if best is None or cand > best:
-                    best = cand
-        if best is None or not words.is_lyndon(best):
-            raise laurent.TheoryViolation(f"no Lyndon cover found for root {beta}")
-        table[beta] = best
-    return table
-
-
 # -- reports and scans ---------------------------------------------------------------
 
 
@@ -506,20 +499,12 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
 # -- whole-range scans ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    weight: Weight
-    vectors: int
-    violations: tuple[dict, ...]
-    elapsed: float
+class WeightEntry(namedtuple("WeightEntry", "weight vectors violations elapsed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    check: str
-    max_height: int
-    entries: tuple[WeightEntry, ...]
-    elapsed: float
+class ScanReport(namedtuple("ScanReport", "check max_height entries elapsed")):
+    __slots__ = ()
 
     @property
     def total_vectors(self) -> int:

@@ -17,16 +17,15 @@ Weights are plain coefficient tuples over the simple roots.
 
 from __future__ import annotations
 
-import re
-import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
 
 from .laurent import TheoryViolation
 
 Weight = tuple[int, ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 class UnsupportedRank(ValueError):
@@ -54,31 +53,26 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(namedtuple("CartanDatum", "family rank cartan d bilinear")):
     """A finite-type Cartan matrix with its symmetrizers and bilinear form."""
 
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
-    bilinear: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r = self.rank
-        a, d, b = self.cartan, self.d, self.bilinear
-        for i in range(r):
+    def __new__(cls, family: str, rank: int, cartan: Matrix, d: tuple[int, ...], bilinear: Matrix):
+        a, b = cartan, bilinear
+        for i in range(rank):
             if a[i][i] != 2:
                 raise ValueError("Cartan diagonal must be 2")
             if d[i] not in (1, 2, 3):
                 raise ValueError("symmetrizers must lie in {1,2,3}")
             if b[i][i] != 2 * d[i]:
                 raise ValueError("bilinear diagonal must be 2*d_i")
-            for j in range(r):
+            for j in range(rank):
                 if i != j and a[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if b[i][j] != d[i] * a[i][j] or b[i][j] != b[j][i]:
                     raise ValueError("bilinear form must be the symmetrized Cartan matrix")
+        return super().__new__(cls, family, rank, cartan, d, bilinear)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -112,6 +106,8 @@ def build(family: str, rank: int) -> CartanDatum:
     if rank < lo or (hi is not None and rank > hi):
         raise UnsupportedRank(f"rank {rank} is not valid for family {family}")
     if family == "D" and rank == 3:
+        import warnings
+
         warnings.warn("D3 is isomorphic to A3 with relabeled nodes", stacklevel=2)
     d = _symmetrizers(family, rank)
     bil = [[0] * rank for _ in range(rank)]
@@ -132,10 +128,11 @@ def build(family: str, rank: int) -> CartanDatum:
 
 def parse(label: str) -> CartanDatum:
     """Parse a type label such as "A3", "B2" or "G2"."""
-    m = re.fullmatch(r"([A-G])(\d+)", label.strip())
-    if not m:
+    text = label.strip()
+    family, rank = text[:1], text[1:]
+    if family not in _RANK_BOUNDS or not rank.isdecimal():
         raise UnsupportedRank(f"cannot parse type label {label!r}")
-    return build(m.group(1), int(m.group(2)))
+    return build(family, int(rank))
 
 
 def reorder(datum: CartanDatum, order: Sequence[int]) -> CartanDatum:

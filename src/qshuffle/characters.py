@@ -8,8 +8,8 @@ so they can be compared against computed dual canonical vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from . import cartan
 from .cartan import CartanDatum
@@ -27,24 +27,23 @@ class ShapeConstraintViolated(ValueError):
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(namedtuple("SkewShape", "lam mu")):
     """A skew Young diagram lam/mu; cell (i, j) has content j - i."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...] = ()
+    __slots__ = ()
 
     # whether the parts of lam and mu must decrease strictly
-    _strict: ClassVar[bool] = False
+    _strict = False
 
-    def __post_init__(self) -> None:
-        for p in (self.lam, self.mu):
+    def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...] = ()):
+        for p in (lam, mu):
             if any(x <= 0 for x in p):
                 raise ShapeConstraintViolated("partition parts must be positive")
-            if any(a < b or (self._strict and a == b) for a, b in zip(p, p[1:])):
+            if any(a < b or (cls._strict and a == b) for a, b in zip(p, p[1:])):
                 raise ShapeConstraintViolated("partition parts must decrease")
-        if len(self.mu) > len(self.lam) or any(m > l for m, l in zip(self.mu, self.lam)):
+        if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
             raise ShapeConstraintViolated("inner shape must fit inside the outer shape")
+        return super().__new__(cls, lam, mu)
 
     def _indent(self, i: int) -> int:
         """How many columns row i is moved to the right."""
@@ -68,12 +67,12 @@ class SkewShape:
         return len(self.cells())
 
 
-@dataclass(frozen=True)
 class ShiftedSkewShape(SkewShape):
     """A (skew) shifted Young diagram of strict partitions; row i is indented
     i - 1 cells and cell (i, j) has content j - i + 1."""
 
-    _strict: ClassVar[bool] = True
+    __slots__ = ()
+    _strict = True
 
     def _indent(self, i: int) -> int:
         return i - 1
@@ -113,12 +112,10 @@ def standard_tableaux(shape: SkewShape) -> Iterator[tuple[Cell, ...]]:
 # -- character sums ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableauCharacter:
+class TableauCharacter(namedtuple("TableauCharacter", "good_word element")):
     """A tableau character sum: the indexing good word and the full element."""
 
-    good_word: Word
-    element: ShuffleElt
+    __slots__ = ()
 
     @property
     def tableau_count(self) -> int:

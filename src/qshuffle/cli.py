@@ -11,9 +11,8 @@ broken invariant).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import basis, cartan, characters
 from .laurent import TheoryViolation
@@ -96,9 +95,15 @@ def _meta(args: argparse.Namespace, table: basis.GoodLyndonTable, **extra) -> di
     return {"command": args.command, "type": args.type, "order": list(table.order), **extra}
 
 
+def _dumps(obj, **kwargs) -> str:
+    import json  # only a run that renders JSON pays for the import
+
+    return json.dumps(obj, sort_keys=True, **kwargs)
+
+
 def _emit(text_lines: list[str], json_obj: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        print(_dumps(json_obj, indent=2))
     else:
         print("\n".join(text_lines))
 
@@ -203,7 +208,7 @@ def _cmd_scan(args) -> int:
         status = "ok" if not entry.violations else f"violations={len(entry.violations)}"
         lines.append(f"weight {cartan.format_weight(entry.weight)}: vectors={entry.vectors} {status}")
         for v in entry.violations:
-            lines.append(f"  witness {json.dumps(v, sort_keys=True)}")
+            lines.append(f"  witness {_dumps(v)}")
         item = {"weight": list(entry.weight), "vectors": entry.vectors, "violations": list(entry.violations)}
         if args.timing:
             item["elapsed"] = entry.elapsed

@@ -15,9 +15,9 @@ maps, all go through them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Mapping
 
 
 class TheoryViolation(ArithmeticError):

@@ -6,10 +6,10 @@ membership test for the subalgebra generated by the letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Mapping
 
 from . import cartan, laurent
 from .cartan import CartanDatum, Weight
@@ -205,18 +205,46 @@ def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[in
 
 
 def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
-    """The bilinear q-shuffle product."""
+    """The bilinear q-shuffle product.
+
+    For words, v * u = q^{-N} bar(u * v) with N = (|u|, |v|), where bar sends
+    q to q^{-1} on the coefficients only.  Every word of f has the weight of
+    f, so the square f * f sums each pair of distinct words once, adds the
+    mirror q^{-N} bar of that sum with N = (|f|, |f|), then the diagonal.  The
+    mirror needs the pair's scalar barred, so the pairs go into a second sum
+    unless every coefficient of f is bar-symmetric and the two sums agree.
+    """
     f._check_peer(g)
     datum = f.datum
     weight = cartan.add(f.weight, g.weight)
     acc: dict[Word, dict[int, int]] = {}
-    for wf, cf in f.terms.items():
-        for wg, cg in g.terms.items():
-            scale = (cf * cg).terms
-            for u, p in _shuffle_words(datum, wf, wg).items():
-                laurent._mul_add(acc.setdefault(u, {}), scale, p)
+    if f is g:
+        items = sorted(f.terms.items())  # so that every square caches a pair as (smaller, larger)
+        half = acc if all(c.is_bar_symmetric() for _, c in items) else {}
+        for k, (u, cu) in enumerate(items):
+            for v, cv in items[k + 1 :]:
+                c, product = cu * cv, _shuffle_words(datum, u, v)
+                _scaled_into(acc, product, c.terms)
+                if half is not acc:
+                    _scaled_into(half, product, c.bar().terms)
+        shift = -cartan.bilinear_form(datum, f.weight, f.weight)
+        for w, d in list(half.items()):
+            laurent._add_into(acc.setdefault(w, {}), {-e: x for e, x in d.items()}, shift)
+        pairs = ((u, u, cu * cu) for u, cu in items)
+    else:
+        pairs = ((wf, wg, cf * cg) for wf, cf in f.terms.items() for wg, cg in g.terms.items())
+    for u, v, c in pairs:
+        _scaled_into(acc, _shuffle_words(datum, u, v), c.terms)
     terms = {w: laurent._raw(d) for w, d in acc.items() if d}
     return _raw_elt(datum, weight, terms)
+
+
+def _scaled_into(
+    acc: dict[Word, dict[int, int]], product: dict[Word, dict[int, int]], scale: dict[int, int]
+) -> None:
+    """acc += scale * product on raw {word: {exponent: coeff}} maps."""
+    for w, p in product.items():
+        laurent._mul_add(acc.setdefault(w, {}), scale, p)
 
 
 def concat(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
@@ -309,15 +337,10 @@ def specialize_q1(f: ShuffleElt) -> dict[Word, int]:
 # -- membership in the letter-generated subalgebra --------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(namedtuple("MembershipWitness", "i j left right total")):
     """One failing linear relation: the context (i, j, z, t) and its value."""
 
-    i: int
-    j: int
-    left: Word
-    right: Word
-    total: LaurentPoly
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (
@@ -326,10 +349,10 @@ class MembershipWitness:
         )
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    ok: bool
-    witness: MembershipWitness | None
+class MembershipResult(namedtuple("MembershipResult", "ok witness")):
+    """The verdict of `serre_membership`, with a failing relation when it is False."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -7,7 +7,7 @@ the lexicographic order in which a proper prefix is smaller.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .laurent import TheoryViolation
 

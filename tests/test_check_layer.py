@@ -124,3 +124,13 @@ def test_expansion_memo_holds_one_weight_only():
     assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} == {(1, 2)}
     assert all(elt.weight == (1, 2) for elt, _ in table._pbw_memo.values())
     assert table._pbw_memo_weight == (1, 2)
+
+
+def test_positivity_scan_enumerates_good_words_once_per_weight(monkeypatch):
+    table = basis.GoodLyndonTable(cartan.parse("A3"))
+    real = table._good_words_i
+    calls = []
+    monkeypatch.setattr(table, "_good_words_i", lambda nui: calls.append(nui) or real(nui))
+    report = basis.scan(table, 5, "positivity")
+    assert report.total_violations == 0
+    assert sorted(calls) == sorted(entry.weight for entry in report.entries)

@@ -249,3 +249,14 @@ def test_failed_root_normalization_names_datum_order_weight_and_good_word(monkey
     message = str(info.value)
     _fields(message, "B2", "order 2,1", "weight 2,1", "good word w[2,1,1]")
     assert "pivot" not in message
+
+
+def test_missing_lyndon_cover_names_datum_order_and_root_in_table_letters(monkeypatch):
+    # internal letters 1, 2, 3 are nodes 3, 1, 2; the first composite root
+    # tried is internal (0, 1, 1), which is alpha_1 + alpha_2 in the table's letters
+    monkeypatch.setattr(basis.words, "is_lyndon", lambda w: False)
+    with pytest.raises(laurent.TheoryViolation) as info:
+        basis.GoodLyndonTable(cartan.parse("A3"), (3, 1, 2))
+    message = str(info.value)
+    assert message.startswith("no Lyndon cover found for root 1,1,0 ")
+    _fields(message, "A3", "order 3,1,2")

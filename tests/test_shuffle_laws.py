@@ -71,3 +71,50 @@ def test_recursive_product_matches_interleaving(case):
     datum, w1, w2 = case
     recursive = qshuffle(ShuffleElt.from_word(datum, w1), ShuffleElt.from_word(datum, w2))
     assert recursive == qshuffle_by_interleaving(datum, w1, w2)
+
+
+# -- the square path: one order of each pair of words determines the other -----------
+
+SQUARE_DATA = [cartan.parse(label) for label in ("B2", "G2", "D4")]
+
+
+def _mirrored(elt, n):
+    """q^{-n} times elt with q -> q^{-1} on its coefficients only."""
+    return ShuffleElt(elt.datum, elt.weight, {w: c.bar().shifted(-n) for w, c in elt.terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SQUARE_DATA).flatmap(lambda d: st.tuples(st.just(d), words(d, 5), words(d, 5))))
+def test_reversed_word_product_is_the_mirrored_product(case):
+    # v * u = q^{-(|u|,|v|)} bar(u * v), bar acting on coefficients only
+    datum, u, v = case
+    uv = qshuffle(ShuffleElt.from_word(datum, u), ShuffleElt.from_word(datum, v))
+    vu = qshuffle(ShuffleElt.from_word(datum, v), ShuffleElt.from_word(datum, u))
+    n = cartan.bilinear_form(datum, cartan.word_weight(datum, u), cartan.word_weight(datum, v))
+    assert vu == _mirrored(uv, n)
+
+
+wide_polys = st.dictionaries(st.integers(-6, 6), st.integers(-(10**12), 10**12), max_size=4).map(LaurentPoly)
+
+
+@st.composite
+def square_operands(draw):
+    """Zero, one or several permutations of one letter multiset over B2 or G2,
+    with wide coefficients that are sometimes all bar-symmetric, as those of
+    the dual canonical vectors that the reality check squares are."""
+    datum = draw(st.sampled_from(SQUARE_DATA[:2]))
+    base = draw(words(datum, 5))
+    support = sorted(set(permutations(base)))
+    terms = draw(st.dictionaries(st.sampled_from(support), wide_polys, max_size=6))
+    if draw(st.booleans()):
+        terms = {w: c + c.bar() for w, c in terms.items()}
+    return ShuffleElt(datum, cartan.word_weight(datum, base), terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_operands())
+def test_square_matches_the_product_with_a_distinct_copy(f):
+    copy_of_f = ShuffleElt(f.datum, f.weight, f.terms)
+    assert copy_of_f is not f
+    square = qshuffle(f, f)
+    assert square == qshuffle(f, copy_of_f) and square.weight == cartan.add(f.weight, f.weight)
