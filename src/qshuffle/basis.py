@@ -17,7 +17,7 @@ from itertools import groupby
 from math import comb
 
 from . import cartan, laurent, shuffle, words
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, Record, Weight
 from .laurent import ONE, ZERO, LaurentPoly
 from .shuffle import ShuffleElt
 from .words import Word, format_word
@@ -40,7 +40,7 @@ class StraighteningFailure(laurent.TheoryViolation):
     """The correction step of the straightening loop could not proceed."""
 
 
-class GoodWord(namedtuple("GoodWord", "word factors")):
+class GoodWord(Record, namedtuple("GoodWord", "word factors")):
     """A good word together with its non-increasing good-Lyndon factorization."""
 
     __slots__ = ()
@@ -49,11 +49,11 @@ class GoodWord(namedtuple("GoodWord", "word factors")):
         return format_word(self.word)
 
 
-class DualPBWVector(namedtuple("DualPBWVector", "good_word elt kappa")):
+class DualPBWVector(Record, namedtuple("DualPBWVector", "good_word elt kappa")):
     __slots__ = ()
 
 
-class DualCanonicalVector(namedtuple("DualCanonicalVector", "good_word elt kappa")):
+class DualCanonicalVector(Record, namedtuple("DualCanonicalVector", "good_word elt kappa")):
     __slots__ = ()
 
 
@@ -81,8 +81,7 @@ class GoodLyndonTable:
         self._gl = frozenset(self._root_of_lyndon)
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        # per weight: the straightened (g, elt, kappa) and the factors of each g
-        self._canonical_cache: dict[Weight, tuple[tuple, tuple]] = {}
+        self._canonical_cache: dict[Weight, tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]] = {}
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
 
@@ -374,7 +373,7 @@ class GoodLyndonTable:
     def _dual_canonical_weight_i(self, nui: Weight) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
         hit = self._canonical_cache.get(nui)
         if hit is not None:
-            return hit[0]
+            return hit
         goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         out: list[tuple[Word, ShuffleElt, LaurentPoly]] = []
@@ -415,17 +414,14 @@ class GoodLyndonTable:
             done[g] = (elt, kappa)
             out.append((g, elt, kappa))
         result = tuple(out)
-        self._canonical_cache[nui] = result, tuple(factors for _, factors in goods)
+        self._canonical_cache[nui] = result
         return result
 
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
-        nui = self._nu_in(tuple(nu))
-        vectors = self._dual_canonical_weight_i(nui)
-        factors = self._canonical_cache[nui][1]  # cached with the vectors, in their order
         return tuple(
-            DualCanonicalVector(self._good_out(g, f), self._elt_out(elt), kappa)
-            for (g, elt, kappa), f in zip(vectors, factors)
+            DualCanonicalVector(self._good_out(g, self._factors_i(g)), self._elt_out(elt), kappa)
+            for g, elt, kappa in self._dual_canonical_weight_i(self._nu_in(tuple(nu)))
         )
 
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
@@ -499,11 +495,11 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
 # -- whole-range scans ------------------------------------------------------------------
 
 
-class WeightEntry(namedtuple("WeightEntry", "weight vectors violations elapsed")):
+class WeightEntry(Record, namedtuple("WeightEntry", "weight vectors violations elapsed")):
     __slots__ = ()
 
 
-class ScanReport(namedtuple("ScanReport", "check max_height entries elapsed")):
+class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elapsed")):
     __slots__ = ()
 
     @property

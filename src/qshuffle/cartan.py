@@ -18,7 +18,7 @@ Weights are plain coefficient tuples over the simple roots.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -53,7 +53,26 @@ _RANK_BOUNDS = {
 }
 
 
-class CartanDatum(namedtuple("CartanDatum", "family rank cartan d bilinear")):
+class Record:
+    """Mixed in before a namedtuple base: a record equals only records of its
+    own class, never a plain tuple, and hashes by its fields; `_make` and
+    `_replace` build through the class, so its validation runs."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        return cls(*fields)
+
+
+class CartanDatum(Record, namedtuple("CartanDatum", "family rank cartan d bilinear")):
     """A finite-type Cartan matrix with its symmetrizers and bilinear form."""
 
     __slots__ = ()

@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import cartan
-from .cartan import CartanDatum
+from .cartan import CartanDatum, Record
 from .laurent import ONE
 from .shuffle import ShuffleElt
 from .words import Word
@@ -27,7 +27,7 @@ class ShapeConstraintViolated(ValueError):
 Cell = tuple[int, int]
 
 
-class SkewShape(namedtuple("SkewShape", "lam mu")):
+class SkewShape(Record, namedtuple("SkewShape", "lam mu")):
     """A skew Young diagram lam/mu; cell (i, j) has content j - i."""
 
     __slots__ = ()
@@ -112,7 +112,7 @@ def standard_tableaux(shape: SkewShape) -> Iterator[tuple[Cell, ...]]:
 # -- character sums ------------------------------------------------------------------
 
 
-class TableauCharacter(namedtuple("TableauCharacter", "good_word element")):
+class TableauCharacter(Record, namedtuple("TableauCharacter", "good_word element")):
     """A tableau character sum: the indexing good word and the full element."""
 
     __slots__ = ()

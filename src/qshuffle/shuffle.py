@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import cartan, laurent
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, Record, Weight
 from .laurent import ONE, ZERO, LaurentPoly
 from .words import Word, format_word
 
@@ -209,27 +209,23 @@ def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
 
     For words, v * u = q^{-N} bar(u * v) with N = (|u|, |v|), where bar sends
     q to q^{-1} on the coefficients only.  Every word of f has the weight of
-    f, so the square f * f sums each pair of distinct words once, adds the
-    mirror q^{-N} bar of that sum with N = (|f|, |f|), then the diagonal.  The
-    mirror needs the pair's scalar barred, so the pairs go into a second sum
-    unless every coefficient of f is bar-symmetric and the two sums agree.
+    f, so when every coefficient of f is bar-symmetric, as for the dual
+    canonical and dual root vectors, the square f * f sums each pair of
+    distinct words once, adds the mirror q^{-N} bar of that sum with
+    N = (|f|, |f|), then the diagonal.
     """
     f._check_peer(g)
     datum = f.datum
     weight = cartan.add(f.weight, g.weight)
     acc: dict[Word, dict[int, int]] = {}
-    if f is g:
+    if f is g and all(c.is_bar_symmetric() for c in f.terms.values()):
         items = sorted(f.terms.items())  # so that every square caches a pair as (smaller, larger)
-        half = acc if all(c.is_bar_symmetric() for _, c in items) else {}
         for k, (u, cu) in enumerate(items):
             for v, cv in items[k + 1 :]:
-                c, product = cu * cv, _shuffle_words(datum, u, v)
-                _scaled_into(acc, product, c.terms)
-                if half is not acc:
-                    _scaled_into(half, product, c.bar().terms)
+                _scaled_into(acc, _shuffle_words(datum, u, v), (cu * cv).terms)
         shift = -cartan.bilinear_form(datum, f.weight, f.weight)
-        for w, d in list(half.items()):
-            laurent._add_into(acc.setdefault(w, {}), {-e: x for e, x in d.items()}, shift)
+        for d in acc.values():
+            laurent._add_into(d, {-e: x for e, x in d.items()}, shift)
         pairs = ((u, u, cu * cu) for u, cu in items)
     else:
         pairs = ((wf, wg, cf * cg) for wf, cf in f.terms.items() for wg, cg in g.terms.items())
@@ -337,7 +333,7 @@ def specialize_q1(f: ShuffleElt) -> dict[Word, int]:
 # -- membership in the letter-generated subalgebra --------------------------------
 
 
-class MembershipWitness(namedtuple("MembershipWitness", "i j left right total")):
+class MembershipWitness(Record, namedtuple("MembershipWitness", "i j left right total")):
     """One failing linear relation: the context (i, j, z, t) and its value."""
 
     __slots__ = ()
@@ -349,7 +345,7 @@ class MembershipWitness(namedtuple("MembershipWitness", "i j left right total"))
         )
 
 
-class MembershipResult(namedtuple("MembershipResult", "ok witness")):
+class MembershipResult(Record, namedtuple("MembershipResult", "ok witness")):
     """The verdict of `serre_membership`, with a failing relation when it is False."""
 
     __slots__ = ()

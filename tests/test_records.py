@@ -1,13 +1,14 @@
 """The value records of the package (Cartan data, good words, membership
-results, shapes) and the type-label parser: equality and hashing by value,
-their repr text, immutability, and every validation error with its message."""
+results, shapes) and the type-label parser: equality and hashing by value
+within one class, their repr text, immutability, and every validation error
+with its message, also through `_replace` and `_make`."""
 
 import warnings
 
 import pytest
 
 from qshuffle import cartan
-from qshuffle.basis import GoodLyndonTable, GoodWord
+from qshuffle.basis import DualCanonicalVector, DualPBWVector, GoodLyndonTable, GoodWord
 from qshuffle.cartan import CartanDatum, UnsupportedRank
 from qshuffle.characters import (
     ShapeConstraintViolated,
@@ -16,8 +17,8 @@ from qshuffle.characters import (
     shifted_tableau_character,
     skew_tableau_character,
 )
-from qshuffle.laurent import monomial
-from qshuffle.shuffle import MembershipResult, MembershipWitness
+from qshuffle.laurent import ONE, monomial
+from qshuffle.shuffle import MembershipResult, MembershipWitness, ShuffleElt
 
 B2 = cartan.parse("B2")
 WITNESS = MembershipWitness(1, 2, (1,), (), monomial(1, 2))
@@ -63,6 +64,33 @@ def test_records_are_immutable(record, _same, _other):
         setattr(record, FIELDS[type(record)], None)
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+@pytest.mark.parametrize("record, _same, _other", CASES, ids=lambda r: type(r).__name__)
+def test_records_never_equal_a_plain_tuple(record, _same, _other):
+    assert record != tuple(record) and not record == tuple(record)
+    assert tuple(record) != record and not tuple(record) == record
+
+
+def test_records_of_different_classes_differ_on_equal_fields():
+    skew, shifted = SkewShape((2, 1)), ShiftedSkewShape((2, 1))
+    assert skew != shifted and not skew == shifted
+    assert len({skew, shifted}) == 2 and len({skew: 0, shifted: 1}) == 2
+    good = GoodWord((1,), (((1,), 1),))
+    elt = ShuffleElt.from_word(B2, (1,))
+    assert DualPBWVector(good, elt, ONE) != DualCanonicalVector(good, elt, ONE)
+    assert DualPBWVector(good, elt, ONE) == DualPBWVector(good, elt, ONE)
+
+
+def test_replace_and_make_validate():
+    with pytest.raises(ValueError, match="^symmetrizers must lie in {1,2,3}$"):
+        B2._replace(d=(1, 4))
+    with pytest.raises(ShapeConstraintViolated, match="^partition parts must decrease$"):
+        SkewShape((2, 1))._replace(lam=(1, 2))
+    with pytest.raises(ShapeConstraintViolated, match="^partition parts must decrease$"):
+        ShiftedSkewShape._make(((2, 2), ()))
+    assert SkewShape((2, 1))._replace(mu=(1,)) == SkewShape((2, 1), (1,))
+    assert type(ShiftedSkewShape((3, 1))._replace(mu=(1,))) is ShiftedSkewShape
 
 
 def test_record_reprs():
