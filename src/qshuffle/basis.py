@@ -81,9 +81,11 @@ class GoodLyndonTable:
         self._gl = frozenset(self._root_of_lyndon)
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        self._canonical_cache: dict[Weight, tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]] = {}
+        # One weight scope: the dual PBW and, once straightened, the dual
+        # canonical vectors of the current weight; entering another clears both.
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
+        self._canonical_memo: tuple[tuple[Word, ShuffleElt, LaurentPoly], ...] | None = None
 
     # -- letter/weight/element translation -------------------------------------
 
@@ -318,19 +320,22 @@ class GoodLyndonTable:
             raise NotGoodWord(f"{format_word(g)} is not a good word")
         return self._kappa_i(factors)
 
+    def _enter(self, nui: Weight) -> None:
+        """Make nui the current weight of the scope, dropping the old one's vectors."""
+        if nui != self._pbw_memo_weight:
+            self._pbw_memo_weight, self._pbw_memo, self._canonical_memo = nui, {}, None
+
     def _dual_pbw_i(
         self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None
     ) -> tuple[ShuffleElt, LaurentPoly]:
-        """The one route to a dual PBW vector.  The memo holds the vectors of
-        one weight only, so straightening and the expansions of that weight
-        share one build per good word and no vector outlives its weight.
-        Without `factors` the word is factorized on a miss only."""
+        """The one route to a dual PBW vector.  The memo lives in the weight
+        scope, so straightening and the expansions of that weight share one
+        build per good word.  Without `factors` the word is factorized on a
+        miss only."""
         hit = self._pbw_memo.get(wi)
         if hit is not None:
             return hit
-        nui = cartan.word_weight(self._idatum, wi)
-        if nui != self._pbw_memo_weight:
-            self._pbw_memo_weight, self._pbw_memo = nui, {}
+        self._enter(cartan.word_weight(self._idatum, wi))
         if factors is None and (factors := self._factors_i(wi)) is None:
             raise NotGoodWord(f"{format_word(self._w_out(wi))} is not a good word")
         if not factors:  # the empty good word indexes the unit
@@ -339,16 +344,18 @@ class GoodLyndonTable:
             hit = self._dual_root_i(wi)
         else:
             # qshuffle is bilinear, so the normalizing power of q scales the
-            # smallest factor, not the product's whole support
+            # smallest factor's power, not the product's whole support; it is
+            # applied after that power is built, which keeps a repeated
+            # factor's first product on the square path of qshuffle
             shift = sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
             powers = []
             for l, a in reversed(factors):
                 base, _ = self._dual_root_i(l)
-                power = base if powers else base.scaled(laurent.monomial(shift))
+                power = base
                 for _ in range(a - 1):
                     power = shuffle.qshuffle(power, base)
                 powers.append(power)
-            elt = powers[0]
+            elt = powers[0].scaled(laurent.monomial(shift))
             for power in powers[1:]:
                 elt = shuffle.qshuffle(elt, power)
             kappa = self._kappa_i(factors)
@@ -371,9 +378,11 @@ class GoodLyndonTable:
     # -- the dual canonical basis --------------------------------------------------------
 
     def _dual_canonical_weight_i(self, nui: Weight) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
-        hit = self._canonical_cache.get(nui)
-        if hit is not None:
-            return hit
+        """The dual canonical vectors of nui, ascending by good word, built
+        once while nui is the scope's weight."""
+        self._enter(nui)
+        if self._canonical_memo is not None:
+            return self._canonical_memo
         goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         out: list[tuple[Word, ShuffleElt, LaurentPoly]] = []
@@ -413,9 +422,8 @@ class GoodLyndonTable:
                 raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
             done[g] = (elt, kappa)
             out.append((g, elt, kappa))
-        result = tuple(out)
-        self._canonical_cache[nui] = result
-        return result
+        self._canonical_memo = tuple(out)
+        return self._canonical_memo
 
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
@@ -427,12 +435,12 @@ class GoodLyndonTable:
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
         """The dual canonical vector indexed by one good word."""
         good = self.good_word(tuple(g))
-        nu = cartan.word_weight(self.datum, good.word)
-        for vec in self.dual_canonical_weight(nu):
-            if vec.good_word.word == good.word:
-                return vec
+        wi = self._w_in(good.word)
+        for h, elt, kappa in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
+            if h == wi:
+                return DualCanonicalVector(good, self._elt_out(elt), kappa)
         raise laurent.TheoryViolation(
-            f"no dual canonical vector for good word {format_word(good.word)}; every good word indexes one"
+            f"no dual canonical vector for good word {good}; every good word indexes one"
         )
 
     # -- expansion over the dual PBW family ------------------------------------------------
@@ -467,32 +475,33 @@ def _grouped(lyndons: Sequence[Word]) -> tuple[tuple[Word, int], ...]:
     return tuple((l, len(list(run))) for l, run in groupby(lyndons))
 
 
-# -- reports and scans ---------------------------------------------------------------
+# -- reality and whole-range scans ----------------------------------------------------
+# The checks read the internal vectors of the weight scope, where the table's
+# order is the natural tuple order, and translate only the words they report.
 
 
 def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     """True when the shuffle square of vec is a power of q times another
     dual canonical vector."""
-    square = shuffle.qshuffle(vec.elt, vec.elt)
-    # the maximal word is taken in the table's order
-    top = table._w_out(shuffle.max_word(table._elt_in(square)))
-    if not table.is_good(top):
-        return False
-    for candidate in table.dual_canonical_weight(square.weight):
-        if candidate.good_word.word == top:
+    return _is_real_i(table, table._elt_in(vec.elt))
+
+
+def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
+    """`is_real` on an element in internal coordinates."""
+    square = shuffle.qshuffle(elt, elt)
+    top = shuffle.max_word(square)
+    for g, candidate, kappa in table._dual_canonical_weight_i(square.weight):
+        if g == top:
             break
     else:
         return False
     try:
-        ratio = laurent.exact_div(square.terms[top], candidate.kappa)
+        ratio = laurent.exact_div(square.terms[top], kappa)
     except laurent.InexactDivision:
         return False
     if not ratio.is_monomial() or ratio.leading_coefficient() != 1:
         return False
-    return square == candidate.elt.scaled(ratio)
-
-
-# -- whole-range scans ------------------------------------------------------------------
+    return square == candidate.scaled(ratio)
 
 
 class WeightEntry(Record, namedtuple("WeightEntry", "weight vectors violations elapsed")):
@@ -513,26 +522,22 @@ class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elap
 
 def _positivity_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
     """Every negative coefficient of the dual canonical vectors of weight nu."""
-    out = []
-    for vec in table.dual_canonical_weight(nu):
-        for w in sorted(vec.elt.terms):
-            c = vec.elt.terms[w]
-            if any(v < 0 for v in c.terms.values()):
-                out.append({"good_word": list(vec.good_word.word), "word": list(w), "coefficient": c.to_json()})
-    return out
+    return [
+        {"good_word": list(table._w_out(g)), "word": list(table._w_out(w)), "coefficient": elt.terms[w].to_json()}
+        for g, elt, _ in table._dual_canonical_weight_i(table._nu_in(tuple(nu)))
+        for w in sorted((w for w, c in elt.terms.items() if min(c.terms.values()) < 0), key=table._w_out)
+    ]
 
 
 def _reality_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
-    out = []
-    for vec in table.dual_canonical_weight(nu):
-        if not is_real(table, vec):
-            out.append({"good_word": list(vec.good_word.word), "kind": "imaginary"})
-    return out
+    return [
+        {"good_word": list(table._w_out(g)), "kind": "imaginary"}
+        for g, elt, _ in table._dual_canonical_weight_i(table._nu_in(tuple(nu)))
+        if not _is_real_i(table, elt)
+    ]
 
 
 def _invariant_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
-    # all comparisons run in internal coordinates, where the table's order
-    # is the natural tuple order; words are translated back for the report
     out = []
     nui = table._nu_in(tuple(nu))
     vectors = table._dual_canonical_weight_i(nui)
@@ -582,7 +587,7 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
     t0 = time.perf_counter()
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
         w0 = time.perf_counter()
-        violations = tuple(run(table, nu))
         vectors = len(table._dual_canonical_weight_i(table._nu_in(nu)))
+        violations = tuple(run(table, nu))
         entries.append(WeightEntry(nu, vectors, violations, time.perf_counter() - w0))
     return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)

@@ -16,7 +16,6 @@ maps, all go through them.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from functools import lru_cache
 from math import isqrt
 
 
@@ -231,13 +230,8 @@ def q_factorial(k: int, d: int = 1) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
 def q_binom(m: int, k: int, d: int = 1) -> LaurentPoly:
-    """[m choose k]_d; the quotient of q-factorials is always exact.
-
-    Memoized: results are shared, which is safe because no caller mutates
-    a LaurentPoly.
-    """
+    """[m choose k]_d; the quotient of q-factorials is always exact."""
     if not 0 <= k <= m:
         raise ValueError("q-binomial needs 0 <= k <= m")
     return exact_div(q_factorial(m, d), q_factorial(k, d) * q_factorial(m - k, d))

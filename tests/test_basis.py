@@ -539,6 +539,6 @@ def test_not_good_lyndon_errors(tables):
 
 def test_good_word_without_a_canonical_vector_is_an_internal_error(monkeypatch):
     t = basis.GoodLyndonTable(cartan.parse("A2"))
-    monkeypatch.setattr(t, "dual_canonical_weight", lambda nu: ())
+    monkeypatch.setattr(t, "_dual_canonical_weight_i", lambda nui: ())
     with pytest.raises(laurent.TheoryViolation, match="no dual canonical vector for good word w\\[1,2\\]"):
         t.dual_canonical_vector((1, 2))

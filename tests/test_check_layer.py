@@ -115,6 +115,23 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
     assert len(built) == len(vectors)
 
 
+def _held_weights(table):
+    """The weights of every vector the table holds outside its per-root caches."""
+    found = set()
+
+    def walk(x):
+        if isinstance(x, ShuffleElt):
+            found.add(x.weight)
+        elif isinstance(x, (dict, tuple)):
+            for item in x.values() if isinstance(x, dict) else x:
+                walk(item)
+
+    for name, value in vars(table).items():
+        if name not in ("_r_cache", "_dual_root_cache"):
+            walk(value)
+    return found
+
+
 def test_expansion_memo_holds_one_weight_only():
     table = basis.GoodLyndonTable(B2)
     for nu in ((2, 1), (1, 2)):
@@ -124,6 +141,21 @@ def test_expansion_memo_holds_one_weight_only():
     assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} == {(1, 2)}
     assert all(elt.weight == (1, 2) for elt, _ in table._pbw_memo.values())
     assert table._pbw_memo_weight == (1, 2)
+    # the dual canonical vectors share the memo's scope
+    assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
+    assert _held_weights(table) == {(1, 2)}
+
+
+def test_reality_scan_leaves_one_weight_in_scope():
+    # each reality check straightens the weight of its squares, so a scan
+    # enters twice as many weights as it reports and keeps only the last
+    table = basis.GoodLyndonTable(B2)
+    report = basis.scan(table, 5, "reality")
+    assert report.total_violations == 0
+    last = table._pbw_memo_weight
+    assert cartan.height(last) == 2 * cartan.height(report.entries[-1].weight)
+    assert {elt.weight for _, elt, _ in table._canonical_memo} == {last}
+    assert _held_weights(table) == {last}
 
 
 def test_positivity_scan_enumerates_good_words_once_per_weight(monkeypatch):

@@ -131,8 +131,8 @@ def test_scaled_by_a_monomial_matches_the_product(f_raw, k, m):
     assert f.scaled(ONE) is f
 
 
-def test_q_binom_is_memoized():
-    assert laurent.q_binom(4, 2, 3) is laurent.q_binom(4, 2, 3)
+def test_q_binom_four_choose_two():
+    assert laurent.q_binom(4, 2, 3) == LaurentPoly({12: 1, 6: 1, 0: 2, -6: 1, -12: 1})
     assert laurent.q_binom(4, 2) == LaurentPoly({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
 
 

@@ -6,8 +6,14 @@ squares and `dual-pbw`, in natural and non-natural orders.  The rest were
 recorded from commit e2a9ecd, before the two tableau-character loops became
 one; they cover the E family, the positivity and reality checks on B3 and
 C2, `dual-canonical --format json`, `good-words`, `roots`, `is-real`, and
-skew and shifted `character` samples.  A mismatch means the output changed;
-it is a failure, never a digest to refresh."""
+skew and shifted `character` samples.  The last fourteen were recorded from
+commit 5535c78, before the dual canonical vectors moved into the table's
+one-weight scope and the dual PBW q-shift moved onto the first factor's
+power; they cover `scan --format json` for all three checks (the G2 reality
+scan has imaginary witnesses), `expand` and `dual-pbw` in B3, C3, D4 and A3,
+and dual PBW vectors with a repeated factor (B2 and G2 at weight 2,2).  A
+mismatch means the output changed; it is a failure, never a digest to
+refresh."""
 
 import hashlib
 
@@ -64,6 +70,34 @@ DIGESTS = {
         "de798e7c9f8ba974e16f46e53a6d4c6f90e37eed8c15e829cccb8dc1550ed97c",
     "character B4 --shifted 4,2/1":
         "e08d846e4a44d0073fe93d4c895bd2bad2670b3df538d8f0c49d0de140abe1ca",
+    "scan B2 --max-height 4 --check positivity --format json":
+        "937f1f4b47da91d78dcae21abac77e54c6dd9f9c2852a619ef8156903d960fc6",
+    "scan G2 --max-height 5 --check reality --order 2,1 --format json":
+        "06bd7a556693c8bf391648ff76b61bf9445abc08685f24d5a65bdfdc8aff9b02",
+    "scan A3 --max-height 5 --check positivity --order 3,1,2 --format json":
+        "c5434c8dccea53e8224be61d544121ba8e3678eaad38a74085ea61a898bb04a2",
+    "scan C3 --max-height 4 --check invariants --order 2,3,1 --format json":
+        "2452c9fb157c4315189861a8f61911bac24dc0c9c5ac188dcdac701e2ea44a80",
+    "expand B3 --weight 1,2,2 --order 3,2,1":
+        "3504e9d9f1a2b5c62309ad315e8c45d772ac838c726ade4169b1f23947e03bd5",
+    "expand C3 --weight 1,2,1":
+        "9d629ec099017b05924b5bc2ef5826a1963785938dbbd3d94ebe89cc245b312e",
+    "expand D4 --weight 1,1,2,1 --order 4,3,2,1":
+        "e705cceba86de64e1b559e707319ca533c2ff06280e2c04005adeb7fc792af46",
+    "expand A3 --weight 1,2,1 --order 2,1,3":
+        "49dabb5922257dc7b876c19f31e0174300baf07102540ec566f8acd46114ffe2",
+    "dual-pbw B3 --weight 1,2,2":
+        "94a0b48eda63b6ef971df26ab9cb2df5309f340c3d410271b0bb7cadd03c5d8f",
+    "dual-pbw C3 --weight 2,2,1 --order 3,1,2":
+        "9fcceb2ad2d515025ca5317766cdfca7690b9d5cb3d80b19c9dd302d907c6eaf",
+    "dual-pbw D4 --weight 1,1,2,1":
+        "60cfd47c888a0f35fd5828722b2c007cad8c40d4ec1cc11c03fa331573cc1b9e",
+    "dual-pbw A3 --weight 1,2,1 --order 3,2,1":
+        "5fd0f5a0c2720c2b8709b93f8b3b896b317c84616d8d0a61d6268052e77de5b5",
+    "dual-pbw B2 --weight 2,2":
+        "f111dd7709dec1a8c5f3b389e6626d4af38101f907c2a1bc56c95e42fef45052",
+    "dual-pbw G2 --weight 2,2 --order 2,1":
+        "a55ecfc1fc393a12c81bb70dde4241a7399ef5882fbe268aafaf211941fc5f91",
 }
 
 

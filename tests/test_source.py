@@ -38,3 +38,53 @@ def test_import_budget():
         "dataclasses", "typing", "inspect", "re", "warnings", "json", "argparse"
     }
     assert not _modules_loaded_by("qshuffle.cli") & {"dataclasses", "typing", "inspect"}
+
+
+# The module-level memos the package keeps, as `module.name`.  Every other
+# per-weight or per-scan memo belongs to an object with a visible scope, such
+# as the weight scope of `GoodLyndonTable`.
+MODULE_MEMOS = {
+    "shuffle._CACHE", "cartan.positive_roots", "cartan.kostant_partitions", "shuffle._serre_weights"
+}
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_empty_container(node):
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    if isinstance(node, ast.Call):
+        return _name(node.func) in CONTAINERS and (not node.args or _name(node.func) == "defaultdict")
+    return False
+
+
+def _module_memos(path):
+    """`module.name` of every memo decorator in the file and of every empty
+    container its module body assigns."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                if _name(deco.func if isinstance(deco, ast.Call) else deco) in {"lru_cache", "cache"}:
+                    found.add(f"{path.stem}.{node.name}")
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if node.value is not None and _is_empty_container(node.value):
+            found.update(f"{path.stem}.{_name(t)}" for t in targets)
+    return found
+
+
+def test_every_module_memo_is_named():
+    # a memo at module level lives as long as the process, with no owner to
+    # clear it; a new one needs a reason and a line in MODULE_MEMOS
+    found = set().union(*(_module_memos(path) for path in SRC.glob("*.py")))
+    assert found == MODULE_MEMOS
