@@ -482,26 +482,49 @@ def _grouped(lyndons: Sequence[Word]) -> tuple[tuple[Word, int], ...]:
 
 def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     """True when the shuffle square of vec is a power of q times another
-    dual canonical vector."""
+    dual canonical vector.  vec must be a dual canonical vector of this
+    table, so that its square lies in U."""
     return _is_real_i(table, table._elt_in(vec.elt))
 
 
 def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
-    """`is_real` on an element in internal coordinates."""
+    """`is_real` on an element in internal coordinates.  The square lies in
+    U, where an element is fixed by its coefficients at the good words of its
+    weight, and by uniqueness an element with bar-symmetric coefficients in
+    E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
+    check solves the dual PBW expansion of q^{-k} times the square on the
+    good words only, from top down, and never straightens the square's weight."""
     square = shuffle.qshuffle(elt, elt)
     top = shuffle.max_word(square)
-    for g, candidate, kappa in table._dual_canonical_weight_i(square.weight):
-        if g == top:
-            break
-    else:
+    goods = [(h, f) for h, f in reversed(table._good_words_i(square.weight)) if h <= top]
+    if not goods or goods[0][0] != top:  # top is not good
         return False
+    _, kappa = table._dual_pbw_i(top, goods[0][1])
     try:
         ratio = laurent.exact_div(square.terms[top], kappa)
     except laurent.InexactDivision:
         return False
     if not ratio.is_monomial() or ratio.leading_coefficient() != 1:
         return False
-    return square == candidate.scaled(ratio)
+    k = ratio.degree()
+    if not all(c.shifted(-k).is_bar_symmetric() for c in square.terms.values()):
+        return False
+    residual = {h: square.terms[h].shifted(-k).terms for h, _ in goods if h in square.terms}
+    for i, (h, f) in enumerate(goods):
+        if not residual.get(h):
+            continue
+        pbw, kappa_h = table._dual_pbw_i(h, f)
+        try:
+            c = laurent.exact_div(laurent._raw(residual[h]), kappa_h)
+        except laurent.InexactDivision as exc:
+            raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
+        if h != top and c.valuation() < 1:  # at top c is 1 by the choice of k
+            return False
+        neg = {e: -x for e, x in c.terms.items()}
+        for g, _ in goods[i + 1 :]:
+            if g in pbw.terms:
+                laurent._mul_add(residual.setdefault(g, {}), pbw.terms[g].terms, neg)
+    return True
 
 
 class WeightEntry(Record, namedtuple("WeightEntry", "weight vectors violations elapsed")):

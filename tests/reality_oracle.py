@@ -1,0 +1,33 @@
+"""Reference version of the reality check.
+
+This is the full-vector comparison that `basis._is_real_i` replaced: square
+the vector, straighten the whole weight of the square, and compare the square
+with a power of q times the straightened vector at its maximal word.  It is
+kept only so tests can require the good-word solve to agree with it; it
+enters the square's weight in the table's scope like any straightening.
+"""
+
+from __future__ import annotations
+
+from qshuffle import laurent, shuffle
+from qshuffle.basis import GoodLyndonTable
+from qshuffle.shuffle import ShuffleElt
+
+
+def is_real(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
+    """True when the square of an internal element is a power of q times
+    the dual canonical vector at the square's maximal word."""
+    square = shuffle.qshuffle(elt, elt)
+    top = shuffle.max_word(square)
+    for g, candidate, kappa in table._dual_canonical_weight_i(square.weight):
+        if g == top:
+            break
+    else:
+        return False
+    try:
+        ratio = laurent.exact_div(square.terms[top], kappa)
+    except laurent.InexactDivision:
+        return False
+    if not ratio.is_monomial() or ratio.leading_coefficient() != 1:
+        return False
+    return square == candidate.scaled(ratio)

@@ -1,6 +1,7 @@
-"""The invariants check layer: the run-length Serre membership test against
-the reference harvest in `serre_oracle`, and the one-weight memo of dual PBW
-vectors that the expansion shares between the vectors of a weight."""
+"""The check layer: the run-length Serre membership test against the
+reference harvest in `serre_oracle`, the good-word reality solve against the
+full-vector comparison in `reality_oracle`, and the one-weight scope of dual
+PBW and dual canonical vectors that the checks share."""
 
 from itertools import permutations
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reality_oracle
 import serre_oracle
 from qshuffle import basis, cartan
-from qshuffle.laurent import LaurentPoly, monomial
+from qshuffle.laurent import InexactDivision, LaurentPoly, monomial
 from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
 
 MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
@@ -147,15 +149,68 @@ def test_expansion_memo_holds_one_weight_only():
 
 
 def test_reality_scan_leaves_one_weight_in_scope():
-    # each reality check straightens the weight of its squares, so a scan
-    # enters twice as many weights as it reports and keeps only the last
+    # each reality check reads dual PBW vectors at the weight of its squares,
+    # so a scan enters twice as many weights as it reports, keeps only the
+    # last and never straightens a square's weight
     table = basis.GoodLyndonTable(B2)
     report = basis.scan(table, 5, "reality")
     assert report.total_violations == 0
     last = table._pbw_memo_weight
     assert cartan.height(last) == 2 * cartan.height(report.entries[-1].weight)
-    assert {elt.weight for _, elt, _ in table._canonical_memo} == {last}
+    assert table._canonical_memo is None
     assert _held_weights(table) == {last}
+
+
+def test_reality_scan_straightens_each_weight_once(monkeypatch):
+    # only the 20 scanned weights: the 15 square weights above height 5 and
+    # the 5 that the scan also reaches are never straightened for a check
+    table = basis.GoodLyndonTable(B2)
+    real = table._dual_canonical_weight_i
+    straightened = []
+
+    def counting(nui):
+        if table._canonical_memo is None or table._pbw_memo_weight != nui:
+            straightened.append(nui)
+        return real(nui)
+
+    monkeypatch.setattr(table, "_dual_canonical_weight_i", counting)
+    report = basis.scan(table, 5, "reality")
+    assert len(report.entries) == 20
+    assert sorted(straightened) == sorted(entry.weight for entry in report.entries)
+
+
+# -- reality on the good words of the square's weight ----------------------------------
+
+REALITY_CASES = [
+    ("G2", None, 5, 4),
+    ("G2", (2, 1), 5, 4),
+    ("C3", (3, 1, 2), 4, 1),
+    ("B2", None, 5, 0),
+    ("C2", None, 5, 0),
+]
+
+
+@pytest.mark.parametrize("label, order, max_height, imaginary", REALITY_CASES)
+def test_reality_agrees_with_reference(label, order, max_height, imaginary):
+    table = basis.GoodLyndonTable(cartan.parse(label), order)
+    verdicts = [
+        (basis._is_real_i(table, elt), reality_oracle.is_real(table, elt))
+        for elt in list(_canonical_vectors(table, max_height))
+    ]
+    assert all(ours == reference for ours, reference in verdicts)
+    assert sum(not ours for ours, _ in verdicts) == imaginary
+
+
+def test_inexact_division_in_the_reality_solve_names_where():
+    # w[2,1] squares to top word w[2,2,1,1]; the solve divides at the lower
+    # good word w[2,1,2,1] by its kappa, corrupted here from 1 to 3
+    table = basis.GoodLyndonTable(B2)
+    (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i((1, 1)) if g == (2, 1)]
+    pbw, kappa = table._dual_pbw_i((2, 1, 2, 1))
+    table._pbw_memo[(2, 1, 2, 1)] = (pbw, kappa * 3)
+    with pytest.raises(InexactDivision, match=r"weight 2,2 good word w\[2,2,1,1\] pivot w\[2,1,2,1\]\]") as exc:
+        basis._is_real_i(table, elt)
+    assert isinstance(exc.value.__cause__, InexactDivision)
 
 
 def test_positivity_scan_enumerates_good_words_once_per_weight(monkeypatch):

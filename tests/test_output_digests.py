@@ -6,14 +6,17 @@ squares and `dual-pbw`, in natural and non-natural orders.  The rest were
 recorded from commit e2a9ecd, before the two tableau-character loops became
 one; they cover the E family, the positivity and reality checks on B3 and
 C2, `dual-canonical --format json`, `good-words`, `roots`, `is-real`, and
-skew and shifted `character` samples.  The last fourteen were recorded from
+skew and shifted `character` samples.  The next fourteen were recorded from
 commit 5535c78, before the dual canonical vectors moved into the table's
 one-weight scope and the dual PBW q-shift moved onto the first factor's
 power; they cover `scan --format json` for all three checks (the G2 reality
 scan has imaginary witnesses), `expand` and `dual-pbw` in B3, C3, D4 and A3,
-and dual PBW vectors with a repeated factor (B2 and G2 at weight 2,2).  A
-mismatch means the output changed; it is a failure, never a digest to
-refresh."""
+and dual PBW vectors with a repeated factor (B2 and G2 at weight 2,2).  The
+last four were recorded from commit 1571e42, before the reality check
+stopped straightening the square's weight; they cover reality scans with
+imaginary vectors (G2, and C3 in order 3,1,2) and without (B3), and an
+`is-real` sample with an imaginary vector.  A mismatch means the output
+changed; it is a failure, never a digest to refresh."""
 
 import hashlib
 
@@ -98,6 +101,14 @@ DIGESTS = {
         "f111dd7709dec1a8c5f3b389e6626d4af38101f907c2a1bc56c95e42fef45052",
     "dual-pbw G2 --weight 2,2 --order 2,1":
         "a55ecfc1fc393a12c81bb70dde4241a7399ef5882fbe268aafaf211941fc5f91",
+    "scan G2 --max-height 5 --check reality":
+        "29c46a687452b9778145998dd041f76a315ed7c4432e9d94ed4a7b3b8c99aa77",
+    "scan C3 --max-height 4 --check reality --order 3,1,2":
+        "09f64ab3bd208fbc58f8cfe9bc1b5e61b6471a50ca869fa403c882aa82b0887c",
+    "scan B3 --max-height 4 --check reality":
+        "03a7cbfcd41d1ae4917e48cecf2cd5b7fd280a12f4558d78c388450819e2b43c",
+    "is-real G2 --weight 2,3":
+        "0ec021db965cbe7e183ab47f03909a8c01d4213dab192fb5276f93498b722923",
 }
 
 
