@@ -488,27 +488,25 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
 
 
 def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
-    """`is_real` on an element in internal coordinates.  The square lies in
-    U, where an element is fixed by its coefficients at the good words of its
-    weight, and by uniqueness an element with bar-symmetric coefficients in
+    """`is_real` on an element in internal coordinates.  With N = (nu, nu),
+    nu the weight of elt, the square path of `qshuffle` makes q^{N/2} times
+    the square bar-symmetric, so the square can be q^k times a dual
+    canonical vector only at k = -N/2.  The square lies in U, where an
+    element is fixed by its coefficients at the good words of its weight,
+    and by uniqueness an element with bar-symmetric coefficients in
     E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
     check solves the dual PBW expansion of q^{-k} times the square on the
-    good words only, from top down, and never straightens the square's weight."""
+    good words only, from top down; a top word that is not good or a top
+    coefficient other than q^k kappa_top breaks the theory and raises."""
     square = shuffle.qshuffle(elt, elt)
     top = shuffle.max_word(square)
+    k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)
     goods = [(h, f) for h, f in reversed(table._good_words_i(square.weight)) if h <= top]
-    if not goods or goods[0][0] != top:  # top is not good
-        return False
+    if not goods or goods[0][0] != top:
+        raise laurent.TheoryViolation(f"top word of the square is not good {table._where(top)}")
     _, kappa = table._dual_pbw_i(top, goods[0][1])
-    try:
-        ratio = laurent.exact_div(square.terms[top], kappa)
-    except laurent.InexactDivision:
-        return False
-    if not ratio.is_monomial() or ratio.leading_coefficient() != 1:
-        return False
-    k = ratio.degree()
-    if not all(c.shifted(-k).is_bar_symmetric() for c in square.terms.values()):
-        return False
+    if square.terms[top] != kappa.shifted(k):
+        raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
     residual = {h: square.terms[h].shifted(-k).terms for h, _ in goods if h in square.terms}
     for i, (h, f) in enumerate(goods):
         if not residual.get(h):
@@ -518,7 +516,7 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
             c = laurent.exact_div(laurent._raw(residual[h]), kappa_h)
         except laurent.InexactDivision as exc:
             raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
-        if h != top and c.valuation() < 1:  # at top c is 1 by the choice of k
+        if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
             return False
         neg = {e: -x for e, x in c.terms.items()}
         for g, _ in goods[i + 1 :]:
@@ -543,51 +541,37 @@ class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elap
         return sum(len(e.violations) for e in self.entries)
 
 
-def _positivity_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
-    """Every negative coefficient of the dual canonical vectors of weight nu."""
+# Each check takes the vectors of one weight from `scan`, which builds them once.
+Vectors = Sequence[tuple[Word, ShuffleElt, LaurentPoly]]
+
+
+def _positivity_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
+    """Every negative coefficient of the dual canonical vectors of one weight."""
     return [
         {"good_word": list(table._w_out(g)), "word": list(table._w_out(w)), "coefficient": elt.terms[w].to_json()}
-        for g, elt, _ in table._dual_canonical_weight_i(table._nu_in(tuple(nu)))
+        for g, elt, _ in vectors
         for w in sorted((w for w, c in elt.terms.items() if min(c.terms.values()) < 0), key=table._w_out)
     ]
 
 
-def _reality_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
+def _reality_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
     return [
-        {"good_word": list(table._w_out(g)), "kind": "imaginary"}
-        for g, elt, _ in table._dual_canonical_weight_i(table._nu_in(tuple(nu)))
-        if not _is_real_i(table, elt)
+        {"good_word": list(table._w_out(g)), "kind": "imaginary"} for g, elt, _ in vectors if not _is_real_i(table, elt)
     ]
 
 
-def _invariant_violations(table: GoodLyndonTable, nu: Weight) -> list[dict]:
+def _invariant_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
+    """Membership in U and the q Z[q] expansion over the dual PBW family:
+    construction raises on everything else a dual canonical vector must satisfy."""
     out = []
-    nui = table._nu_in(tuple(nu))
-    vectors = table._dual_canonical_weight_i(nui)
-    partitions = cartan.kostant_partitions(table._idatum, nui)
-    if len(vectors) != len(partitions):
-        out.append({"kind": "count", "good_words": len(vectors), "kostant": len(partitions)})
-    for g, elt, kappa in vectors:
+    for g, elt, _ in vectors:
         record = {"good_word": list(table._w_out(g))}
-        if max(elt.terms) != g:
-            out.append({**record, "kind": "max-word"})
-            continue
-        if elt.terms[g] != kappa:
-            out.append({**record, "kind": "leading-coefficient"})
-        if not kappa.is_bar_symmetric():
-            out.append({**record, "kind": "kappa-not-symmetric"})
-        if any(not c.is_bar_symmetric() for c in elt.terms.values()):
-            out.append({**record, "kind": "coefficient-not-symmetric"})
         membership = shuffle.serre_membership(elt)
         if not membership.ok:
             out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
-        expansion = table._expand_i(elt)
-        diag = expansion.pop(g, ZERO)
-        if diag != ONE:
-            out.append({**record, "kind": "expansion-diagonal", "value": str(diag)})
-        for h, c in expansion.items():
-            # off-diagonal coefficients live in q Z[q] and sit strictly below g
-            if (c and c.valuation() < 1) or h > g:
+        for h, c in table._expand_i(elt).items():
+            # the expansion pivots only below g, and off-diagonal coefficients live in q Z[q]
+            if h != g and c.valuation() < 1:
                 out.append(
                     {**record, "kind": "expansion-off-diagonal", "at": list(table._w_out(h)), "value": str(c)}
                 )
@@ -610,7 +594,7 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
     t0 = time.perf_counter()
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
         w0 = time.perf_counter()
-        vectors = len(table._dual_canonical_weight_i(table._nu_in(nu)))
-        violations = tuple(run(table, nu))
-        entries.append(WeightEntry(nu, vectors, violations, time.perf_counter() - w0))
+        vectors = table._dual_canonical_weight_i(table._nu_in(nu))
+        violations = tuple(run(table, vectors))
+        entries.append(WeightEntry(nu, len(vectors), violations, time.perf_counter() - w0))
     return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)

@@ -282,22 +282,20 @@ def kostant_partitions(datum: CartanDatum, nu: Weight) -> tuple[tuple[Weight, ..
     """
     if any(c < 0 for c in nu):
         raise ValueError("weights lie in the nonnegative cone")
-    roots = sorted(positive_roots(datum), key=lambda w: (height(w), w), reverse=True)
+    roots = positive_roots(datum)[::-1]
     out: list[tuple[Weight, ...]] = []
-    acc: list[Weight] = []
-
-    def descend(start: int, remaining: Weight) -> None:
+    # an explicit stack, so that a weight of any height is in reach; the
+    # children are pushed in reverse, so the smallest index is taken first
+    stack: list[tuple[int, Weight, tuple[Weight, ...]]] = [(0, nu, ())]
+    while stack:
+        start, remaining, acc = stack.pop()
         if not any(remaining):
-            out.append(tuple(acc))
-            return
-        for k in range(start, len(roots)):
+            out.append(acc)
+            continue
+        for k in range(len(roots) - 1, start - 1, -1):
             beta = roots[k]
             if all(x <= y for x, y in zip(beta, remaining)):
-                acc.append(beta)
-                descend(k, sub(remaining, beta))
-                acc.pop()
-
-    descend(0, nu)
+                stack.append((k, sub(remaining, beta), acc + (beta,)))
     return tuple(out)
 
 

@@ -309,7 +309,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TheoryViolation, ValueError) as exc:
+    except (TheoryViolation, ValueError, RecursionError) as exc:
+        # the shuffle kernel recurses once per letter, so a long enough word ends here
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reality_oracle
 import serre_oracle
 from qshuffle import basis, cartan
-from qshuffle.laurent import InexactDivision, LaurentPoly, monomial
+from qshuffle.laurent import InexactDivision, LaurentPoly, TheoryViolation, monomial
 from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
 
 MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
@@ -211,6 +211,18 @@ def test_inexact_division_in_the_reality_solve_names_where():
     with pytest.raises(InexactDivision, match=r"weight 2,2 good word w\[2,2,1,1\] pivot w\[2,1,2,1\]\]") as exc:
         basis._is_real_i(table, elt)
     assert isinstance(exc.value.__cause__, InexactDivision)
+
+
+def test_a_wrong_top_coefficient_of_the_square_raises():
+    # w[2,1] squares to top word w[2,2,1,1] with coefficient q^k kappa,
+    # k = -(nu, nu)/2; construction guarantees it, so with that kappa
+    # corrupted from kappa to 3 kappa the check raises instead of answering
+    table = basis.GoodLyndonTable(B2)
+    (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i((1, 1)) if g == (2, 1)]
+    pbw, kappa = table._dual_pbw_i((2, 2, 1, 1))
+    table._pbw_memo[(2, 2, 1, 1)] = (pbw, kappa * 3)
+    with pytest.raises(TheoryViolation, match=r"top coefficient .* weight 2,2 good word w\[2,2,1,1\]\]"):
+        basis._is_real_i(table, elt)
 
 
 def test_positivity_scan_enumerates_good_words_once_per_weight(monkeypatch):

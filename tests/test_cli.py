@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -171,3 +172,28 @@ def test_internal_errors_exit_2_and_name_the_class(capsys, monkeypatch, owner, n
     code, out, err = run(capsys, "scan", "A2", "--max-height", "2")
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_good_words_of_a_weight_far_above_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "good-words", "A2", "--weight", "1200,0")
+    assert code == 0
+    assert out.splitlines()[1] == f"{words.format_word((1,) * 1200)} = w[1]^1200"
+
+
+def test_recursion_errors_exit_2(capsys, monkeypatch):
+    # the shuffle kernel recurses once per uncached letter: the dual PBW
+    # vector at w[1,2,1^39] shuffles w[1^39] with words of E*_12, so with an
+    # empty word-pair cache and the limit 30 frames above this one, A2 weight
+    # 40,1 reaches it the way a word of about 1000 letters reaches the default
+    monkeypatch.setattr(shuffle, "_CACHE", {})
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        code, out, err = run(capsys, "dual-pbw", "A2", "--weight", "40,1")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: RecursionError: ")
