@@ -347,14 +347,7 @@ class GoodLyndonTable:
             # smallest factor's power, not the product's whole support; it is
             # applied after that power is built, which keeps a repeated
             # factor's first product on the square path of qshuffle
-            shift = sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
-            powers = []
-            for l, a in reversed(factors):
-                base, _ = self._dual_root_i(l)
-                power = base
-                for _ in range(a - 1):
-                    power = shuffle.qshuffle(power, base)
-                powers.append(power)
+            powers, shift = self._factor_powers(factors, {})
             elt = powers[0].scaled(laurent.monomial(shift))
             for power in powers[1:]:
                 elt = shuffle.qshuffle(elt, power)
@@ -364,6 +357,21 @@ class GoodLyndonTable:
             hit = elt, kappa
         self._pbw_memo[wi] = hit
         return hit
+
+    def _factor_powers(
+        self, factors: tuple[tuple[Word, int], ...], memo: dict[tuple[Word, int], ShuffleElt]
+    ) -> tuple[list[ShuffleElt], int]:
+        """The shuffle powers E*_l^a of a good word's factors, smallest factor
+        first, with lower powers kept in the caller's memo, and the power of q
+        that normalizes their product to the dual PBW vector."""
+        powers = []
+        for l, a in reversed(factors):
+            for j in range(1, a + 1):
+                if (l, j) not in memo:
+                    base, _ = self._dual_root_i(l)
+                    memo[(l, j)] = base if j == 1 else shuffle.qshuffle(memo[(l, j - 1)], base)
+            powers.append(memo[(l, a)])
+        return powers, sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
 
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
@@ -488,40 +496,56 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
 
 
 def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
-    """`is_real` on an element in internal coordinates.  With N = (nu, nu),
-    nu the weight of elt, the square path of `qshuffle` makes q^{N/2} times
-    the square bar-symmetric, so the square can be q^k times a dual
-    canonical vector only at k = -N/2.  The square lies in U, where an
-    element is fixed by its coefficients at the good words of its weight,
-    and by uniqueness an element with bar-symmetric coefficients in
+    """`is_real` on an element in internal coordinates, building nothing at
+    the square's weight 2nu.  The maximal word g of elt fixes the square's
+    top word: the good word whose Lyndon factors are g's with every
+    multiplicity doubled, with coefficient q^k kappa_top.  With N = (nu, nu),
+    the square path of `qshuffle` makes q^{N/2} times the square
+    bar-symmetric, so k = -N/2.  The square lies in U, where an element is
+    fixed by its coefficients at the good words of its weight, and by
+    uniqueness an element with bar-symmetric coefficients in
     E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
-    check solves the dual PBW expansion of q^{-k} times the square on the
-    good words only, from top down; a top word that is not good or a top
-    coefficient other than q^k kappa_top breaks the theory and raises."""
-    square = shuffle.qshuffle(elt, elt)
-    top = shuffle.max_word(square)
+    check extracts the square's coefficients at the good words of 2nu and
+    solves the dual PBW expansion of q^{-k} times the square on them from top
+    down, extracting each E*_h at h and below from the powers E*_l^a of its
+    factors.  A nonzero coefficient at a good word above top, a top
+    coefficient other than q^k kappa_top or an E*_h with leading coefficient
+    other than kappa_h breaks the theory and raises."""
+    g = shuffle.max_word(elt)
+    factors = table._factors_i(g)
+    if factors is None:
+        raise laurent.TheoryViolation(f"maximal word is not good {table._where(g)}")
+    doubled = tuple((l, 2 * a) for l, a in factors)
+    top = tuple(x for l, a in doubled for _ in range(a) for x in l)
     k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)
-    goods = [(h, f) for h, f in reversed(table._good_words_i(square.weight)) if h <= top]
-    if not goods or goods[0][0] != top:
-        raise laurent.TheoryViolation(f"top word of the square is not good {table._where(top)}")
-    _, kappa = table._dual_pbw_i(top, goods[0][1])
-    if square.terms[top] != kappa.shifted(k):
+    goods = list(reversed(table._good_words_i(cartan.add(elt.weight, elt.weight))))
+    square = shuffle.product_coefficients((elt, elt), (h for h, _ in goods))
+    above = [h for h, _ in goods if h > top and h in square]
+    if above:
+        raise laurent.TheoryViolation(f"square has a good word above its top {table._where(top, max(above))}")
+    if square.get(top) != table._kappa_i(doubled).shifted(k):
         raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
-    residual = {h: square.terms[h].shifted(-k).terms for h, _ in goods if h in square.terms}
+    goods = [(h, f) for h, f in goods if h <= top]
+    residual = {h: square[h].shifted(-k).terms for h, _ in goods if h in square}
+    memo: dict[tuple[Word, int], ShuffleElt] = {}
     for i, (h, f) in enumerate(goods):
         if not residual.get(h):
             continue
-        pbw, kappa_h = table._dual_pbw_i(h, f)
+        kappa_h = table._kappa_i(f)
         try:
             c = laurent.exact_div(laurent._raw(residual[h]), kappa_h)
         except laurent.InexactDivision as exc:
             raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
         if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
             return False
+        powers, shift = table._factor_powers(f, memo)
+        pbw = shuffle.product_coefficients(powers, [h] + [p for p, _ in goods[i + 1 :]], shift)
+        if pbw.get(h) != kappa_h:
+            raise StraighteningFailure(f"dual PBW vector has wrong leading term {table._where(h)}")
         neg = {e: -x for e, x in c.terms.items()}
-        for g, _ in goods[i + 1 :]:
-            if g in pbw.terms:
-                laurent._mul_add(residual.setdefault(g, {}), pbw.terms[g].terms, neg)
+        for p, _ in goods[i + 1 :]:
+            if p in pbw:
+                laurent._mul_add(residual.setdefault(p, {}), pbw[p].terms, neg)
     return True
 
 

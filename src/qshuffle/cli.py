@@ -5,12 +5,13 @@ character, is-real.  Output is deterministic (collections are sorted before
 rendering and timing goes to stderr), in plain text or JSON.
 
 Exit codes: 0 success, 1 usage error, 2 internal error (exactness violation or
-broken invariant).
+broken invariant), 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -309,6 +310,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader went away, as `| head` does; point stdout at the null
+        # device so that flushing it at exit raises nothing either
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return 141
     except (TheoryViolation, ValueError, RecursionError) as exc:
         # the shuffle kernel recurses once per letter, so a long enough word ends here
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ membership test for the subalgebra generated by the letters.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
 
@@ -241,6 +241,86 @@ def _scaled_into(
     """acc += scale * product on raw {word: {exponent: coeff}} maps."""
     for w, p in product.items():
         laurent._mul_add(acc.setdefault(w, {}), scale, p)
+
+
+def product_coefficients(
+    factors: Sequence[ShuffleElt], targets: Iterable[Word], shift: int = 0
+) -> dict[Word, LaurentPoly]:
+    """The nonzero coefficients of q^shift F1 * ... * Fk at the target words,
+    without building the product.
+
+    The coefficient at w sums over the ways to deal the letters of w out to
+    the factors so that each receives a word of its support: the product of
+    those words' coefficients and of q^{-(alpha_x, alpha_y)} for each letter
+    x dealt to an earlier factor than a letter y to its right.  One pass
+    reads w from left to right; a state is the prefix each factor has
+    received, as a node of the trie of its support, and dealing y to factor
+    b twists by q^{-(|prefix_a|, alpha_y)} for every a < b.  A factor whose
+    word is complete has its coefficient multiplied in and moves to its one
+    done node, so equal states merge.  Sorted targets share the states of
+    their common prefixes.
+    """
+    if not factors or any(() in f.terms for f in factors):
+        raise ValueError("a product needs factors, none of weight zero")
+    tries: dict[int, tuple[list[dict], list[list[int]]]] = {}
+    for f in factors:
+        f._check_peer(factors[0])
+        if id(f) not in tries:
+            tries[id(f)] = _support_trie(f)
+    steps = [tries[id(f)][0] for f in factors]
+    pairings = [tries[id(f)][1] for f in factors]
+    levels = [{(0,) * len(factors): {shift: 1}}]
+    done = (-1,) * len(factors)
+    out: dict[Word, LaurentPoly] = {}
+    prev: Word = ()
+    for w in sorted(set(map(tuple, targets))):
+        n = 0
+        while n < min(len(w), len(prev)) and w[n] == prev[n]:
+            n += 1
+        del levels[n + 1 :]
+        prev = w
+        for y in w[n:]:
+            nxt: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, val in levels[-1].items():
+                twist = 0
+                for b, node in enumerate(state):
+                    hit = steps[b][node].get(y) if node >= 0 else None
+                    if hit is not None:
+                        child, coeff = hit
+                        acc = nxt.setdefault(state[:b] + (child,) + state[b + 1 :], {})
+                        if coeff is None:
+                            laurent._add_into(acc, val, twist)
+                        else:
+                            laurent._mul_add(acc, val, {e + twist: x for e, x in coeff.items()})
+                    twist -= pairings[b][node][y]
+            levels.append({s: v for s, v in nxt.items() if v})
+        final = levels[-1].get(done)
+        if final:
+            out[w] = laurent._raw(final)
+    return out
+
+
+def _support_trie(f: ShuffleElt) -> tuple[list[dict], list[list[int]]]:
+    """The support of f as a trie whose last node, -1, is done.
+    `steps[node][y]` is (child, None), or (-1, coefficient terms) when the
+    letter y completes a word of f; `pairing[node][y]` is (|prefix|, alpha_y)."""
+    rows = [[]] + [[0, *row] for row in f.datum.bilinear]  # rows[x][y] = (alpha_x, alpha_y)
+    nodes: dict[Word, int] = {(): 0}
+    steps: list[dict] = [{}]
+    pairing = [[0] * len(rows)]
+    for w, c in f.terms.items():
+        node = 0
+        for n, y in enumerate(w[:-1], start=1):
+            child = nodes.get(w[:n])
+            if child is None:
+                child = nodes[w[:n]] = len(steps)
+                steps[node][y] = (child, None)
+                steps.append({})
+                pairing.append([p + r for p, r in zip(pairing[node], rows[y])])
+            node = child
+        steps[node][w[-1]] = (-1, c.terms)
+    pairing.append([0] + [sum(m * row[y] for m, row in zip(f.weight, rows[1:])) for y in range(1, len(rows))])
+    return steps, pairing
 
 
 def concat(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:

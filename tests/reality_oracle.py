@@ -1,10 +1,13 @@
 """Reference version of the reality check.
 
-This is the full-vector comparison that `basis._is_real_i` replaced: square
-the vector, straighten the whole weight of the square, and compare the square
-with a power of q times the straightened vector at its maximal word.  It is
-kept only so tests can require the good-word solve to agree with it; it
-enters the square's weight in the table's scope like any straightening.
+This is the full-vector comparison that `basis._is_real_i` replaced: build
+the square, straighten the whole weight 2nu of the square, and compare the
+square with a power of q times the straightened vector at its maximal word.
+`_is_real_i` builds nothing at 2nu: it extracts the square's coefficients
+and those of the dual PBW vectors it needs at the good words of 2nu only.
+This reference shares none of that route, and is kept only so tests can
+require the two to agree; it enters the square's weight in the table's
+scope like any straightening.
 """
 
 from __future__ import annotations

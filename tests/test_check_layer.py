@@ -1,7 +1,8 @@
 """The check layer: the run-length Serre membership test against the
 reference harvest in `serre_oracle`, the good-word reality solve against the
-full-vector comparison in `reality_oracle`, and the one-weight scope of dual
-PBW and dual canonical vectors that the checks share."""
+full-vector comparison in `reality_oracle` and the guards it raises on, and
+the one-weight scope of dual PBW and dual canonical vectors that the checks
+share."""
 
 from itertools import permutations
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import reality_oracle
 import serre_oracle
 from qshuffle import basis, cartan
+from qshuffle.basis import StraighteningFailure
 from qshuffle.laurent import InexactDivision, LaurentPoly, TheoryViolation, monomial
 from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
 
@@ -148,16 +150,21 @@ def test_expansion_memo_holds_one_weight_only():
     assert _held_weights(table) == {(1, 2)}
 
 
-def test_reality_scan_leaves_one_weight_in_scope():
-    # each reality check reads dual PBW vectors at the weight of its squares,
-    # so a scan enters twice as many weights as it reports, keeps only the
-    # last and never straightens a square's weight
+def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
+    # the reality check extracts what it reads at the weight 2nu of each
+    # square, so a scan enters only the weights it reports, up to height 5,
+    # and keeps the last one with its straightened vectors
     table = basis.GoodLyndonTable(B2)
+    real = table._enter
+    entered = []
+    monkeypatch.setattr(table, "_enter", lambda nui: entered.append(nui) or real(nui))
     report = basis.scan(table, 5, "reality")
     assert report.total_violations == 0
-    last = table._pbw_memo_weight
-    assert cartan.height(last) == 2 * cartan.height(report.entries[-1].weight)
-    assert table._canonical_memo is None
+    assert set(entered) == {entry.weight for entry in report.entries}
+    assert max(cartan.height(nu) for nu in entered) == 5
+    last = report.entries[-1].weight
+    assert cartan.height(last) == 5 and table._pbw_memo_weight == last
+    assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
     assert _held_weights(table) == {last}
 
 
@@ -179,7 +186,7 @@ def test_reality_scan_straightens_each_weight_once(monkeypatch):
     assert sorted(straightened) == sorted(entry.weight for entry in report.entries)
 
 
-# -- reality on the good words of the square's weight ----------------------------------
+# -- reality from coefficients extracted at the good words of the square's weight ------
 
 REALITY_CASES = [
     ("G2", None, 5, 4),
@@ -187,6 +194,7 @@ REALITY_CASES = [
     ("C3", (3, 1, 2), 4, 1),
     ("B2", None, 5, 0),
     ("C2", None, 5, 0),
+    ("A3", None, 4, 0),
 ]
 
 
@@ -201,27 +209,57 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
     assert sum(not ours for ours, _ in verdicts) == imaginary
 
 
-def test_inexact_division_in_the_reality_solve_names_where():
-    # w[2,1] squares to top word w[2,2,1,1]; the solve divides at the lower
-    # good word w[2,1,2,1] by its kappa, corrupted here from 1 to 3
+def _b2_21():
+    """The B2 table and b*_{w[2,1]}, whose square has top word w[2,2,1,1]."""
     table = basis.GoodLyndonTable(B2)
     (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i((1, 1)) if g == (2, 1)]
-    pbw, kappa = table._dual_pbw_i((2, 1, 2, 1))
-    table._pbw_memo[(2, 1, 2, 1)] = (pbw, kappa * 3)
+    return table, elt
+
+
+def _triple_kappa(monkeypatch, table, factors):
+    """Corrupt the kappa the reality check reads at one good word's factors."""
+    real = table._kappa_i
+    monkeypatch.setattr(table, "_kappa_i", lambda f: real(f) * 3 if tuple(f) == factors else real(f))
+
+
+def test_inexact_division_in_the_reality_solve_names_where(monkeypatch):
+    # the solve divides at the good word w[2,1,2,1] = w[2] w[1,2] w[1] below
+    # top by its kappa, corrupted here from 1 to 3
+    table, elt = _b2_21()
+    _triple_kappa(monkeypatch, table, (((2,), 1), ((1, 2), 1), ((1,), 1)))
     with pytest.raises(InexactDivision, match=r"weight 2,2 good word w\[2,2,1,1\] pivot w\[2,1,2,1\]\]") as exc:
         basis._is_real_i(table, elt)
     assert isinstance(exc.value.__cause__, InexactDivision)
 
 
-def test_a_wrong_top_coefficient_of_the_square_raises():
-    # w[2,1] squares to top word w[2,2,1,1] with coefficient q^k kappa,
+def test_a_wrong_top_coefficient_of_the_square_raises(monkeypatch):
+    # the top word w[2,2,1,1] = w[2]^2 w[1]^2 has coefficient q^k kappa,
     # k = -(nu, nu)/2; construction guarantees it, so with that kappa
     # corrupted from kappa to 3 kappa the check raises instead of answering
-    table = basis.GoodLyndonTable(B2)
-    (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i((1, 1)) if g == (2, 1)]
-    pbw, kappa = table._dual_pbw_i((2, 2, 1, 1))
-    table._pbw_memo[(2, 2, 1, 1)] = (pbw, kappa * 3)
+    table, elt = _b2_21()
+    _triple_kappa(monkeypatch, table, (((2,), 2), ((1,), 2)))
     with pytest.raises(TheoryViolation, match=r"top coefficient .* weight 2,2 good word w\[2,2,1,1\]\]"):
+        basis._is_real_i(table, elt)
+
+
+def test_a_good_word_above_the_top_of_the_square_raises(monkeypatch):
+    # with the factors of w[2,1] read as those of w[1,2], the top word is
+    # taken as w[1,2,1,2], but the square of b*_{w[2,1]} reaches w[2,2,1,1]
+    table, elt = _b2_21()
+    real = table._factors_i
+    monkeypatch.setattr(table, "_factors_i", lambda w: real((1, 2) if w == (2, 1) else w))
+    where = r"weight 2,2 good word w\[1,2,1,2\] pivot w\[2,2,1,1\]\]"
+    with pytest.raises(TheoryViolation, match=r"above its top .* " + where):
+        basis._is_real_i(table, elt)
+
+
+def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):
+    # the solve extracts E*_top = q^s E*_{w[1]}^2 * E*_{w[2]}^2 at its top word;
+    # with the dual root vector of w[2] doubled, that coefficient is 4 kappa
+    table, elt = _b2_21()
+    root, kappa = table._dual_root_i((2,))
+    monkeypatch.setitem(table._dual_root_cache, (2,), (root.scaled(2), kappa))
+    with pytest.raises(StraighteningFailure, match=r"wrong leading term .* weight 2,2 good word w\[2,2,1,1\]\]"):
         basis._is_real_i(table, elt)
 
 

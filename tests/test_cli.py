@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -197,3 +198,17 @@ def test_recursion_errors_exit_2(capsys, monkeypatch):
         sys.setrecursionlimit(limit)
     assert code == 2 and out == ""
     assert err.startswith("internal error: RecursionError: ")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as behind `| head -c 10`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["dual-canonical", "G2", "--weight", "4,3", "--format", "json"])
+    assert code == 141
+    assert capsys.readouterr().err == ""

@@ -15,8 +15,13 @@ and dual PBW vectors with a repeated factor (B2 and G2 at weight 2,2).  The
 last four were recorded from commit 1571e42, before the reality check
 stopped straightening the square's weight; they cover reality scans with
 imaginary vectors (G2, and C3 in order 3,1,2) and without (B3), and an
-`is-real` sample with an imaginary vector.  A mismatch means the output
-changed; it is a failure, never a digest to refresh."""
+`is-real` sample with an imaginary vector.  The last three were recorded
+from commit e8fe639, before the reality check stopped building the square
+and the dual PBW vectors of its weight and began to extract their
+coefficients at the good words only; they cover reality scans on A3 and D4
+(no imaginary vector) and G2 up to height 6 (seven imaginary vectors).  A
+mismatch means the output changed; it is a failure, never a digest to
+refresh."""
 
 import hashlib
 
@@ -109,6 +114,12 @@ DIGESTS = {
         "03a7cbfcd41d1ae4917e48cecf2cd5b7fd280a12f4558d78c388450819e2b43c",
     "is-real G2 --weight 2,3":
         "0ec021db965cbe7e183ab47f03909a8c01d4213dab192fb5276f93498b722923",
+    "scan A3 --max-height 5 --check reality":
+        "6cc562ce72b4019e54a8017e2b6dbbd3ea98e91005b6d3a18823d12563b26c95",
+    "scan G2 --max-height 6 --check reality":
+        "1c872748ebaa5de7daef936334fb4d16b5afe4987ac1574d78d1ebe9b5c28849",
+    "scan D4 --max-height 4 --check reality":
+        "4517a61e72b1961fc72641b6387f975d1d3d53e1e0a95a4969b1f6cab0cbce22",
 }
 
 
