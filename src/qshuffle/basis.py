@@ -67,7 +67,6 @@ class GoodLyndonTable:
         self.order = tuple(order) if order is not None else tuple(range(1, r + 1))
         if sorted(self.order) != list(range(1, r + 1)):
             raise ValueError(f"order must be a permutation of 1..{r}")
-        self._natural = self.order == tuple(range(1, r + 1))
         self._idatum = cartan.reorder(datum, self.order)
         # internal letter k <-> original letter self.order[k-1]
         self._out_letters = (0,) + self.order
@@ -92,33 +91,23 @@ class GoodLyndonTable:
     def _w_in(self, w: Word) -> Word:
         if any(not 1 <= a <= self.datum.rank for a in w):
             raise ValueError(f"{format_word(tuple(w))} has letters outside 1..{self.datum.rank}")
-        if self._natural:
-            return tuple(w)
         return tuple(self._in_letters[a] for a in w)
 
     def _w_out(self, w: Word) -> Word:
-        if self._natural:
-            return w
         return tuple(self._out_letters[a] for a in w)
 
     def _nu_in(self, nu: Weight) -> Weight:
         if len(nu) != self.datum.rank:
             raise ValueError(f"weight needs {self.datum.rank} entries")
-        if self._natural:
-            return tuple(nu)
         return tuple(nu[o - 1] for o in self.order)
 
     def _nu_out(self, nu: Weight) -> Weight:
-        if self._natural:
-            return nu
         out = [0] * len(nu)
         for k, o in enumerate(self.order):
             out[o - 1] = nu[k]
         return tuple(out)
 
     def _elt_out(self, e: ShuffleElt) -> ShuffleElt:
-        if self._natural:
-            return e
         return ShuffleElt(
             self.datum,
             self._nu_out(e.weight),
@@ -128,8 +117,6 @@ class GoodLyndonTable:
     def _elt_in(self, e: ShuffleElt) -> ShuffleElt:
         if e.datum != self.datum:
             raise shuffle.DatumMismatch("element does not live over this table's datum")
-        if self._natural:
-            return e
         return ShuffleElt(
             self._idatum,
             self._nu_in(e.weight),
@@ -340,13 +327,10 @@ class GoodLyndonTable:
             raise NotGoodWord(f"{format_word(self._w_out(wi))} is not a good word")
         if not factors:  # the empty good word indexes the unit
             hit = ShuffleElt.from_word(self._idatum, ()), ONE
-        elif len(factors) == 1 and factors[0][1] == 1:
-            hit = self._dual_root_i(wi)
         else:
             # qshuffle is bilinear, so the normalizing power of q scales the
-            # smallest factor's power, not the product's whole support; it is
-            # applied after that power is built, which keeps a repeated
-            # factor's first product on the square path of qshuffle
+            # first operand, the smallest factor's power, whose support is a
+            # power's and not the product's
             powers, shift = self._factor_powers(factors, {})
             elt = powers[0].scaled(laurent.monomial(shift))
             for power in powers[1:]:
@@ -500,21 +484,25 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     the square's weight 2nu.  The maximal word g of elt fixes the square's
     top word: the good word whose Lyndon factors are g's with every
     multiplicity doubled, with coefficient q^k kappa_top.  With N = (nu, nu),
-    the square path of `qshuffle` makes q^{N/2} times the square
-    bar-symmetric, so k = -N/2.  The square lies in U, where an element is
-    fixed by its coefficients at the good words of its weight, and by
-    uniqueness an element with bar-symmetric coefficients in
-    E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
-    check extracts the square's coefficients at the good words of 2nu and
-    solves the dual PBW expansion of q^{-k} times the square on them from top
-    down, extracting each E*_h at h and below from the powers E*_l^a of its
-    factors.  A nonzero coefficient at a good word above top, a top
-    coefficient other than q^k kappa_top or an E*_h with leading coefficient
-    other than kappa_h breaks the theory and raises."""
+    v * u = q^{-N} bar(u * v) for words u, v of weight nu, bar acting on the
+    coefficients only, so q^{N/2} times the square of elt, whose coefficients
+    are bar-symmetric, is bar-symmetric too, and k = -N/2.  The unit squares
+    to itself and is real.  The square lies in U, where an element is fixed
+    by its coefficients at the good words of its weight, and by uniqueness an
+    element with bar-symmetric coefficients in E*_top + sum q Z[q] E*_h is
+    the dual canonical vector at top.  So the check extracts the square's
+    coefficients at the good words of 2nu and solves the dual PBW expansion
+    of q^{-k} times the square on them from top down, extracting each E*_h
+    at h and below from the powers E*_l^a of its factors.  A nonzero
+    coefficient at a good word above top, a top coefficient other than
+    q^k kappa_top or an E*_h with leading coefficient other than kappa_h
+    breaks the theory and raises."""
     g = shuffle.max_word(elt)
     factors = table._factors_i(g)
     if factors is None:
         raise laurent.TheoryViolation(f"maximal word is not good {table._where(g)}")
+    if not factors:  # the unit squares to itself
+        return True
     doubled = tuple((l, 2 * a) for l, a in factors)
     top = tuple(x for l, a in doubled for _ in range(a) for x in l)
     k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)

@@ -40,21 +40,13 @@ def _build_parser() -> _Parser:
 
     common(sub.add_parser("roots", help="positive roots in convex order with their Lyndon words"))
 
-    p = sub.add_parser("good-words", help="good words of one weight with factorizations")
-    common(p)
-    p.add_argument("--weight", required=True)
+    def weight_command(name: str) -> None:
+        p = sub.add_parser(name, help=_WEIGHT_COMMANDS[name][0])
+        common(p)
+        p.add_argument("--weight", required=True)
 
-    p = sub.add_parser("dual-pbw", help="dual PBW vectors of one weight")
-    common(p)
-    p.add_argument("--weight", required=True)
-
-    p = sub.add_parser("dual-canonical", help="dual canonical vectors of one weight")
-    common(p)
-    p.add_argument("--weight", required=True)
-
-    p = sub.add_parser("expand", help="dual PBW expansions of the dual canonical vectors of one weight")
-    common(p)
-    p.add_argument("--weight", required=True)
+    for name in ("good-words", "dual-pbw", "dual-canonical", "expand"):
+        weight_command(name)
 
     p = sub.add_parser("scan", help="check a property over all weights up to a height bound")
     common(p)
@@ -69,10 +61,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--shifted", help="shifted shape lam/mu of strict partitions")
     p.add_argument("--shift", type=int, default=None, help="content shift for skew shapes")
 
-    p = sub.add_parser("is-real", help="reality of each dual canonical vector of one weight")
-    common(p)
-    p.add_argument("--weight", required=True)
-
+    weight_command("is-real")
     return parser
 
 
@@ -123,79 +112,66 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-def _parse_weight(args, table) -> cartan.Weight:
+def _cmd_weight(args) -> int:
+    """A weight subcommand: one row per item of the weight, under one header."""
+    _, items, row, key = _WEIGHT_COMMANDS[args.command]
+    table = _table(args)
     try:
-        return cartan.parse_weight(args.weight, table.datum.rank)
+        nu = cartan.parse_weight(args.weight, table.datum.rank)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _cmd_good_words(args) -> int:
-    table = _table(args)
-    nu = _parse_weight(args, table)
-    goods = table.good_words_of_weight(nu)
-    lines = [_header(args, weight=cartan.format_weight(nu))]
-    entries = []
-    for g in goods:
-        factors = " ".join(
-            format_word(l) if m == 1 else f"{format_word(l)}^{m}" for l, m in g.factors
-        )
-        lines.append(f"{format_word(g.word)} = {factors}")
-        entries.append({"word": list(g.word), "factors": [[list(l), m] for l, m in g.factors]})
-    _emit(lines, {**_meta(args, table), "weight": list(nu), "good_words": entries}, args.format)
+    rows = [row(table, item) for item in items(table, nu)]
+    lines = [_header(args, weight=cartan.format_weight(nu))] + [line for line, _ in rows]
+    _emit(lines, {**_meta(args, table), "weight": list(nu), key: [entry for _, entry in rows]}, args.format)
     return 0
 
 
-def _render_vectors(args, table, vectors, label: str) -> int:
-    nu = vectors[0].elt.weight if vectors else _parse_weight(args, table)
-    lines = [_header(args, weight=cartan.format_weight(nu))]
-    entries = []
-    for vec in vectors:
-        lines.append(f"{format_word(vec.good_word.word)}: {vec.elt}")
-        entries.append(
-            {
-                "good_word": list(vec.good_word.word),
-                "kappa": vec.kappa.to_json(),
-                "element": vec.elt.to_json(),
-            }
-        )
-    _emit(lines, {**_meta(args, table), "weight": list(nu), label: entries}, args.format)
-    return 0
+def _good_word_row(table, g: basis.GoodWord) -> tuple[str, dict]:
+    factors = " ".join(format_word(l) if m == 1 else f"{format_word(l)}^{m}" for l, m in g.factors)
+    return f"{format_word(g.word)} = {factors}", {"word": list(g.word), "factors": [[list(l), m] for l, m in g.factors]}
 
 
-def _cmd_dual_pbw(args) -> int:
-    table = _table(args)
-    nu = _parse_weight(args, table)
-    vectors = [table.dual_pbw(g) for g in table.good_words_of_weight(nu)]
-    return _render_vectors(args, table, vectors, "dual_pbw")
+def _vector_row(table, vec) -> tuple[str, dict]:
+    entry = {"good_word": list(vec.good_word.word), "kappa": vec.kappa.to_json(), "element": vec.elt.to_json()}
+    return f"{format_word(vec.good_word.word)}: {vec.elt}", entry
 
 
-def _cmd_dual_canonical(args) -> int:
-    table = _table(args)
-    nu = _parse_weight(args, table)
-    return _render_vectors(args, table, list(table.dual_canonical_weight(nu)), "dual_canonical")
+def _expand_row(table, vec: basis.DualCanonicalVector) -> tuple[str, dict]:
+    expansion = sorted(table.expand_in_dual_pbw(vec.elt).items(), reverse=True)
+    line = f"{format_word(vec.good_word.word)}: " + "; ".join(f"{format_word(h)} -> {c}" for h, c in expansion)
+    return line, {
+        "good_word": list(vec.good_word.word),
+        "expansion": [{"at": list(h), "coef": c.to_json()} for h, c in expansion],
+    }
 
 
-def _cmd_expand(args) -> int:
-    table = _table(args)
-    nu = _parse_weight(args, table)
-    lines = [_header(args, weight=cartan.format_weight(nu))]
-    entries = []
-    for vec in table.dual_canonical_weight(nu):
-        expansion = table.expand_in_dual_pbw(vec.elt)
-        parts = [f"{format_word(h)} -> {c}" for h, c in sorted(expansion.items(), reverse=True)]
-        lines.append(f"{format_word(vec.good_word.word)}: " + "; ".join(parts))
-        entries.append(
-            {
-                "good_word": list(vec.good_word.word),
-                "expansion": [
-                    {"at": list(h), "coef": c.to_json()}
-                    for h, c in sorted(expansion.items(), reverse=True)
-                ],
-            }
-        )
-    _emit(lines, {**_meta(args, table), "weight": list(nu), "expansions": entries}, args.format)
-    return 0
+def _reality_row(table, vec: basis.DualCanonicalVector) -> tuple[str, dict]:
+    real = basis.is_real(table, vec)
+    line = f"{format_word(vec.good_word.word)}: {'real' if real else 'imaginary'}"
+    return line, {"good_word": list(vec.good_word.word), "real": real}
+
+
+def _dual_pbw_vectors(table, nu) -> list[basis.DualPBWVector]:
+    return [table.dual_pbw(g) for g in table.good_words_of_weight(nu)]
+
+
+_canonical_vectors = basis.GoodLyndonTable.dual_canonical_weight
+
+# The subcommands that render one weight: help text, the items of the weight,
+# the text line and JSON entry of one item, and the JSON key of the entries.
+_WEIGHT_COMMANDS = {
+    "good-words": (
+        "good words of one weight with factorizations",
+        basis.GoodLyndonTable.good_words_of_weight, _good_word_row, "good_words",
+    ),
+    "dual-pbw": ("dual PBW vectors of one weight", _dual_pbw_vectors, _vector_row, "dual_pbw"),
+    "dual-canonical": ("dual canonical vectors of one weight", _canonical_vectors, _vector_row, "dual_canonical"),
+    "expand": (
+        "dual PBW expansions of the dual canonical vectors of one weight",
+        _canonical_vectors, _expand_row, "expansions",
+    ),
+    "is-real": ("reality of each dual canonical vector of one weight", _canonical_vectors, _reality_row, "vectors"),
+}
 
 
 def _cmd_scan(args) -> int:
@@ -277,28 +253,11 @@ def _cmd_character(args) -> int:
     return 0
 
 
-def _cmd_is_real(args) -> int:
-    table = _table(args)
-    nu = _parse_weight(args, table)
-    lines = [_header(args, weight=cartan.format_weight(nu))]
-    entries = []
-    for vec in table.dual_canonical_weight(nu):
-        real = basis.is_real(table, vec)
-        lines.append(f"{format_word(vec.good_word.word)}: {'real' if real else 'imaginary'}")
-        entries.append({"good_word": list(vec.good_word.word), "real": real})
-    _emit(lines, {**_meta(args, table), "weight": list(nu), "vectors": entries}, args.format)
-    return 0
-
-
 _COMMANDS = {
     "roots": _cmd_roots,
-    "good-words": _cmd_good_words,
-    "dual-pbw": _cmd_dual_pbw,
-    "dual-canonical": _cmd_dual_canonical,
-    "expand": _cmd_expand,
     "scan": _cmd_scan,
     "character": _cmd_character,
-    "is-real": _cmd_is_real,
+    **dict.fromkeys(_WEIGHT_COMMANDS, _cmd_weight),
 }
 
 

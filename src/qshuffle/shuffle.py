@@ -205,34 +205,16 @@ def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[in
 
 
 def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
-    """The bilinear q-shuffle product.
-
-    For words, v * u = q^{-N} bar(u * v) with N = (|u|, |v|), where bar sends
-    q to q^{-1} on the coefficients only.  Every word of f has the weight of
-    f, so when every coefficient of f is bar-symmetric, as for the dual
-    canonical and dual root vectors, the square f * f sums each pair of
-    distinct words once, adds the mirror q^{-N} bar of that sum with
-    N = (|f|, |f|), then the diagonal.
-    """
+    """The bilinear q-shuffle product: the sum over word pairs of the product
+    of their coefficients times the shuffle of the two words."""
     f._check_peer(g)
     datum = f.datum
-    weight = cartan.add(f.weight, g.weight)
     acc: dict[Word, dict[int, int]] = {}
-    if f is g and all(c.is_bar_symmetric() for c in f.terms.values()):
-        items = sorted(f.terms.items())  # so that every square caches a pair as (smaller, larger)
-        for k, (u, cu) in enumerate(items):
-            for v, cv in items[k + 1 :]:
-                _scaled_into(acc, _shuffle_words(datum, u, v), (cu * cv).terms)
-        shift = -cartan.bilinear_form(datum, f.weight, f.weight)
-        for d in acc.values():
-            laurent._add_into(d, {-e: x for e, x in d.items()}, shift)
-        pairs = ((u, u, cu * cu) for u, cu in items)
-    else:
-        pairs = ((wf, wg, cf * cg) for wf, cf in f.terms.items() for wg, cg in g.terms.items())
-    for u, v, c in pairs:
-        _scaled_into(acc, _shuffle_words(datum, u, v), c.terms)
+    for wf, cf in f.terms.items():
+        for wg, cg in g.terms.items():
+            _scaled_into(acc, _shuffle_words(datum, wf, wg), (cf * cg).terms)
     terms = {w: laurent._raw(d) for w, d in acc.items() if d}
-    return _raw_elt(datum, weight, terms)
+    return _raw_elt(datum, cartan.add(f.weight, g.weight), terms)
 
 
 def _scaled_into(

@@ -209,6 +209,14 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
     assert sum(not ours for ours, _ in verdicts) == imaginary
 
 
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_the_unit_is_real(label):
+    table = basis.GoodLyndonTable(cartan.parse(label))
+    (unit,) = table.dual_canonical_weight((0, 0))
+    assert unit.elt.terms == {(): LaurentPoly({0: 1})}
+    assert basis.is_real(table, unit)
+
+
 def _b2_21():
     """The B2 table and b*_{w[2,1]}, whose square has top word w[2,2,1,1]."""
     table = basis.GoodLyndonTable(B2)

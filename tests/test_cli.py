@@ -115,6 +115,12 @@ def test_is_real(capsys):
     assert "w[1,2]: real" in out and "w[2,1]: real" in out
 
 
+def test_is_real_on_the_unit(capsys):
+    # the unit squares to itself; the product extraction refuses factors of weight zero
+    code, out, err = run(capsys, "is-real", "A2", "--weight", "0,0")
+    assert (code, out, err) == (0, "is-real A2 order=1,2 weight=0,0\nw[]: real\n", "")
+
+
 def test_order_flag(capsys):
     code, out, _ = run(capsys, "roots", "G2", "--order", "2,1")
     assert code == 0

@@ -19,8 +19,11 @@ imaginary vectors (G2, and C3 in order 3,1,2) and without (B3), and an
 from commit e8fe639, before the reality check stopped building the square
 and the dual PBW vectors of its weight and began to extract their
 coefficients at the good words only; they cover reality scans on A3 and D4
-(no imaginary vector) and G2 up to height 6 (seven imaginary vectors).  A
-mismatch means the output changed; it is a failure, never a digest to
+(no imaginary vector) and G2 up to height 6 (seven imaginary vectors).  The
+last five were recorded from commit 1e391c4, before the five weight
+subcommands came to share one handler; they pin the JSON form of
+`good-words`, `dual-pbw` (in a non-natural order), `expand` and `is-real`,
+and `dual-pbw` at weight zero.  A mismatch means the output changed; it is a failure, never a digest to
 refresh."""
 
 import hashlib
@@ -120,6 +123,16 @@ DIGESTS = {
         "1c872748ebaa5de7daef936334fb4d16b5afe4987ac1574d78d1ebe9b5c28849",
     "scan D4 --max-height 4 --check reality":
         "4517a61e72b1961fc72641b6387f975d1d3d53e1e0a95a4969b1f6cab0cbce22",
+    "good-words D4 --weight 1,1,2,1 --format json":
+        "6f8a90395c9e0d1a01722d909467628ee5677bed4ea36705f320a979cc65959f",
+    "dual-pbw C3 --weight 2,2,1 --order 3,1,2 --format json":
+        "3edab9ac0ab424a8e7e2c30dcdba00d0fe108a1562ce00c5dea39bc316a47318",
+    "expand G2 --weight 3,2 --format json":
+        "21fbbad8b42ff4c22df5fc20c1a48cb4f0233b98bd1b779da641d96a98293b89",
+    "is-real G2 --weight 2,3 --format json":
+        "22375eef5a7376d5351331600ef49edac9c0cc3d739bf1272448ef7bfdde3fb0",
+    "dual-pbw A2 --weight 0,0":
+        "ce754e0421c11bba6a6f8a7f6f7731183c34112b8737e472bf0dfeed828dff50",
 }
 
 

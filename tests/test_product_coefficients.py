@@ -1,8 +1,8 @@
 """`shuffle.product_coefficients` against the products `qshuffle` builds:
-random products of one to four factors, some repeated so that the square
-path of `qshuffle` runs, at words inside and outside the support; and every
-square and every dual PBW vector at weight 2nu that the reality check reads
-for B2 and G2 up to height 4."""
+random products of one to four factors, some the same object repeated,
+with bar-symmetric coefficients or not, at words inside and outside the
+support; and every square and every dual PBW vector at weight 2nu that the
+reality check reads for B2 and G2 up to height 4."""
 
 from itertools import permutations
 
@@ -17,7 +17,7 @@ from qshuffle.shuffle import ShuffleElt, product_coefficients, qshuffle
 DATA = [cartan.parse(label) for label in ("A2", "B2", "G2")]
 
 polys = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=3).map(LaurentPoly).filter(bool)
-# p + bar(p): a repeated factor with these coefficients takes the square path of qshuffle
+# p + bar(p): bar-symmetric coefficients, as those of the vectors the reality check squares
 symmetric_polys = polys.map(lambda p: p + p.bar()).filter(bool)
 
 

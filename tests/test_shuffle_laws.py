@@ -73,7 +73,7 @@ def test_recursive_product_matches_interleaving(case):
     assert recursive == qshuffle_by_interleaving(datum, w1, w2)
 
 
-# -- the square path: one order of each pair of words determines the other -----------
+# -- squares: one order of each pair of words determines the other ------------------
 
 SQUARE_DATA = [cartan.parse(label) for label in ("B2", "G2", "D4")]
 
@@ -101,7 +101,8 @@ wide_polys = st.dictionaries(st.integers(-6, 6), st.integers(-(10**12), 10**12),
 def square_operands(draw):
     """Zero, one or several permutations of one letter multiset over B2 or G2,
     with wide coefficients that are sometimes all bar-symmetric, as those of
-    the dual canonical vectors that the reality check squares are."""
+    the dual canonical vectors that the reality check squares are; squaring
+    one passes the same object as both operands of `qshuffle`."""
     datum = draw(st.sampled_from(SQUARE_DATA[:2]))
     base = draw(words(datum, 5))
     support = sorted(set(permutations(base)))
