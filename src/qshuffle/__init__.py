@@ -49,6 +49,7 @@ from .basis import (
     NotInU,
     StraighteningFailure,
     is_real,
+    reality_of_weight,
     scan,
 )
 from .characters import (

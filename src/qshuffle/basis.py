@@ -80,6 +80,7 @@ class GoodLyndonTable:
         self._gl = frozenset(self._root_of_lyndon)
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
+        self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
         # One weight scope: the dual PBW and, once straightened, the dual
         # canonical vectors of the current weight; entering another clears both.
         self._pbw_memo_weight: Weight | None = None
@@ -289,12 +290,19 @@ class GoodLyndonTable:
         return d
 
     def _kappa_i(self, factors: Iterable[tuple[Word, int]]) -> LaurentPoly:
+        """The product over the factor groups (l, a) of kappa_l^a [a]_{d_l}!,
+        each group's value built once per table."""
         out = ONE
-        for l, a in factors:
-            _, kappa_l = self._dual_root_i(l)
-            for _ in range(a):
-                out = out * kappa_l
-            out = out * laurent.q_factorial(a, self._d_of_lyndon(l))
+        for group in factors:
+            value = self._kappa_cache.get(group)
+            if value is None:
+                l, a = group
+                _, kappa_l = self._dual_root_i(l)
+                value = laurent.q_factorial(a, self._d_of_lyndon(l))
+                for _ in range(a):
+                    value = value * kappa_l
+                self._kappa_cache[group] = value
+            out = out * value
         return out
 
     def kappa(self, g: Word | GoodWord) -> LaurentPoly:
@@ -479,24 +487,72 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     return _is_real_i(table, table._elt_in(vec.elt))
 
 
-def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
+def reality_of_weight(table: GoodLyndonTable, nu: Weight) -> tuple[tuple[DualCanonicalVector, bool], ...]:
+    """Each dual canonical vector of one weight with its reality, decided as
+    `scan` decides it: every vector in one workspace for the weight."""
+    verdicts = _reality_verdicts(table, table._dual_canonical_weight_i(table._nu_in(tuple(nu))))
+    return tuple(zip(table.dual_canonical_weight(nu), verdicts))
+
+
+class _SquareWorkspace:
+    """What the reality solve reads at 2nu, shared by the vectors of one
+    weight nu and freed with them: the good words of 2nu, descending, their
+    kappas, the shuffle powers E*_l^a of their factors and each row E*_h
+    extracted at h and the good words below it."""
+
+    __slots__ = ("table", "weight", "goods", "kappas", "powers", "rows")
+
+    def __init__(self, table: GoodLyndonTable, nui: Weight):
+        self.table = table
+        self.weight = nui
+        self.goods = table._good_words_i(cartan.add(nui, nui))[::-1]
+        self.kappas: dict[Word, LaurentPoly] = {}
+        self.powers: dict[tuple[Word, int], ShuffleElt] = {}
+        self.rows: dict[Word, list[tuple[Word, dict[int, int]]]] = {}
+
+    def kappa(self, h: Word, factors: tuple[tuple[Word, int], ...]) -> LaurentPoly:
+        hit = self.kappas.get(h)
+        if hit is None:
+            hit = self.kappas[h] = self.table._kappa_i(factors)
+        return hit
+
+    def row(self, i: int) -> list[tuple[Word, dict[int, int]]]:
+        """The raw coefficients of E*_h, h = goods[i], at the good words
+        below h, extracted once; its coefficient at h must be kappa_h."""
+        h, factors = self.goods[i]
+        hit = self.rows.get(h)
+        if hit is None:
+            powers, shift = self.table._factor_powers(factors, self.powers)
+            pbw = shuffle.product_coefficients(powers, (p for p, _ in self.goods[i:]), shift)
+            if pbw.pop(h, None) != self.kappa(h, factors):
+                raise StraighteningFailure(f"dual PBW vector has wrong leading term {self.table._where(h)}")
+            hit = self.rows[h] = [(p, c.terms) for p, c in pbw.items()]
+        return hit
+
+
+def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt, workspace: _SquareWorkspace | None = None) -> bool:
     """`is_real` on an element in internal coordinates, building nothing at
-    the square's weight 2nu.  The maximal word g of elt fixes the square's
-    top word: the good word whose Lyndon factors are g's with every
-    multiplicity doubled, with coefficient q^k kappa_top.  With N = (nu, nu),
-    v * u = q^{-N} bar(u * v) for words u, v of weight nu, bar acting on the
-    coefficients only, so q^{N/2} times the square of elt, whose coefficients
-    are bar-symmetric, is bar-symmetric too, and k = -N/2.  The unit squares
-    to itself and is real.  The square lies in U, where an element is fixed
-    by its coefficients at the good words of its weight, and by uniqueness an
-    element with bar-symmetric coefficients in E*_top + sum q Z[q] E*_h is
-    the dual canonical vector at top.  So the check extracts the square's
-    coefficients at the good words of 2nu and solves the dual PBW expansion
-    of q^{-k} times the square on them from top down, extracting each E*_h
-    at h and below from the powers E*_l^a of its factors.  A nonzero
+    the square's weight 2nu; without a workspace it uses a fresh one.  The
+    maximal word g of elt fixes the square's top word: the good word whose
+    Lyndon factors are g's with every multiplicity doubled, with coefficient
+    q^k kappa_top.  With N = (nu, nu), v * u = q^{-N} bar(u * v) for words u,
+    v of weight nu, bar acting on the coefficients only, so q^{N/2} times
+    the square of elt, whose coefficients are bar-symmetric, is bar-symmetric
+    too, and k = -N/2.  The unit squares to itself and is real.  The square
+    lies in U, where an element is fixed by its coefficients at the good
+    words of its weight, and by uniqueness an element with bar-symmetric
+    coefficients in E*_top + sum q Z[q] E*_h is the dual canonical vector at
+    top.  So the check extracts the square's coefficients at the good words
+    of 2nu and solves the dual PBW expansion of q^{-k} times the square on
+    them from top down, reading each row E*_h from the workspace, which
+    extracts it once from the powers E*_l^a of h's factors.  A nonzero
     coefficient at a good word above top, a top coefficient other than
     q^k kappa_top or an E*_h with leading coefficient other than kappa_h
     breaks the theory and raises."""
+    ws = _SquareWorkspace(table, elt.weight) if workspace is None else workspace
+    if elt.weight != ws.weight:
+        nu, held = (cartan.format_weight(table._nu_out(x)) for x in (elt.weight, ws.weight))
+        raise shuffle.HomogeneityError(f"a vector of weight {nu} in the reality workspace of weight {held}")
     g = shuffle.max_word(elt)
     factors = table._factors_i(g)
     if factors is None:
@@ -506,34 +562,26 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     doubled = tuple((l, 2 * a) for l, a in factors)
     top = tuple(x for l, a in doubled for _ in range(a) for x in l)
     k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)
-    goods = list(reversed(table._good_words_i(cartan.add(elt.weight, elt.weight))))
-    square = shuffle.product_coefficients((elt, elt), (h for h, _ in goods))
-    above = [h for h, _ in goods if h > top and h in square]
+    square = shuffle.product_coefficients((elt, elt), (h for h, _ in ws.goods))
+    above = [h for h in square if h > top]
     if above:
         raise laurent.TheoryViolation(f"square has a good word above its top {table._where(top, max(above))}")
-    if square.get(top) != table._kappa_i(doubled).shifted(k):
+    if square.get(top) != ws.kappa(top, doubled).shifted(k):
         raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
-    goods = [(h, f) for h, f in goods if h <= top]
-    residual = {h: square[h].shifted(-k).terms for h, _ in goods if h in square}
-    memo: dict[tuple[Word, int], ShuffleElt] = {}
-    for i, (h, f) in enumerate(goods):
+    residual = {h: c.shifted(-k).terms for h, c in square.items()}
+    for i, (h, f) in enumerate(ws.goods):
         if not residual.get(h):
             continue
-        kappa_h = table._kappa_i(f)
+        kappa_h = ws.kappa(h, f)
         try:
             c = laurent.exact_div(laurent._raw(residual[h]), kappa_h)
         except laurent.InexactDivision as exc:
             raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
         if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
             return False
-        powers, shift = table._factor_powers(f, memo)
-        pbw = shuffle.product_coefficients(powers, [h] + [p for p, _ in goods[i + 1 :]], shift)
-        if pbw.get(h) != kappa_h:
-            raise StraighteningFailure(f"dual PBW vector has wrong leading term {table._where(h)}")
         neg = {e: -x for e, x in c.terms.items()}
-        for p, _ in goods[i + 1 :]:
-            if p in pbw:
-                laurent._mul_add(residual.setdefault(p, {}), pbw[p].terms, neg)
+        for p, x in ws.row(i):
+            laurent._mul_add(residual.setdefault(p, {}), x, neg)
     return True
 
 
@@ -566,9 +614,17 @@ def _positivity_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dic
     ]
 
 
+def _reality_verdicts(table: GoodLyndonTable, vectors: Vectors) -> list[bool]:
+    """Whether each vector of one weight is real, all solved in one workspace."""
+    ws = _SquareWorkspace(table, vectors[0][1].weight) if vectors else None
+    return [_is_real_i(table, elt, ws) for _, elt, _ in vectors]
+
+
 def _reality_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
     return [
-        {"good_word": list(table._w_out(g)), "kind": "imaginary"} for g, elt, _ in vectors if not _is_real_i(table, elt)
+        {"good_word": list(table._w_out(g)), "kind": "imaginary"}
+        for (g, _, _), real in zip(vectors, _reality_verdicts(table, vectors))
+        if not real
     ]
 
 

@@ -193,9 +193,10 @@ def _add_into(acc: dict[int, int], p: Mapping[int, int], k: int = 0, c: int = 1)
             del acc[e]
 
 
-def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> None:
-    """acc += p * q on raw exponent maps."""
+def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int], k: int = 0) -> None:
+    """acc += q^k * p * q on raw exponent maps."""
     for e1, c1 in p.items():
+        e1 += k
         for e2, c2 in q.items():
             e = e1 + e2
             s = acc.get(e, 0) + c1 * c2

@@ -273,7 +273,7 @@ def product_coefficients(
                         if coeff is None:
                             laurent._add_into(acc, val, twist)
                         else:
-                            laurent._mul_add(acc, val, {e + twist: x for e, x in coeff.items()})
+                            laurent._mul_add(acc, val, coeff, twist)
                     twist -= pairings[b][node][y]
             levels.append({s: v for s, v in nxt.items() if v})
         final = levels[-1].get(done)

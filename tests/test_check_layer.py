@@ -4,6 +4,7 @@ full-vector comparison in `reality_oracle` and the guards it raises on, and
 the one-weight scope of dual PBW and dual canonical vectors that the checks
 share."""
 
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 import reality_oracle
 import serre_oracle
-from qshuffle import basis, cartan
+from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
 from qshuffle.laurent import InexactDivision, LaurentPoly, TheoryViolation, monomial
-from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
+from qshuffle.shuffle import HomogeneityError, ShuffleElt, qshuffle, serre_membership
 
 MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
 
@@ -200,13 +201,43 @@ REALITY_CASES = [
 
 @pytest.mark.parametrize("label, order, max_height, imaginary", REALITY_CASES)
 def test_reality_agrees_with_reference(label, order, max_height, imaginary):
+    # each vector alone in a fresh workspace, and each weight's vectors
+    # sharing one as in a scan, against the full-vector reference
     table = basis.GoodLyndonTable(cartan.parse(label), order)
-    verdicts = [
-        (basis._is_real_i(table, elt), reality_oracle.is_real(table, elt))
-        for elt in list(_canonical_vectors(table, max_height))
+    weights = [
+        table._dual_canonical_weight_i(table._nu_in(nu))
+        for nu in cartan.weights_up_to_height(table.datum.rank, max_height)
     ]
-    assert all(ours == reference for ours, reference in verdicts)
-    assert sum(not ours for ours, _ in verdicts) == imaginary
+    shared = [[v["good_word"] for v in basis._reality_violations(table, vectors)] for vectors in weights]
+    alone = [[basis._is_real_i(table, elt) for _, elt, _ in vectors] for vectors in weights]
+    reference = [[reality_oracle.is_real(table, elt) for _, elt, _ in vectors] for vectors in weights]
+    assert alone == reference
+    assert shared == [
+        [list(table._w_out(g)) for (g, _, _), real in zip(vectors, verdicts) if not real]
+        for vectors, verdicts in zip(weights, reference)
+    ]
+    assert sum(len(goods) for goods in shared) == imaginary
+
+
+def test_reality_scan_extracts_each_row_once(monkeypatch):
+    # one extraction per square and per distinct row E*_h of the square
+    # weights: 40 + 75, where a fresh workspace per vector makes 162
+    real = shuffle.product_coefficients
+    squares, rows = [], []
+
+    def counting(factors, targets, shift=0):
+        targets = list(targets)
+        if len(factors) == 2 and factors[0] is factors[1]:
+            squares.append(factors[0])
+        else:
+            rows.append((reduce(cartan.add, (f.weight for f in factors)), max(targets)))
+        return real(factors, targets, shift)
+
+    monkeypatch.setattr(shuffle, "product_coefficients", counting)
+    report = basis.scan(basis.GoodLyndonTable(B2), 5, "reality")
+    assert len(squares) == report.total_vectors == 40
+    assert len(squares) + len(rows) == 115
+    assert len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -259,6 +290,15 @@ def test_a_good_word_above_the_top_of_the_square_raises(monkeypatch):
     where = r"weight 2,2 good word w\[1,2,1,2\] pivot w\[2,2,1,1\]\]"
     with pytest.raises(TheoryViolation, match=r"above its top .* " + where):
         basis._is_real_i(table, elt)
+
+
+def test_a_workspace_refuses_a_vector_of_another_weight():
+    # the rows of a workspace hold the good words of one square weight
+    table, elt = _b2_21()
+    workspace = basis._SquareWorkspace(table, (1, 2))
+    with pytest.raises(HomogeneityError, match=r"weight 1,1 in the reality workspace of weight 1,2"):
+        basis._is_real_i(table, elt, workspace)
+    assert not workspace.rows and not workspace.kappas
 
 
 def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):
