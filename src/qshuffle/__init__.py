@@ -49,7 +49,6 @@ from .basis import (
     NotInU,
     StraighteningFailure,
     is_real,
-    reality_of_weight,
     scan,
 )
 from .characters import (

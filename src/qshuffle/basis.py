@@ -81,11 +81,15 @@ class GoodLyndonTable:
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
-        # One weight scope: the dual PBW and, once straightened, the dual
-        # canonical vectors of the current weight; entering another clears both.
+        # One weight scope: the dual PBW vectors, the shuffle powers E*_l^j of
+        # their factors and of the factors of the good words of twice the
+        # weight, the dual canonical vectors once straightened and the reality
+        # workspace once asked; entering another weight clears them all.
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
+        self._powers: dict[tuple[Word, int], ShuffleElt] = {}
         self._canonical_memo: tuple[tuple[Word, ShuffleElt, LaurentPoly], ...] | None = None
+        self._square: _SquareWorkspace | None = None
 
     # -- letter/weight/element translation -------------------------------------
 
@@ -316,9 +320,10 @@ class GoodLyndonTable:
         return self._kappa_i(factors)
 
     def _enter(self, nui: Weight) -> None:
-        """Make nui the current weight of the scope, dropping the old one's vectors."""
+        """Make nui the current weight of the scope, dropping the old one's state."""
         if nui != self._pbw_memo_weight:
-            self._pbw_memo_weight, self._pbw_memo, self._canonical_memo = nui, {}, None
+            self._pbw_memo_weight, self._pbw_memo, self._powers = nui, {}, {}
+            self._canonical_memo = self._square = None
 
     def _dual_pbw_i(
         self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None
@@ -339,7 +344,7 @@ class GoodLyndonTable:
             # qshuffle is bilinear, so the normalizing power of q scales the
             # first operand, the smallest factor's power, whose support is a
             # power's and not the product's
-            powers, shift = self._factor_powers(factors, {})
+            powers, shift = self._factor_powers(factors)
             elt = powers[0].scaled(laurent.monomial(shift))
             for power in powers[1:]:
                 elt = shuffle.qshuffle(elt, power)
@@ -350,13 +355,12 @@ class GoodLyndonTable:
         self._pbw_memo[wi] = hit
         return hit
 
-    def _factor_powers(
-        self, factors: tuple[tuple[Word, int], ...], memo: dict[tuple[Word, int], ShuffleElt]
-    ) -> tuple[list[ShuffleElt], int]:
+    def _factor_powers(self, factors: tuple[tuple[Word, int], ...]) -> tuple[list[ShuffleElt], int]:
         """The shuffle powers E*_l^a of a good word's factors, smallest factor
-        first, with lower powers kept in the caller's memo, and the power of q
-        that normalizes their product to the dual PBW vector."""
+        first, each built once in the weight scope, and the power of q that
+        normalizes their product to the dual PBW vector."""
         powers = []
+        memo = self._powers
         for l, a in reversed(factors):
             for j in range(1, a + 1):
                 if (l, j) not in memo:
@@ -487,27 +491,19 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     return _is_real_i(table, table._elt_in(vec.elt))
 
 
-def reality_of_weight(table: GoodLyndonTable, nu: Weight) -> tuple[tuple[DualCanonicalVector, bool], ...]:
-    """Each dual canonical vector of one weight with its reality, decided as
-    `scan` decides it: every vector in one workspace for the weight."""
-    verdicts = _reality_verdicts(table, table._dual_canonical_weight_i(table._nu_in(tuple(nu))))
-    return tuple(zip(table.dual_canonical_weight(nu), verdicts))
-
-
 class _SquareWorkspace:
-    """What the reality solve reads at 2nu, shared by the vectors of one
-    weight nu and freed with them: the good words of 2nu, descending, their
-    kappas, the shuffle powers E*_l^a of their factors and each row E*_h
-    extracted at h and the good words below it."""
+    """What the reality solve reads at 2nu, a field of the table's weight
+    scope at nu, shared by the vectors of nu and cleared when the table
+    enters another weight: the good words of 2nu, descending, their kappas
+    and each row E*_h extracted at h and the good words below it from the
+    scope's powers E*_l^a of h's factors."""
 
-    __slots__ = ("table", "weight", "goods", "kappas", "powers", "rows")
+    __slots__ = ("table", "goods", "kappas", "rows")
 
     def __init__(self, table: GoodLyndonTable, nui: Weight):
         self.table = table
-        self.weight = nui
         self.goods = table._good_words_i(cartan.add(nui, nui))[::-1]
         self.kappas: dict[Word, LaurentPoly] = {}
-        self.powers: dict[tuple[Word, int], ShuffleElt] = {}
         self.rows: dict[Word, list[tuple[Word, dict[int, int]]]] = {}
 
     def kappa(self, h: Word, factors: tuple[tuple[Word, int], ...]) -> LaurentPoly:
@@ -522,7 +518,7 @@ class _SquareWorkspace:
         h, factors = self.goods[i]
         hit = self.rows.get(h)
         if hit is None:
-            powers, shift = self.table._factor_powers(factors, self.powers)
+            powers, shift = self.table._factor_powers(factors)
             pbw = shuffle.product_coefficients(powers, (p for p, _ in self.goods[i:]), shift)
             if pbw.pop(h, None) != self.kappa(h, factors):
                 raise StraighteningFailure(f"dual PBW vector has wrong leading term {self.table._where(h)}")
@@ -530,9 +526,10 @@ class _SquareWorkspace:
         return hit
 
 
-def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt, workspace: _SquareWorkspace | None = None) -> bool:
+def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     """`is_real` on an element in internal coordinates, building nothing at
-    the square's weight 2nu; without a workspace it uses a fresh one.  The
+    the square's weight 2nu.  It enters elt's weight nu and reads the
+    scope's square workspace, made on the first question at nu.  The
     maximal word g of elt fixes the square's top word: the good word whose
     Lyndon factors are g's with every multiplicity doubled, with coefficient
     q^k kappa_top.  With N = (nu, nu), v * u = q^{-N} bar(u * v) for words u,
@@ -545,14 +542,13 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt, workspace: _SquareWorksp
     top.  So the check extracts the square's coefficients at the good words
     of 2nu and solves the dual PBW expansion of q^{-k} times the square on
     them from top down, reading each row E*_h from the workspace, which
-    extracts it once from the powers E*_l^a of h's factors.  A nonzero
-    coefficient at a good word above top, a top coefficient other than
-    q^k kappa_top or an E*_h with leading coefficient other than kappa_h
-    breaks the theory and raises."""
-    ws = _SquareWorkspace(table, elt.weight) if workspace is None else workspace
-    if elt.weight != ws.weight:
-        nu, held = (cartan.format_weight(table._nu_out(x)) for x in (elt.weight, ws.weight))
-        raise shuffle.HomogeneityError(f"a vector of weight {nu} in the reality workspace of weight {held}")
+    extracts it once per weight.  A nonzero coefficient at a good word above
+    top, a top coefficient other than q^k kappa_top or an E*_h with leading
+    coefficient other than kappa_h breaks the theory and raises."""
+    table._enter(elt.weight)
+    ws = table._square
+    if ws is None:
+        ws = table._square = _SquareWorkspace(table, elt.weight)
     g = shuffle.max_word(elt)
     factors = table._factors_i(g)
     if factors is None:
@@ -614,17 +610,9 @@ def _positivity_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dic
     ]
 
 
-def _reality_verdicts(table: GoodLyndonTable, vectors: Vectors) -> list[bool]:
-    """Whether each vector of one weight is real, all solved in one workspace."""
-    ws = _SquareWorkspace(table, vectors[0][1].weight) if vectors else None
-    return [_is_real_i(table, elt, ws) for _, elt, _ in vectors]
-
-
 def _reality_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
     return [
-        {"good_word": list(table._w_out(g)), "kind": "imaginary"}
-        for (g, _, _), real in zip(vectors, _reality_verdicts(table, vectors))
-        if not real
+        {"good_word": list(table._w_out(g)), "kind": "imaginary"} for g, elt, _ in vectors if not _is_real_i(table, elt)
     ]
 
 

@@ -272,7 +272,6 @@ def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
     return tuple(sorted(roots, key=lambda w: (height(w), w)))
 
 
-@lru_cache(maxsize=None)
 def kostant_partitions(datum: CartanDatum, nu: Weight) -> tuple[tuple[Weight, ...], ...]:
     """All multisets of positive roots summing to nu, each exactly once.
 

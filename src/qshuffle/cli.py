@@ -145,8 +145,8 @@ def _expand_row(table, vec: basis.DualCanonicalVector) -> tuple[str, dict]:
     }
 
 
-def _reality_row(table, item: tuple[basis.DualCanonicalVector, bool]) -> tuple[str, dict]:
-    vec, real = item
+def _reality_row(table, vec: basis.DualCanonicalVector) -> tuple[str, dict]:
+    real = basis.is_real(table, vec)
     line = f"{format_word(vec.good_word.word)}: {'real' if real else 'imaginary'}"
     return line, {"good_word": list(vec.good_word.word), "real": real}
 
@@ -171,7 +171,7 @@ _WEIGHT_COMMANDS = {
         _canonical_vectors, _expand_row, "expansions",
     ),
     "is-real": (
-        "reality of each dual canonical vector of one weight", basis.reality_of_weight, _reality_row, "vectors",
+        "reality of each dual canonical vector of one weight", _canonical_vectors, _reality_row, "vectors",
     ),
 }
 

@@ -15,7 +15,7 @@ maps, all go through them.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from math import isqrt
 
 
@@ -166,9 +166,6 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> LaurentPoly:
         return cls({int(e): int(c) for e, c in data.items()})
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.terms.items())
 
 
 def _raw(terms: dict[int, int]) -> LaurentPoly:

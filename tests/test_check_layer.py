@@ -1,8 +1,8 @@
 """The check layer: the run-length Serre membership test against the
 reference harvest in `serre_oracle`, the good-word reality solve against the
 full-vector comparison in `reality_oracle` and the guards it raises on, and
-the one-weight scope of dual PBW and dual canonical vectors that the checks
-share."""
+the one-weight scope that the checks share: dual PBW and dual canonical
+vectors, factor powers and the reality workspace."""
 
 from functools import reduce
 from itertools import permutations
@@ -16,7 +16,7 @@ import serre_oracle
 from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
 from qshuffle.laurent import InexactDivision, LaurentPoly, TheoryViolation, monomial
-from qshuffle.shuffle import HomogeneityError, ShuffleElt, qshuffle, serre_membership
+from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
 
 MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
 
@@ -121,7 +121,8 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
 
 
 def _held_weights(table):
-    """The weights of every vector the table holds outside its per-root caches."""
+    """The weights of every vector the table holds outside its per-root caches
+    and its factor powers, which `_powers_fit` checks."""
     found = set()
 
     def walk(x):
@@ -132,9 +133,16 @@ def _held_weights(table):
                 walk(item)
 
     for name, value in vars(table).items():
-        if name not in ("_r_cache", "_dual_root_cache"):
+        if name not in ("_r_cache", "_dual_root_cache", "_powers"):
             walk(value)
     return found
+
+
+def _powers_fit(table, nui):
+    """Every power E*_l^j the scope holds has 1 <= j <= a for a factor group
+    (l, a) of a good word of nui or of 2 nui."""
+    groups = {group for mu in (nui, cartan.add(nui, nui)) for _, factors in table._good_words_i(mu) for group in factors}
+    return all(any(l == m and 1 <= j <= a for m, a in groups) for l, j in table._powers)
 
 
 def test_expansion_memo_holds_one_weight_only():
@@ -149,12 +157,16 @@ def test_expansion_memo_holds_one_weight_only():
     # the dual canonical vectors share the memo's scope
     assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
     assert _held_weights(table) == {(1, 2)}
+    assert table._powers and _powers_fit(table, (1, 2))
+    # no reality question was asked at (1, 2)
+    assert table._square is None
 
 
 def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     # the reality check extracts what it reads at the weight 2nu of each
     # square, so a scan enters only the weights it reports, up to height 5,
-    # and keeps the last one with its straightened vectors
+    # and keeps the last one with its straightened vectors, the factor powers
+    # of nu and 2nu and the workspace of 2nu
     table = basis.GoodLyndonTable(B2)
     real = table._enter
     entered = []
@@ -167,6 +179,19 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert cartan.height(last) == 5 and table._pbw_memo_weight == last
     assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
     assert _held_weights(table) == {last}
+    assert table._powers and _powers_fit(table, last)
+    assert table._square.goods == table._good_words_i(cartan.add(last, last))[::-1]
+    assert table._square.rows
+
+
+def test_entering_another_weight_drops_the_powers_and_the_workspace():
+    table, elt = _b2_21()
+    assert basis._is_real_i(table, elt)
+    assert table._powers and table._square.rows
+    table._enter((1, 2))
+    assert table._pbw_memo_weight == (1, 2)
+    assert table._pbw_memo == {} and table._powers == {}
+    assert table._canonical_memo is None and table._square is None
 
 
 def test_reality_scan_straightens_each_weight_once(monkeypatch):
@@ -201,8 +226,8 @@ REALITY_CASES = [
 
 @pytest.mark.parametrize("label, order, max_height, imaginary", REALITY_CASES)
 def test_reality_agrees_with_reference(label, order, max_height, imaginary):
-    # each vector alone in a fresh workspace, and each weight's vectors
-    # sharing one as in a scan, against the full-vector reference
+    # each weight's vectors as a scan decides them, and each vector again
+    # after the scan has left its weight, against the full-vector reference
     table = basis.GoodLyndonTable(cartan.parse(label), order)
     weights = [
         table._dual_canonical_weight_i(table._nu_in(nu))
@@ -292,13 +317,32 @@ def test_a_good_word_above_the_top_of_the_square_raises(monkeypatch):
         basis._is_real_i(table, elt)
 
 
-def test_a_workspace_refuses_a_vector_of_another_weight():
-    # the rows of a workspace hold the good words of one square weight
-    table, elt = _b2_21()
-    workspace = basis._SquareWorkspace(table, (1, 2))
-    with pytest.raises(HomogeneityError, match=r"weight 1,1 in the reality workspace of weight 1,2"):
-        basis._is_real_i(table, elt, workspace)
-    assert not workspace.rows and not workspace.kappas
+@pytest.mark.parametrize("order", [None, (2, 1)])
+def test_is_real_enters_the_weight_of_its_vector(order):
+    # the vectors of G2 (2, 2), one of them imaginary, asked while the scope
+    # holds the workspace of (2, 1), are decided as a fresh table decides them
+    table = basis.GoodLyndonTable(G2, order)
+    vectors = table.dual_canonical_weight((2, 2))
+    assert [basis.is_real(table, vec) for vec in table.dual_canonical_weight((2, 1))].count(False) == 1
+    verdicts = [basis.is_real(table, vec) for vec in vectors]
+    assert table._pbw_memo_weight == (2, 2) and table._square.goods == table._good_words_i((4, 4))[::-1]
+    fresh = basis.GoodLyndonTable(G2, order)
+    assert verdicts == [basis.is_real(fresh, vec) for vec in fresh.dual_canonical_weight((2, 2))]
+    assert verdicts.count(False) == 1
+
+
+def test_the_paper_simply_laced_imaginary_vectors():
+    # the imaginary vectors that show B* is not multiplicative in simply-laced
+    # type: one of the 15 at the highest root of D4, and w[4,5,3,2,3,4,1,2]
+    # at A5 (1,2,2,2,1), of height 8
+    d4 = basis.GoodLyndonTable(cartan.parse("D4"))
+    vectors = d4.dual_canonical_weight((1, 1, 2, 1))
+    assert len(vectors) == 15
+    assert [vec.good_word.word for vec in vectors if not basis.is_real(d4, vec)] == [(3, 4, 2, 1, 3)]
+    a5 = basis.GoodLyndonTable(cartan.parse("A5"))
+    vec = a5.dual_canonical_vector((4, 5, 3, 2, 3, 4, 1, 2))
+    assert vec.elt.weight == (1, 2, 2, 2, 1)
+    assert not basis.is_real(a5, vec)
 
 
 def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):

@@ -39,8 +39,8 @@ def test_every_order_gives_the_same_imaginary_elements(label, max_height, imagin
         found[order] = {
             vec.elt
             for nu in cartan.weights_up_to_height(datum.rank, max_height)
-            for vec, real in basis.reality_of_weight(table, nu)
-            if not real
+            for vec in table.dual_canonical_weight(nu)
+            if not basis.is_real(table, vec)
         }
     natural = found[tuple(range(1, datum.rank + 1))]
     assert len(natural) == imaginary

@@ -90,10 +90,9 @@ def test_squares_and_dual_pbw_vectors_at_twice_the_weight(label):
             square = qshuffle(elt, elt)
             assert product_coefficients([elt, elt], _all_words(square)) == square.terms
             squares += 1
-        powers = {}
         for h, factors in table._good_words_i(cartan.add(nu, nu)):
             pbw, _ = built._dual_pbw_i(h, factors)
-            factor_powers, shift = table._factor_powers(factors, powers)
+            factor_powers, shift = table._factor_powers(factors)
             assert product_coefficients(factor_powers, _all_words(pbw), shift) == pbw.terms
             vectors += 1
     assert (squares, vectors) == COUNTS[label]

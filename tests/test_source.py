@@ -43,9 +43,7 @@ def test_import_budget():
 # The module-level memos the package keeps, as `module.name`.  Every other
 # per-weight or per-scan memo belongs to an object with a visible scope, such
 # as the weight scope of `GoodLyndonTable`.
-MODULE_MEMOS = {
-    "shuffle._CACHE", "cartan.positive_roots", "cartan.kostant_partitions", "shuffle._serre_weights"
-}
+MODULE_MEMOS = {"shuffle._CACHE", "cartan.positive_roots", "shuffle._serre_weights"}
 CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
 
 
