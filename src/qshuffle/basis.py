@@ -488,7 +488,7 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     """True when the shuffle square of vec is a power of q times another
     dual canonical vector.  vec must be a dual canonical vector of this
     table, so that its square lies in U."""
-    return _is_real_i(table, table._elt_in(vec.elt))
+    return _is_real_i(table, table._elt_in(vec.elt)) is None
 
 
 class _SquareWorkspace:
@@ -526,9 +526,12 @@ class _SquareWorkspace:
         return hit
 
 
-def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
+def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPoly] | None:
     """`is_real` on an element in internal coordinates, building nothing at
-    the square's weight 2nu.  It enters elt's weight nu and reads the
+    the square's weight 2nu: None when elt is real, else the witness (h, c_h),
+    the first good word h of 2nu below the top, from top down, whose
+    coefficient c_h in the dual PBW expansion of q^{-k} times the square
+    lies outside q Z[q].  It enters elt's weight nu and reads the
     scope's square workspace, made on the first question at nu.  The
     maximal word g of elt fixes the square's top word: the good word whose
     Lyndon factors are g's with every multiplicity doubled, with coefficient
@@ -554,7 +557,7 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     if factors is None:
         raise laurent.TheoryViolation(f"maximal word is not good {table._where(g)}")
     if not factors:  # the unit squares to itself
-        return True
+        return None
     doubled = tuple((l, 2 * a) for l, a in factors)
     top = tuple(x for l, a in doubled for _ in range(a) for x in l)
     k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)
@@ -574,11 +577,11 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
         except laurent.InexactDivision as exc:
             raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
         if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
-            return False
+            return h, c
         neg = {e: -x for e, x in c.terms.items()}
         for p, x in ws.row(i):
             laurent._mul_add(residual.setdefault(p, {}), x, neg)
-    return True
+    return None
 
 
 class WeightEntry(Record, namedtuple("WeightEntry", "weight vectors violations elapsed")):
@@ -612,7 +615,9 @@ def _positivity_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dic
 
 def _reality_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
     return [
-        {"good_word": list(table._w_out(g)), "kind": "imaginary"} for g, elt, _ in vectors if not _is_real_i(table, elt)
+        {"good_word": list(table._w_out(g)), "kind": "imaginary"}
+        for g, elt, _ in vectors
+        if _is_real_i(table, elt) is not None
     ]
 
 

@@ -11,6 +11,15 @@ This module owns raw exponent-map arithmetic: `_add_into` and `_mul_add` are
 the only loops that accumulate into an exponent -> coefficient map.  The ring
 operations here and the shuffle kernel, which keeps its coefficients as raw
 maps, all go through them.
+
+It also owns the packed form that `shuffle.product_coefficients` deals in
+(Kronecker substitution).  A pair (V, e0) stands for q^e0 times the
+polynomial P with P(2^W) = V, so V = sum c_e 2^(W (e - e0)): the value at
+q = 2^W, one integer.  Adding, multiplying and multiplying by q^k act on
+these integers exactly, whatever W is.  Reading the coefficients back with
+balanced digits in [-2^(W-1), 2^(W-1)) gives P only when every coefficient
+of P lies strictly between -2^(W-1) and 2^(W-1), and then V = 0 only for
+P = 0; the caller fixes W from a bound on the coefficients before it packs.
 """
 
 from __future__ import annotations
@@ -190,10 +199,9 @@ def _add_into(acc: dict[int, int], p: Mapping[int, int], k: int = 0, c: int = 1)
             del acc[e]
 
 
-def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int], k: int = 0) -> None:
-    """acc += q^k * p * q on raw exponent maps."""
+def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> None:
+    """acc += p * q on raw exponent maps."""
     for e1, c1 in p.items():
-        e1 += k
         for e2, c2 in q.items():
             e = e1 + e2
             s = acc.get(e, 0) + c1 * c2
@@ -201,6 +209,31 @@ def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int], k:
                 acc[e] = s
             else:
                 del acc[e]
+
+
+def _pack(p: Mapping[int, int], width: int) -> tuple[int, int]:
+    """(V, e0) for a nonzero raw exponent map p: e0 is its valuation and
+    V = sum c_e 2^(width (e - e0))."""
+    low = min(p)
+    return sum(c << width * (e - low) for e, c in p.items()), low
+
+
+def _unpack(value: int, low: int, width: int) -> dict[int, int]:
+    """The raw exponent map of q^low P, where P(2^width) = value and every
+    coefficient of P lies strictly between -2^(width-1) and 2^(width-1)."""
+    out: dict[int, int] = {}
+    base = 1 << width
+    half = base >> 1
+    while value:
+        c = value & (base - 1)
+        value >>= width
+        if c >= half:
+            c -= base
+            value += 1
+        if c:
+            out[low] = c
+        low += 1
+    return out
 
 
 ZERO = LaurentPoly()

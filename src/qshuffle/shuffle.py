@@ -241,51 +241,70 @@ def product_coefficients(
     word is complete has its coefficient multiplied in and moves to its one
     done node, so equal states merge.  Sorted targets share the states of
     their common prefixes.
+
+    Every Laurent value of the pass is packed at q = 2^W (`laurent._pack`):
+    a twist moves only its exponent, completing a factor is one integer
+    multiply and merging two states one shift and add; only the final
+    coefficients are unpacked.  W is fixed before the pass so that every
+    coefficient of every state lies below 2^(W-1) in absolute value.  With
+    n the longest target, a state after m <= n letters sums over at most
+    k^m dealings, each contributing q^t times one product of at most one
+    coefficient polynomial per factor, so each of its coefficients is at most
+    bound = k^n * prod_f max_w ||c_f(w)||_1 in absolute value, ||.||_1
+    being the sum of the absolute values of the coefficients; W is
+    bound.bit_length() + 1.
     """
     if not factors or any(() in f.terms for f in factors):
         raise ValueError("a product needs factors, none of weight zero")
-    tries: dict[int, tuple[list[dict], list[list[int]]]] = {}
+    words = sorted(set(map(tuple, targets)))
+    bound = len(factors) ** max(map(len, words), default=0)
     for f in factors:
         f._check_peer(factors[0])
-        if id(f) not in tries:
-            tries[id(f)] = _support_trie(f)
+        bound *= max((sum(map(abs, c.terms.values())) for c in f.terms.values()), default=0)
+    width = bound.bit_length() + 1
+    tries = {i: _support_trie(f, width) for i, f in {id(f): f for f in factors}.items()}
     steps = [tries[id(f)][0] for f in factors]
     pairings = [tries[id(f)][1] for f in factors]
-    levels = [{(0,) * len(factors): {shift: 1}}]
+    levels = [{(0,) * len(factors): (1, shift)}]
     done = (-1,) * len(factors)
     out: dict[Word, LaurentPoly] = {}
     prev: Word = ()
-    for w in sorted(set(map(tuple, targets))):
+    for w in words:
         n = 0
         while n < min(len(w), len(prev)) and w[n] == prev[n]:
             n += 1
         del levels[n + 1 :]
         prev = w
         for y in w[n:]:
-            nxt: dict[tuple[int, ...], dict[int, int]] = {}
-            for state, val in levels[-1].items():
-                twist = 0
+            nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+            for state, (value, low) in levels[-1].items():
                 for b, node in enumerate(state):
                     hit = steps[b][node].get(y) if node >= 0 else None
                     if hit is not None:
-                        child, coeff = hit
-                        acc = nxt.setdefault(state[:b] + (child,) + state[b + 1 :], {})
-                        if coeff is None:
-                            laurent._add_into(acc, val, twist)
-                        else:
-                            laurent._mul_add(acc, val, coeff, twist)
-                    twist -= pairings[b][node][y]
-            levels.append({s: v for s, v in nxt.items() if v})
+                        child, packed = hit
+                        v, e = (value, low) if packed is None else (value * packed[0], low + packed[1])
+                        key = state[:b] + (child,) + state[b + 1 :]
+                        old = nxt.get(key)
+                        if old is not None:
+                            u, d = old
+                            if d < e:
+                                v, e = u + (v << width * (e - d)), d
+                            else:
+                                v += u << width * (d - e)
+                        nxt[key] = v, e
+                    low -= pairings[b][node][y]
+            levels.append({s: ve for s, ve in nxt.items() if ve[0]})
         final = levels[-1].get(done)
-        if final:
-            out[w] = laurent._raw(final)
+        if final is not None:
+            out[w] = laurent._raw(laurent._unpack(*final, width))
     return out
 
 
-def _support_trie(f: ShuffleElt) -> tuple[list[dict], list[list[int]]]:
+def _support_trie(f: ShuffleElt, width: int) -> tuple[list[dict], list[list[int]]]:
     """The support of f as a trie whose last node, -1, is done.
-    `steps[node][y]` is (child, None), or (-1, coefficient terms) when the
-    letter y completes a word of f; `pairing[node][y]` is (|prefix|, alpha_y)."""
+    `steps[node][y]` is (child, None), or (-1, coefficient packed at
+    q = 2^width) when the letter y completes a word of f;
+    `pairing[node][y]` is (|prefix|, alpha_y)."""
     rows = [[]] + [[0, *row] for row in f.datum.bilinear]  # rows[x][y] = (alpha_x, alpha_y)
     nodes: dict[Word, int] = {(): 0}
     steps: list[dict] = [{}]
@@ -300,7 +319,7 @@ def _support_trie(f: ShuffleElt) -> tuple[list[dict], list[list[int]]]:
                 steps.append({})
                 pairing.append([p + r for p, r in zip(pairing[node], rows[y])])
             node = child
-        steps[node][w[-1]] = (-1, c.terms)
+        steps[node][w[-1]] = (-1, laurent._pack(c.terms, width))
     pairing.append([0] + [sum(m * row[y] for m, row in zip(f.weight, rows[1:])) for y in range(1, len(rows))])
     return steps, pairing
 

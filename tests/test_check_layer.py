@@ -186,7 +186,7 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
 
 def test_entering_another_weight_drops_the_powers_and_the_workspace():
     table, elt = _b2_21()
-    assert basis._is_real_i(table, elt)
+    assert basis._is_real_i(table, elt) is None
     assert table._powers and table._square.rows
     table._enter((1, 2))
     assert table._pbw_memo_weight == (1, 2)
@@ -234,7 +234,7 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
         for nu in cartan.weights_up_to_height(table.datum.rank, max_height)
     ]
     shared = [[v["good_word"] for v in basis._reality_violations(table, vectors)] for vectors in weights]
-    alone = [[basis._is_real_i(table, elt) for _, elt, _ in vectors] for vectors in weights]
+    alone = [[basis._is_real_i(table, elt) is None for _, elt, _ in vectors] for vectors in weights]
     reference = [[reality_oracle.is_real(table, elt) for _, elt, _ in vectors] for vectors in weights]
     assert alone == reference
     assert shared == [
@@ -343,6 +343,17 @@ def test_the_paper_simply_laced_imaginary_vectors():
     vec = a5.dual_canonical_vector((4, 5, 3, 2, 3, 4, 1, 2))
     assert vec.elt.weight == (1, 2, 2, 2, 1)
     assert not basis.is_real(a5, vec)
+
+
+def test_the_solve_names_the_d4_witness():
+    # the solve for b*_{w[3,4,2,1,3]} at D4 (1,1,2,1) first leaves q Z[q] at
+    # h = w[3,4,2,3,1,3,4,2,1,3], where q^{-k} times the square, k = -(nu, nu)/2
+    # = -1, has the dual PBW coefficient 1 - q^6
+    table = basis.GoodLyndonTable(cartan.parse("D4"))
+    nu = (1, 1, 2, 1)
+    (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i(nu) if g == (3, 4, 2, 1, 3)]
+    assert cartan.bilinear_form(table.datum, nu, nu) == 2
+    assert basis._is_real_i(table, elt) == ((3, 4, 2, 3, 1, 3, 4, 2, 1, 3), LaurentPoly({0: 1, 6: -1}))
 
 
 def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):

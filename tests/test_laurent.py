@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qshuffle import laurent
 from qshuffle.laurent import (
     ONE,
     ZERO,
@@ -192,3 +195,26 @@ def test_json_roundtrip():
     assert p.to_json() == {"3": 1, "1": 2, "-1": 2, "-3": 1}
     assert LaurentPoly.from_json(p.to_json()) == p
     assert LaurentPoly.from_json({}) == ZERO
+
+
+@st.composite
+def packable(draw):
+    """A width W and a nonzero exponent map whose coefficients lie strictly
+    between -2^(W-1) and 2^(W-1), the extreme ones often."""
+    width = draw(st.integers(2, 80))
+    top = 2 ** (width - 1) - 1
+    digits = st.sampled_from([top, -top]) | st.integers(-top, top).filter(bool)
+    return width, draw(st.dictionaries(st.integers(-20, 20), digits, min_size=1, max_size=8))
+
+
+@given(packable())
+@example((2, {-5: 1, -2: -1, 0: 1}))
+@example((64, {-9: 2**63 - 1, -8: -(2**63 - 1), -1: -(2**63 - 1), 4: 2**63 - 1}))
+def test_pack_and_unpack_round_trip(case):
+    # negative exponents, the extreme digits and zero digits between them
+    width, terms = case
+    value, low = laurent._pack(terms, width)
+    assert low == min(terms)
+    assert value == sum(c * 2 ** (width * (e - low)) for e, c in terms.items())
+    assert laurent._unpack(value, low, width) == terms
+    assert laurent._unpack(0, low, width) == {}

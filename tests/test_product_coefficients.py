@@ -1,8 +1,9 @@
 """`shuffle.product_coefficients` against the products `qshuffle` builds:
 random products of one to four factors, some the same object repeated,
-with bar-symmetric coefficients or not, at words inside and outside the
-support; and every square and every dual PBW vector at weight 2nu that the
-reality check reads for B2 and G2 up to height 4."""
+with bar-symmetric coefficients or not, small or up to 2^100, at words
+inside and outside the support; and every square and every dual PBW
+vector at weight 2nu that the reality check reads for B2 and G2 up to
+height 4."""
 
 from itertools import permutations
 
@@ -16,29 +17,37 @@ from qshuffle.shuffle import ShuffleElt, product_coefficients, qshuffle
 
 DATA = [cartan.parse(label) for label in ("A2", "B2", "G2")]
 
-polys = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=3).map(LaurentPoly).filter(bool)
+
+def _polys(limit):
+    coefficients = st.integers(-limit, limit)
+    return st.dictionaries(st.integers(-3, 3), coefficients, min_size=1, max_size=3).map(LaurentPoly).filter(bool)
+
+
+polys = _polys(3)
 # p + bar(p): bar-symmetric coefficients, as those of the vectors the reality check squares
 symmetric_polys = polys.map(lambda p: p + p.bar()).filter(bool)
+# coefficients far beyond one machine word, so that the packed pass needs a wide W
+wide_polys = _polys(2**100)
 
 
 @st.composite
-def elements(draw, datum):
+def elements(draw, datum, choices):
     """A homogeneous element on up to three permutations of one letter multiset."""
     base = draw(st.lists(st.integers(1, datum.rank), min_size=1, max_size=3))
     support = sorted(set(permutations(base)))
-    coefficients = draw(st.sampled_from([polys, symmetric_polys]))
+    coefficients = draw(st.sampled_from(choices))
     terms = draw(st.dictionaries(st.sampled_from(support), coefficients, min_size=1, max_size=3))
     return ShuffleElt(datum, cartan.word_weight(datum, base), terms)
 
 
 @st.composite
-def products(draw):
+def products(draw, choices=(polys, symmetric_polys)):
     """Factors over one datum, each a new element or an earlier one again."""
     datum = draw(st.sampled_from(DATA))
-    factors = [draw(elements(datum))]
+    factors = [draw(elements(datum, choices))]
     for _ in range(draw(st.integers(0, 3))):
         repeat = draw(st.booleans())
-        factors.append(draw(st.sampled_from(factors)) if repeat else draw(elements(datum)))
+        factors.append(draw(st.sampled_from(factors)) if repeat else draw(elements(datum, choices)))
     return factors
 
 
@@ -49,9 +58,7 @@ def _built(factors):
     return product
 
 
-@settings(max_examples=100, deadline=None)
-@given(products(), st.integers(-4, 4), st.data())
-def test_extracted_coefficients_match_the_built_product(factors, shift, data):
+def _assert_extracted_match_built(factors, shift, data):
     product = _built(factors)
     letters = tuple(x for f in factors for x in next(iter(f.terms)))  # a word of the product's weight
     inside = data.draw(st.lists(st.sampled_from(sorted(product.terms)), max_size=4))
@@ -60,6 +67,19 @@ def test_extracted_coefficients_match_the_built_product(factors, shift, data):
     other = [letters[:-1], letters + (1,), ()]
     got = product_coefficients(factors, inside + outside + other, shift)
     assert got == {w: product.terms[w].shifted(shift) for w in inside + outside if w in product.terms}
+
+
+@settings(max_examples=100, deadline=None)
+@given(products(), st.integers(-4, 4), st.data())
+def test_extracted_coefficients_match_the_built_product(factors, shift, data):
+    _assert_extracted_match_built(factors, shift, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(products((wide_polys,)), st.integers(-4, 4), st.data())
+def test_extracted_coefficients_are_exact_with_coefficients_up_to_2_to_the_100(factors, shift, data):
+    # the packed pass must pick W from the coefficients' size, not a fixed word
+    _assert_extracted_match_built(factors, shift, data)
 
 
 def test_a_zero_factor_gives_zero_and_a_factor_of_weight_zero_is_refused():
