@@ -4,16 +4,27 @@ Subcommands: roots, good-words, dual-pbw, dual-canonical, expand, scan,
 character, is-real.  Output is deterministic (collections are sorted before
 rendering and timing goes to stderr), in plain text or JSON.
 
+The command comes first; TYPE and the options follow in any order.  An
+option takes its value as `--name value` or `--name=value`, and may be
+shortened to any prefix that names no other option of the command.  A value
+that starts with `-` must use the `=` form unless it reads as a negative
+number, such as `--shift -1`.  `--` ends the options: TYPE may stand just
+before it or be the one token after it.  The last value of a repeated option
+wins.  One table lists each command's options and drives both parsing and
+`-h`.  A command line means what it meant to the argparse parser this module
+once used, which tests/cli_oracle.py keeps as the reference, except that an
+explicit `--name=--` gives the value `--`.
+
 Exit codes: 0 success, 1 usage error, 2 internal error (exactness violation or
 broken invariant), 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import basis, cartan, characters
 from .laurent import TheoryViolation
@@ -24,48 +35,161 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+# The options each command takes besides TYPE, as name -> (kind, required,
+# default, help).  A kind is str or int (a value, converted by calling the
+# kind), a tuple (a value that must be one of its entries) or bool (a flag,
+# True when given).  `required` is True, False or _ONE_OF: exactly one of a
+# command's _ONE_OF options must be given.
+_ONE_OF = "one of"
+_HELP = ("-h", "--help")
+_COMMON = {
+    "--order": (str, False, None, "total order on simple roots, e.g. 2,1"),
+    "--format": (("text", "json"), False, "text", "output format"),
+}
+_WEIGHT = {**_COMMON, "--weight": (str, True, None, "weight over the simple roots, e.g. 2,1")}
+_SCAN = {
+    **_COMMON,
+    "--max-height": (int, True, None, "largest height of a scanned weight"),
+    "--check": (tuple(sorted(basis._SCAN_CHECKS)), False, "positivity", "property checked at each weight"),
+    "--timing": (bool, False, False, "include elapsed seconds in JSON output"),
+}
+_CHARACTER = {
+    **_COMMON,
+    "--skew": (str, _ONE_OF, None, "skew shape lam/mu, e.g. 5,5,3/3,1"),
+    "--shifted": (str, _ONE_OF, None, "shifted shape lam/mu of strict partitions"),
+    "--shift": (int, False, None, "content shift for skew shapes"),
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qshuffle", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser) -> None:
-        p.add_argument("type", help="root-system label such as A3, B2, G2")
-        p.add_argument("--order", help="total order on simple roots, e.g. 2,1", default=None)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    common(sub.add_parser("roots", help="positive roots in convex order with their Lyndon words"))
-
-    def weight_command(name: str) -> None:
-        p = sub.add_parser(name, help=_WEIGHT_COMMANDS[name][0])
-        common(p)
-        p.add_argument("--weight", required=True)
-
-    for name in ("good-words", "dual-pbw", "dual-canonical", "expand"):
-        weight_command(name)
-
-    p = sub.add_parser("scan", help="check a property over all weights up to a height bound")
-    common(p)
-    p.add_argument("--max-height", type=int, required=True)
-    p.add_argument("--check", choices=sorted(basis._SCAN_CHECKS), default="positivity")
-    p.add_argument("--timing", action="store_true", help="include elapsed seconds in JSON output")
-
-    p = sub.add_parser("character", help="tableau character sum compared against the computed vector")
-    common(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--skew", help="skew shape lam/mu, e.g. 5,5,3/3,1")
-    group.add_argument("--shifted", help="shifted shape lam/mu of strict partitions")
-    p.add_argument("--shift", type=int, default=None, help="content shift for skew shapes")
-
-    weight_command("is-real")
-    return parser
+def _negative_number(token: str) -> bool:
+    """Whether `-digits` or `-digits.digits` spells the token, a final
+    newline allowed, as argparse's `^-\\d+$|^-\\d*\\.\\d+$` decides."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, frac = body.partition(".")
+    return (whole.isdecimal() and not dot) or (frac.isdecimal() and (not whole or whole.isdecimal()))
 
 
-def _table(args: argparse.Namespace) -> basis.GoodLyndonTable:
+def _option(token: str, names: Sequence[str]) -> tuple[str, str | None] | None:
+    """The option among `names` that a token gives, with the value the token
+    carries after `=` (or after `-h`), or None for a positional token."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        matches = [n for n in names if n.startswith(name)]
+        value = value if eq else None
+    else:
+        matches, value = [n for n in names if n == token[:2]], token[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if _negative_number(token) or " " in token:
+        return None
+    raise UsageError(f"unrecognized arguments: {token}")
+
+
+def _value(name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def _usage(command: str | None) -> str:
+    """The help of one command, or of the program when command is None."""
+    if command is None:
+        head = [f"usage: qshuffle {{{','.join(_COMMANDS)}}} TYPE [options]", "", "commands:"]
+        rows = [(name, text) for name, (text, _, _) in _COMMANDS.items()]
+        tail = ["", "`qshuffle <command> -h` lists the options of a command."]
+    else:
+        text, options, _ = _COMMANDS[command]
+        head, tail = [f"usage: qshuffle {command} TYPE [options]", "", text, ""], []
+        rows = [("TYPE", "root-system label such as A3, B2, G2")]
+        one_of = ", ".join(name for name, spec in options.items() if spec[1] == _ONE_OF)
+        for name, (kind, required, default, help_text) in options.items():
+            if kind is not bool:
+                name += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {name[2:].upper()}"
+            if required is True:
+                help_text += " (required)"
+            elif required == _ONE_OF:
+                help_text += f" (exactly one of {one_of})"
+            elif default:
+                help_text += f" (default: {default})"
+            rows.append((name, help_text))
+        rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([*head, *(f"  {name:<{width}}  {text}" for name, text in rows), *tail])
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command line's command, TYPE and options, or None when it asked
+    for help, which is then printed."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command, rest = argv[0], list(argv[1:])
+    if _option(command, _HELP) is not None:
+        print(_usage(None))
+        return None
+    if command not in _COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    options = _COMMANDS[command][1]
+    end = rest.index("--") if "--" in rest else len(rest)
+    found = [_option(token, (*options, *_HELP)) for token in rest[:end]]
+    values = {name: spec[2] for name, spec in options.items()}
+    given: set[str] = set()
+    type_at = None
+    i = 0
+    while i < end:
+        if found[i] is None:
+            if type_at is not None:
+                raise UsageError(f"unrecognized arguments: {rest[i]}")
+            type_at, i = i, i + 1
+            continue
+        name, text = found[i]
+        kind = bool if name in _HELP else options[name][0]
+        i += 1
+        if kind is bool:
+            if text is not None:
+                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            if name in _HELP:
+                print(_usage(command))
+                return None
+            values[name] = True
+        else:
+            if text is None:
+                if i == end or found[i] is not None:
+                    raise UsageError(f"argument {name}: expected one argument")
+                text, i = rest[i], i + 1
+            values[name] = _value(name, kind, text)
+        given.add(name)
+    if end < len(rest):
+        # every token after `--` is positional, and TYPE may stand just
+        # before the `--` or be the one token after it
+        if type_at is None and len(rest) == end + 2:
+            type_at = end + 1
+        elif type_at != end - 1 or len(rest) > end + 1:
+            raise UsageError(f"unrecognized arguments: {' '.join(rest[end:])}")
+    missing = ["TYPE"] * (type_at is None)
+    missing += [name for name, spec in options.items() if spec[1] is True and name not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    one_of = [name for name, spec in options.items() if spec[1] == _ONE_OF]
+    if one_of and len(given.intersection(one_of)) != 1:
+        raise UsageError(f"exactly one of the arguments {' '.join(one_of)} is required")
+    names = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, type=rest[type_at], **names)
+
+
+def _table(args: SimpleNamespace) -> basis.GoodLyndonTable:
     try:
         datum = cartan.parse(args.type)
         order = tuple(int(p) for p in args.order.split(",")) if args.order else None
@@ -74,14 +198,14 @@ def _table(args: argparse.Namespace) -> basis.GoodLyndonTable:
         raise UsageError(str(exc)) from exc
 
 
-def _header(args: argparse.Namespace, **extra: str) -> str:
+def _header(args: SimpleNamespace, **extra: str) -> str:
     order = args.order or ",".join(str(i) for i in range(1, cartan.parse(args.type).rank + 1))
     parts = [args.command, args.type, f"order={order}"]
     parts.extend(f"{k}={v}" for k, v in extra.items())
     return " ".join(parts)
 
 
-def _meta(args: argparse.Namespace, table: basis.GoodLyndonTable, **extra) -> dict:
+def _meta(args: SimpleNamespace, table: basis.GoodLyndonTable, **extra) -> dict:
     return {"command": args.command, "type": args.type, "order": list(table.order), **extra}
 
 
@@ -114,7 +238,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_weight(args) -> int:
     """A weight subcommand: one row per item of the weight, under one header."""
-    _, items, row, key = _WEIGHT_COMMANDS[args.command]
+    items, row, key = _WEIGHT_COMMANDS[args.command]
     table = _table(args)
     try:
         nu = cartan.parse_weight(args.weight, table.datum.rank)
@@ -157,22 +281,14 @@ def _dual_pbw_vectors(table, nu) -> list[basis.DualPBWVector]:
 
 _canonical_vectors = basis.GoodLyndonTable.dual_canonical_weight
 
-# The subcommands that render one weight: help text, the items of the weight,
-# the text line and JSON entry of one item, and the JSON key of the entries.
+# The subcommands that render one weight: the items of the weight, the text
+# line and JSON entry of one item, and the JSON key of the entries.
 _WEIGHT_COMMANDS = {
-    "good-words": (
-        "good words of one weight with factorizations",
-        basis.GoodLyndonTable.good_words_of_weight, _good_word_row, "good_words",
-    ),
-    "dual-pbw": ("dual PBW vectors of one weight", _dual_pbw_vectors, _vector_row, "dual_pbw"),
-    "dual-canonical": ("dual canonical vectors of one weight", _canonical_vectors, _vector_row, "dual_canonical"),
-    "expand": (
-        "dual PBW expansions of the dual canonical vectors of one weight",
-        _canonical_vectors, _expand_row, "expansions",
-    ),
-    "is-real": (
-        "reality of each dual canonical vector of one weight", _canonical_vectors, _reality_row, "vectors",
-    ),
+    "good-words": (basis.GoodLyndonTable.good_words_of_weight, _good_word_row, "good_words"),
+    "dual-pbw": (_dual_pbw_vectors, _vector_row, "dual_pbw"),
+    "dual-canonical": (_canonical_vectors, _vector_row, "dual_canonical"),
+    "expand": (_canonical_vectors, _expand_row, "expansions"),
+    "is-real": (_canonical_vectors, _reality_row, "vectors"),
 }
 
 
@@ -215,7 +331,7 @@ def _cmd_character(args) -> int:
     table = _table(args)
     datum = table.datum
     try:
-        if args.skew:
+        if args.skew is not None:
             lam, mu = characters.parse_shape(args.skew)
             if args.shift is None:
                 raise UsageError("--skew needs --shift")
@@ -255,19 +371,24 @@ def _cmd_character(args) -> int:
     return 0
 
 
+# Each command: its help text, its options and its handler, in the order
+# `qshuffle -h` lists them.
 _COMMANDS = {
-    "roots": _cmd_roots,
-    "scan": _cmd_scan,
-    "character": _cmd_character,
-    **dict.fromkeys(_WEIGHT_COMMANDS, _cmd_weight),
+    "roots": ("positive roots in convex order with their Lyndon words", _COMMON, _cmd_roots),
+    "good-words": ("good words of one weight with factorizations", _WEIGHT, _cmd_weight),
+    "dual-pbw": ("dual PBW vectors of one weight", _WEIGHT, _cmd_weight),
+    "dual-canonical": ("dual canonical vectors of one weight", _WEIGHT, _cmd_weight),
+    "expand": ("dual PBW expansions of the dual canonical vectors of one weight", _WEIGHT, _cmd_weight),
+    "scan": ("check a property over all weights up to a height bound", _SCAN, _cmd_scan),
+    "character": ("tableau character sum compared against the computed vector", _CHARACTER, _cmd_character),
+    "is-real": ("reality of each dual canonical vector of one weight", _WEIGHT, _cmd_weight),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _COMMANDS[args.command][2](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

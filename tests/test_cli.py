@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qshuffle import basis, cartan, shuffle, words
+from qshuffle import basis, cartan, cli, shuffle, words
 from qshuffle.cli import main
 from qshuffle.laurent import LaurentPoly
 from qshuffle.shuffle import ShuffleElt
@@ -135,11 +135,25 @@ def test_usage_errors(capsys):
     assert run(capsys, "character", "A3", "--skew", "2,1")[0] == 1  # missing --shift
     assert run(capsys, "character", "A3", "--skew", "9,9/1", "--shift", "1")[0] == 1
     assert run(capsys, "character", "B2", "--shifted", "2,1", "--shift", "5")[0] == 1
+    assert run(capsys, "character", "A3", "--skew", "") == (1, "", "error: cannot parse shape ''\n")
     assert run(capsys, "scan", "A2", "--max-height", "0")[0] == 1
     assert run(capsys, "roots", "A2", "--order", "1,1")[0] == 1
-    # argparse-level failures (unknown subcommand, bad choice) also exit 1
+    # parser-level failures (unknown subcommand, bad choice) also exit 1
     assert run(capsys, "frobnicate", "A2")[0] == 1
     assert run(capsys, "scan", "A2", "--max-height", "2", "--check", "bogus")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], *([command, "-h"] for command in cli._COMMANDS)], ids=" ".join
+)
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: qshuffle {argv[0] if len(argv) > 1 else ''}")
+    names = cli._COMMANDS if len(argv) == 1 else cli._COMMANDS[argv[0]][1]
+    assert all(name in out for name in names)
+    if len(argv) > 1:
+        assert run(capsys, argv[0], "--help") == (code, out, err)
 
 
 def test_input_errors_found_past_argument_parsing_exit_1(capsys):

@@ -23,21 +23,33 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
-def _modules_loaded_by(module):
-    """Modules a fresh interpreter without site packages loads to import `module`."""
-    code = f"import sys; before = set(sys.modules); import {module}; print(*sorted(set(sys.modules) - before))"
+def _modules_loaded_by(code):
+    """Modules a fresh interpreter without site packages loads to run `code`."""
+    script = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    return set(done.stdout.split())
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+# What argparse brought to every command-line process: its own import, and
+# what its help formatter and messages load when a parser is built and run.
+PARSER_MODULES = {"argparse", "re", "enum", "gettext", "warnings"}
+PARSER_RUN_MODULES = PARSER_MODULES | {"shutil", "locale", "bz2", "lzma"}
 
 
 def test_import_budget():
     # every process pays for its imports before its first weight; the package
-    # needs none of these, and the CLI may load only what argparse and json bring
-    assert not _modules_loaded_by("qshuffle") & {
+    # needs none of these, and the CLI loads json only to render JSON
+    assert not _modules_loaded_by("import qshuffle") & {
         "dataclasses", "typing", "inspect", "re", "warnings", "json", "argparse"
     }
-    assert not _modules_loaded_by("qshuffle.cli") & {"dataclasses", "typing", "inspect"}
+    assert not _modules_loaded_by("import qshuffle.cli") & {"dataclasses", "typing", "inspect", "json", *PARSER_MODULES}
+
+
+def test_a_scan_process_loads_no_parser_modules():
+    loaded = _modules_loaded_by("from qshuffle.cli import main; main(['scan', 'A2', '--max-height', '2'])")
+    assert "qshuffle.cli" in loaded
+    assert not loaded & (PARSER_RUN_MODULES | {"json"})
 
 
 # The module-level memos the package keeps, as `module.name`.  Every other
