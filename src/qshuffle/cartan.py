@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .laurent import TheoryViolation
 
@@ -282,19 +282,30 @@ def kostant_partitions(datum: CartanDatum, nu: Weight) -> tuple[tuple[Weight, ..
     if any(c < 0 for c in nu):
         raise ValueError("weights lie in the nonnegative cone")
     roots = positive_roots(datum)[::-1]
+    # One integer per weight, a field per coordinate whose top bit is a guard.
+    # The remainder keeps every guard set; since no coordinate reaches the
+    # guard, subtracting a root never borrows across fields, and it clears a
+    # field's guard exactly when the root exceeds the remainder there.
+    width = max(chain(nu, *roots)).bit_length() + 1
+
+    def pack(w: Iterable[int]) -> int:
+        return sum(x << width * i for i, x in enumerate(w))
+
+    guards = pack([1 << width - 1] * len(nu))
+    packed = [pack(beta) for beta in roots]
     out: list[tuple[Weight, ...]] = []
     # an explicit stack, so that a weight of any height is in reach; the
     # children are pushed in reverse, so the smallest index is taken first
-    stack: list[tuple[int, Weight, tuple[Weight, ...]]] = [(0, nu, ())]
+    stack = [(0, guards + pack(nu), ())]
     while stack:
         start, remaining, acc = stack.pop()
-        if not any(remaining):
+        if remaining == guards:
             out.append(acc)
             continue
         for k in range(len(roots) - 1, start - 1, -1):
-            beta = roots[k]
-            if all(x <= y for x, y in zip(beta, remaining)):
-                stack.append((k, sub(remaining, beta), acc + (beta,)))
+            rest = remaining - packed[k]
+            if rest & guards == guards:
+                stack.append((k, rest, acc + (roots[k],)))
     return tuple(out)
 
 

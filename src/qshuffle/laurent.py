@@ -8,9 +8,10 @@ square roots.  Division and square roots fail loudly (`InexactDivision`,
 inexactness always means a bug or a violated structural assumption upstream.
 
 This module owns raw exponent-map arithmetic: `_add_into` and `_mul_add` are
-the only loops that accumulate into an exponent -> coefficient map.  The ring
-operations here and the shuffle kernel, which keeps its coefficients as raw
-maps, all go through them.
+the only loops that accumulate into an exponent -> coefficient map, and
+`_scaled` gives a one-term product its fresh map.  The ring operations here
+and the shuffle kernel, which keeps its coefficients as raw maps, all go
+through them.
 
 It also owns the packed form that `shuffle.product_coefficients` deals in
 (Kronecker substitution).  A pair (V, e0) stands for q^e0 times the
@@ -58,7 +59,7 @@ class LaurentPoly:
                 raise TypeError("exponents and coefficients must be integers")
             if c:
                 clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        self.terms = clean
 
     # -- queries ------------------------------------------------------------
 
@@ -135,7 +136,7 @@ class LaurentPoly:
         return _raw({-e: c for e, c in self.terms.items()})
 
     def is_bar_symmetric(self) -> bool:
-        return all(self.terms.get(-e, 0) == c for e, c in self.terms.items())
+        return self.terms == {-e: c for e, c in self.terms.items()}
 
     def positive_part(self) -> LaurentPoly:
         """Restriction to strictly positive exponents."""
@@ -180,12 +181,17 @@ class LaurentPoly:
 def _raw(terms: dict[int, int]) -> LaurentPoly:
     """Wrap an already-normalized dict without copying (internal fast path)."""
     p = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(p, "terms", terms)
+    p.terms = terms
     return p
 
 
 # Raw exponent maps: acc is owned by the caller and stays normalized (no zero
 # coefficient); the operands are only read and must be normalized, with c != 0.
+
+
+def _scaled(p: Mapping[int, int], k: int, c: int) -> dict[int, int]:
+    """A fresh map of c * q^k * p."""
+    return {e + k: c * x for e, x in p.items()}
 
 
 def _add_into(acc: dict[int, int], p: Mapping[int, int], k: int = 0, c: int = 1) -> None:
@@ -200,7 +206,9 @@ def _add_into(acc: dict[int, int], p: Mapping[int, int], k: int = 0, c: int = 1)
 
 
 def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> None:
-    """acc += p * q on raw exponent maps."""
+    """acc += p * q on raw exponent maps; the shorter operand runs outside."""
+    if len(p) > len(q):
+        p, q = q, p
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = e1 + e2

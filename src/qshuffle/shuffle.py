@@ -167,18 +167,40 @@ def _collect(datum: CartanDatum, weight: Weight, pairs: Iterable[tuple[Word, Lau
 _CACHE: dict[tuple[CartanDatum, Word, Word], dict[Word, dict[int, int]]] = {}
 
 
+def _scaled_into(
+    acc: dict[Word, dict[int, int]], product: Iterable[tuple[Word, dict[int, int]]], scale: dict[int, int]
+) -> None:
+    """acc += scale * product on raw {word: {exponent: coeff}} maps.
+
+    Words that cancel are deleted.  With a one-term scale c * q^k, a word
+    that acc does not hold yet takes a fresh map of c * q^k * p; no map of
+    product is shared into acc.
+    """
+    if len(scale) == 1:
+        ((k, c),) = scale.items()
+        for w, p in product:
+            d = acc.get(w)
+            if d is None:
+                acc[w] = laurent._scaled(p, k, c)
+            else:
+                laurent._add_into(d, p, k, c)
+                if not d:
+                    del acc[w]
+    else:
+        for w, p in product:
+            d = acc.setdefault(w, {})
+            laurent._mul_add(d, scale, p)
+            if not d:
+                del acc[w]
+
+
 def _sub_scaled(acc: dict[Word, dict[int, int]], f: ShuffleElt, c: LaurentPoly) -> None:
     """acc -= c * f on a raw {word: {exponent: coeff}} map the caller owns.
 
     Coefficients and words that cancel are deleted, so acc stays normalized;
     f and c are only read, and no map of theirs is shared into acc.
     """
-    neg = {e: -x for e, x in c.terms.items()}
-    for w, v in f.terms.items():
-        d = acc.setdefault(w, {})
-        laurent._mul_add(d, v.terms, neg)
-        if not d:
-            del acc[w]
+    _scaled_into(acc, ((w, v.terms) for w, v in f.terms.items()), laurent._scaled(c.terms, 0, -1))
 
 
 def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[int, int]]:
@@ -194,12 +216,10 @@ def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[in
         return hit
     a, b = w1[-1], w2[-1]
     bil = datum.bilinear
-    out: dict[Word, dict[int, int]] = {}
-    for u, p in _shuffle_words(datum, w1[:-1], w2).items():
-        laurent._add_into(out.setdefault(u + (a,), {}), p)
+    # the first branch's words are distinct, so its maps are copied whole
+    out = {u + (a,): dict(p) for u, p in _shuffle_words(datum, w1[:-1], w2).items()}
     shift = -sum(bil[x - 1][b - 1] for x in w1)
-    for u, p in _shuffle_words(datum, w1, w2[:-1]).items():
-        laurent._add_into(out.setdefault(u + (b,), {}), p, shift)
+    _scaled_into(out, ((u + (b,), p) for u, p in _shuffle_words(datum, w1, w2[:-1]).items()), {shift: 1})
     _CACHE[key] = out
     return out
 
@@ -212,17 +232,11 @@ def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
     acc: dict[Word, dict[int, int]] = {}
     for wf, cf in f.terms.items():
         for wg, cg in g.terms.items():
-            _scaled_into(acc, _shuffle_words(datum, wf, wg), (cf * cg).terms)
-    terms = {w: laurent._raw(d) for w, d in acc.items() if d}
+            scale: dict[int, int] = {}
+            laurent._mul_add(scale, cf.terms, cg.terms)
+            _scaled_into(acc, _shuffle_words(datum, wf, wg).items(), scale)
+    terms = {w: laurent._raw(d) for w, d in acc.items()}
     return _raw_elt(datum, cartan.add(f.weight, g.weight), terms)
-
-
-def _scaled_into(
-    acc: dict[Word, dict[int, int]], product: dict[Word, dict[int, int]], scale: dict[int, int]
-) -> None:
-    """acc += scale * product on raw {word: {exponent: coeff}} maps."""
-    for w, p in product.items():
-        laurent._mul_add(acc.setdefault(w, {}), scale, p)
 
 
 def product_coefficients(

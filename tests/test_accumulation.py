@@ -1,7 +1,7 @@
-"""The sparse-accumulation kernel: `laurent._add_into` and `laurent._mul_add`
-on raw exponent maps, the ring laws built on them, and the element
-operations that sum (word, coefficient) pairs through `shuffle._collect`,
-each against a plain dict-of-sums reference."""
+"""The sparse-accumulation kernel: `laurent._scaled`, `laurent._add_into`
+and `laurent._mul_add` on raw exponent maps, the ring laws built on them,
+and the element operations that sum (word, coefficient) pairs through
+`shuffle._collect`, each against a plain dict-of-sums reference."""
 
 from collections import defaultdict
 from itertools import permutations
@@ -38,15 +38,40 @@ def test_add_into_matches_plain_sums(acc, p, k, c):
     assert p == p_before
 
 
+monomial_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4).filter(bool), min_size=1, max_size=1)
+long_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4).filter(bool), min_size=2, max_size=6)
+# _mul_add runs its shorter operand outside, so either operand may be the
+# longer one, and one-term operands are the common case in the kernel
+operand_pairs = st.one_of(
+    st.tuples(exponent_maps, exponent_maps),
+    st.tuples(long_maps, monomial_maps),
+    st.tuples(monomial_maps, long_maps),
+    st.tuples(long_maps, exponent_maps),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(exponent_maps, exponent_maps, exponent_maps)
-def test_mul_add_matches_plain_sums(acc, p, q):
+@given(exponent_maps, operand_pairs)
+def test_mul_add_matches_plain_sums(acc, pq):
+    p, q = pq
     p_before, q_before = dict(p), dict(q)
     expected = _reference(acc.items(), ((e1 + e2, c1 * c2) for e1, c1 in p.items() for e2, c2 in q.items()))
     laurent._mul_add(acc, p, q)
     assert acc == expected
     assert all(acc.values())
     assert p == p_before and q == q_before
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_maps, st.integers(-6, 6), st.integers(-3, 3).filter(bool))
+def test_scaled_is_a_fresh_map_of_the_product(p, k, c):
+    p_before = dict(p)
+    out = laurent._scaled(p, k, c)
+    assert LaurentPoly(out) == laurent.monomial(k, c) * LaurentPoly(p)
+    assert all(out.values())
+    assert out is not p
+    out[99] = 1
+    assert p == p_before
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+import kostant_oracle
 from qshuffle import cartan
 from qshuffle.laurent import TheoryViolation
 from qshuffle.cartan import (
@@ -160,6 +161,21 @@ def test_kostant_partitions_brute_force_oracle():
             if tuple(total) == nu:
                 count += 1
         assert len(kostant_partitions(datum, nu)) == count
+
+
+@pytest.mark.parametrize("label, max_height", [("A3", 7), ("D4", 5), ("B2", 10), ("G2", 8), ("A5", 8)])
+def test_kostant_partitions_match_the_stack_enumeration(label, max_height):
+    # the same partitions in the same order, weight by weight
+    datum = parse(label)
+    for nu in cartan.weights_up_to_height(datum.rank, max_height):
+        assert kostant_partitions(datum, nu) == kostant_oracle.kostant_partitions(datum, nu), nu
+    assert kostant_partitions(datum, (0,) * datum.rank) == ((),)
+
+
+def test_kostant_partitions_reject_a_negative_coordinate():
+    for nu in [(-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="nonnegative cone"):
+            kostant_partitions(parse("B2"), nu)
 
 
 def test_kostant_partitions_are_multisets_each_once():

@@ -131,6 +131,34 @@ def test_scaled_by_a_monomial_matches_the_product(f_raw, k, m):
     assert f.scaled(ONE) is f
 
 
+def test_scans_share_no_map_and_mutate_no_cached_map(monkeypatch):
+    # a product's maps are fresh: a word pair whose scale is 1 must copy the
+    # cached map, not hand it over, or a later correction would mutate the cache
+    for label, max_height, check in [("A3", 3, "positivity"), ("B2", 2, "reality")]:
+        basis.scan(basis.GoodLyndonTable(cartan.parse(label)), max_height, check)
+    cached = dict(shuffle._CACHE)
+    frozen = copy.deepcopy(cached)
+    products = []
+    real = shuffle.qshuffle
+
+    def recorded(f, g):
+        h = real(f, g)
+        products.append((f, g, h))
+        return h
+
+    monkeypatch.setattr(shuffle, "qshuffle", recorded)
+    for label, max_height, check in [("A3", 5, "positivity"), ("B2", 4, "reality")]:
+        basis.scan(basis.GoodLyndonTable(cartan.parse(label)), max_height, check)
+    assert products and cached
+    assert all(cached[key] == frozen[key] for key in cached)
+    cache_maps = {id(p) for out in shuffle._CACHE.values() for p in out.values()}
+    for f, g, h in products:
+        maps = [id(c.terms) for c in h.terms.values()]
+        assert len(set(maps)) == len(maps)
+        operand_maps = {id(c.terms) for x in (f, g) for c in x.terms.values()}
+        assert not set(maps) & (cache_maps | operand_maps)
+
+
 def test_q_binom_four_choose_two():
     assert laurent.q_binom(4, 2, 3) == LaurentPoly({12: 1, 6: 1, 0: 2, -6: 1, -12: 1})
     assert laurent.q_binom(4, 2) == LaurentPoly({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})

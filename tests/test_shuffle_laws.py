@@ -1,8 +1,9 @@
 """The algebraic laws of the q-shuffle product that the basis construction
 relies on, as properties of random homogeneous elements and random words:
 associativity, bilinearity over Laurent scalars, `tau` as an
-anti-automorphism, `bar_elt` as an automorphism, and agreement of the
-recursive product with direct interleaving."""
+anti-automorphism, `bar_elt` as an automorphism, agreement of the
+recursive product with direct interleaving, and the product of elements as
+the sum over their word pairs, with cancelling pairs."""
 
 from itertools import permutations
 
@@ -119,3 +120,67 @@ def test_square_matches_the_product_with_a_distinct_copy(f):
     assert copy_of_f is not f
     square = qshuffle(f, f)
     assert square == qshuffle(f, copy_of_f) and square.weight == cartan.add(f.weight, f.weight)
+
+
+# -- the product against its definition, term by term --------------------------------
+
+PAIR_DATA = [cartan.parse(label) for label in ("A2", "B2")]
+
+monomials = st.tuples(st.integers(-4, 4), st.integers(-3, 3).filter(bool)).map(lambda t: LaurentPoly({t[0]: t[1]}))
+multi_term_polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool), min_size=2, max_size=3).map(
+    LaurentPoly
+)
+# the kernel takes a fresh-map path for a one-term pair scale and a general one otherwise
+pair_coefficients = st.one_of(monomials, multi_term_polys)
+
+
+@st.composite
+def pair_operands(draw, datum):
+    base = draw(words(datum, 3))
+    support = sorted(set(permutations(base)))
+    terms = draw(st.dictionaries(st.sampled_from(support), pair_coefficients, min_size=1, max_size=3))
+    return ShuffleElt(datum, cartan.word_weight(datum, base), terms)
+
+
+@st.composite
+def cancelling_operands(draw, datum):
+    """f = m s2 w1 - m s1 w2 and g = c v, where w2 is w1 with one adjacent pair
+    ab swapped, v = a, and s1, s2 are the coefficients of one word x in both
+    w1 * v and w2 * v (inserting a after b in w1 is inserting it before b in
+    w2).  The two word pairs cancel at x, so x must leave the product."""
+    base = draw(words(datum, 3).filter(lambda w: len(set(w)) > 1))
+    w1 = draw(st.sampled_from(sorted(set(permutations(base)))))
+    i = draw(st.sampled_from([i for i in range(len(w1) - 1) if w1[i] != w1[i + 1]]))
+    w2 = w1[:i] + (w1[i + 1], w1[i]) + w1[i + 2 :]
+    v = (w1[i],)
+    s1, s2 = (qshuffle_by_interleaving(datum, w, v).terms for w in (w1, w2))
+    x = draw(st.sampled_from(sorted(s1.keys() & s2.keys())))
+    m = draw(pair_coefficients)
+    f = ShuffleElt(datum, cartan.word_weight(datum, base), {w1: m * s2[x], w2: -(m * s1[x])})
+    return f, ShuffleElt.from_word(datum, v, draw(pair_coefficients)), x
+
+
+def _sum_over_word_pairs(f, g):
+    """sum of cf cg (wf * wg) over the word pairs, with element arithmetic."""
+    out = ShuffleElt.zero(f.datum, cartan.add(f.weight, g.weight))
+    for wf, cf in f.terms.items():
+        for wg, cg in g.terms.items():
+            out = out + qshuffle_by_interleaving(f.datum, wf, wg).scaled(cf * cg)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PAIR_DATA).flatmap(lambda d: st.tuples(pair_operands(d), pair_operands(d))))
+def test_qshuffle_is_the_sum_over_word_pairs(fg):
+    f, g = fg
+    assert qshuffle(f, g) == _sum_over_word_pairs(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PAIR_DATA).flatmap(cancelling_operands))
+def test_qshuffle_drops_a_word_whose_pairs_cancel(case):
+    f, g, x = case
+    h = qshuffle(f, g)
+    assert x not in h.terms
+    assert all(h.terms.values())
+    assert h == _sum_over_word_pairs(f, g)
