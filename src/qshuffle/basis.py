@@ -646,16 +646,67 @@ _SCAN_CHECKS = {
 }
 
 
+def _moved(sigma: Sequence[int], nui: Weight) -> Weight:
+    """The weight of sigma(w) for the words w of weight nui."""
+    out = [0] * len(nui)
+    for i, c in enumerate(nui, start=1):
+        out[sigma[i] - 1] = c
+    return tuple(out)
+
+
+def _relabeled(table: GoodLyndonTable, sigma: Sequence[int], vectors: Vectors, mui: Weight) -> Vectors:
+    """The dual canonical vectors of mui, ascending by good word, as the
+    images of `vectors`, those of a weight nu with mui = sigma(nu), under the
+    letter map sigma = (0, s(1), ..., s(r)) of internal letters, each
+    coefficient kept.  A letter map that fixes the internal datum is an
+    algebra automorphism that maps the dual canonical basis onto itself, but
+    not the lexicographic order, so each image is indexed by its own maximal
+    word: that word must be a good word of mui whose coefficient is its
+    kappa, and the images must index every good word of mui once.  Anything
+    else raises."""
+    images: dict[Word, tuple[Word, ShuffleElt, LaurentPoly]] = {}
+    for g, elt, _ in vectors:
+        terms = {tuple(map(sigma.__getitem__, w)): c for w, c in elt.terms.items()}
+        h = max(terms)
+        factors = table._factors_i(h)
+        if factors is None or h in images or terms[h] != (kappa := table._kappa_i(factors)):
+            raise laurent.TheoryViolation(
+                f"the image at weight {cartan.format_weight(table._nu_out(mui))} has maximal word "
+                f"{format_word(table._w_out(h))}: not good, not new, or its coefficient is not kappa {table._where(g)}"
+            )
+        images[h] = (h, shuffle._raw_elt(table._idatum, mui, terms), kappa)
+    goods = table._good_words_i(mui)
+    missing = [h for h, _ in goods if h not in images]
+    if missing:
+        raise laurent.TheoryViolation(f"no relabeled vector has this maximal word {table._where(missing[0])}")
+    return tuple(images[h] for h, _ in goods)
+
+
 def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
-    """Run one check over every nonzero weight of height at most max_height."""
+    """Run one check over every nonzero weight of height at most max_height.
+
+    The diagram automorphisms of the internal datum split the weights into
+    orbits.  Only the first weight of each orbit, in scan order, is built;
+    its vectors are held until every later member has been relabeled from
+    them (`_relabeled`).  Every weight runs the check on its own vectors."""
     if check not in _SCAN_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {sorted(_SCAN_CHECKS)}")
     run = _SCAN_CHECKS[check]
+    sigmas = [(0, *s) for s in cartan.automorphisms(table._idatum)]
+    sources: dict[Weight, tuple[tuple[int, ...], Vectors]] = {}  # a later member -> its map and source
     entries = []
     t0 = time.perf_counter()
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
         w0 = time.perf_counter()
-        vectors = table._dual_canonical_weight_i(table._nu_in(nu))
+        nui = table._nu_in(nu)
+        source = sources.pop(nui, None)
+        if source is None:
+            vectors = table._dual_canonical_weight_i(nui)
+            for sigma in sigmas:
+                if (mui := _moved(sigma, nui)) != nui:
+                    sources.setdefault(mui, (sigma, vectors))
+        else:
+            vectors = _relabeled(table, *source, nui)
         violations = tuple(run(table, vectors))
         entries.append(WeightEntry(nu, len(vectors), violations, time.perf_counter() - w0))
     return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)

@@ -1,4 +1,5 @@
-"""Finite-type Cartan data: roots, weights, the bilinear form, Kostant partitions.
+"""Finite-type Cartan data: roots, weights, the bilinear form, Kostant
+partitions, diagram automorphisms.
 
 Node numbering conventions (1-based), fixed here once and relied on everywhere:
 
@@ -307,6 +308,55 @@ def kostant_partitions(datum: CartanDatum, nu: Weight) -> tuple[tuple[Weight, ..
             if rest & guards == guards:
                 stack.append((k, rest, acc + (roots[k],)))
     return tuple(out)
+
+
+def automorphisms(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
+    """Every permutation s of the nodes other than the identity with
+    a[s(i)][s(j)] = a[i][j] and d[s(i)] = d[i], as (s(1), ..., s(r)), ascending.
+
+    The search extends a partial map one node at a time, breadth first over
+    the diagram, and keeps a candidate image only when every pair with the
+    nodes already mapped agrees in a and d.  A node with a mapped neighbour
+    can only go to a neighbour of that neighbour's image, so on the chains
+    and forks of the finite types each level holds a small multiple of r
+    partial maps, in any numbering, and the r! permutations are never walked.
+    """
+    r = datum.rank
+    a, d = datum.cartan, datum.d
+    # breadth first: anchor[k] is the position of a neighbour of visit[k]
+    # visited before it, None for the first node of a component
+    visit: list[int] = []
+    anchor: list[int | None] = []
+    walked = 0
+    while len(visit) < r:
+        if walked == len(visit):
+            visit.append(next(i for i in range(r) if i not in visit))
+            anchor.append(None)
+        i = visit[walked]
+        walked += 1
+        for j in range(r):
+            if a[i][j] and j not in visit:
+                visit.append(j)
+                anchor.append(walked - 1)
+    found = []
+    stack: list[tuple[int, ...]] = [()]  # images of visit[:k]
+    while stack:
+        images = stack.pop()
+        k = len(images)
+        if k == r:
+            s = [0] * r
+            for i, c in zip(visit, images):
+                s[i] = c + 1
+            found.append(tuple(s))
+            continue
+        i, p = visit[k], anchor[k]
+        pool = range(r) if p is None else (c for c in range(r) if a[images[p]][c])
+        for c in pool:
+            if d[c] == d[i] and c not in images and all(
+                a[i][j] == a[c][cj] and a[j][i] == a[cj][c] for j, cj in zip(visit, images)
+            ):
+                stack.append(images + (c,))
+    return tuple(sorted(s for s in found if s != tuple(range(1, r + 1))))
 
 
 def weights_up_to_height(rank: int, max_height: int) -> Iterator[Weight]:

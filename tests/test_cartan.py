@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 import kostant_oracle
@@ -240,3 +242,66 @@ def test_reorder():
 def test_weights_up_to_height():
     ws = list(cartan.weights_up_to_height(2, 2))
     assert ws == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def _reversal(r):
+    return tuple(range(r, 0, -1))
+
+
+def _fixes(datum, s):
+    r, a, d = datum.rank, datum.cartan, datum.d
+    return all(d[s[i] - 1] == d[i] for i in range(r)) and all(
+        a[s[i] - 1][s[j] - 1] == a[i][j] for i in range(r) for j in range(r)
+    )
+
+
+@pytest.mark.parametrize(
+    "label, group",
+    [
+        ("A1", set()),
+        *[(f"A{r}", {_reversal(r)}) for r in range(2, 8)],
+        ("D4", {(1, 4, 3, 2), (2, 1, 3, 4), (2, 4, 3, 1), (4, 1, 3, 2), (4, 2, 3, 1)}),
+        *[(f"D{r}", {(2, 1, *range(3, r + 1))}) for r in range(5, 9)],
+        ("E6", {(6, 2, 5, 4, 3, 1)}),
+        *[(f"{f}{r}", set()) for f in "BC" for r in range(2, 7)],
+        ("E7", set()),
+        ("E8", set()),
+        ("F4", set()),
+        ("G2", set()),
+    ],
+)
+def test_automorphisms_are_the_diagram_symmetries(label, group):
+    found = cartan.automorphisms(parse(label))
+    assert set(found) == group and list(found) == sorted(group)
+
+
+@pytest.mark.parametrize(
+    "label, order",
+    [
+        ("A3", None), ("D4", None), ("E6", None), ("B3", None), ("A4", (2, 4, 1, 3)),
+        ("D4", (3, 1, 4, 2)), ("D5", (5, 3, 1, 2, 4)), ("G2", (2, 1)), ("C3", (3, 1, 2)),
+    ],
+)
+def test_automorphisms_match_every_permutation_checked(label, order):
+    datum = parse(label)
+    if order is not None:
+        datum = reorder(datum, order)
+    identity = tuple(range(1, datum.rank + 1))
+    every = {s for s in permutations(identity) if s != identity and _fixes(datum, s)}
+    assert set(cartan.automorphisms(datum)) == every
+
+
+def test_automorphisms_of_high_rank_without_every_permutation():
+    # 60! permutations could never be walked; the search follows the diagram
+    assert cartan.automorphisms(build("A", 60)) == (_reversal(60),)
+    assert cartan.automorphisms(build("D", 60)) == ((2, 1, *range(3, 61)),)
+    assert cartan.automorphisms(build("B", 60)) == ()
+
+
+def test_automorphisms_follow_the_diagram_under_any_numbering():
+    # odd nodes first: the first half of the letters are pairwise apart, so a
+    # search in letter order would branch on every one of them
+    order = (*range(1, 61, 2), *range(2, 61, 2))
+    position = {o: k for k, o in enumerate(order, start=1)}
+    reversal = tuple(position[61 - o] for o in order)
+    assert cartan.automorphisms(reorder(build("A", 60), order)) == (reversal,)
