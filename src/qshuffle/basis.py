@@ -383,14 +383,36 @@ class GoodLyndonTable:
 
     def _dual_canonical_weight_i(self, nui: Weight) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
         """The dual canonical vectors of nui, ascending by good word, built
-        once while nui is the scope's weight."""
+        once while nui is the scope's weight.
+
+        Kashiwara's anti-involution * fixes every E_i and maps the canonical
+        basis onto itself; in the shuffle algebra it reverses words and keeps
+        every coefficient.  So the reversal tau(b*_g) of a dual canonical
+        vector is the dual canonical vector b*_h of nui indexed by its own
+        maximal word h, and tau permutes the vectors of nui.  The pass goes up
+        the good words.  A good word g that no earlier reversal reached is
+        straightened from its dual PBW vector E*_g; if the reversal of b*_g
+        has a maximal word h > g, it is held and taken as b*_h when the pass
+        reaches h, so E*_h is never built here.  A tau-fixed good word, h = g,
+        is straightened like any other.  As tau is an involution, b*_h with
+        h < g was met earlier and would have held g instead, and a second
+        vector cannot reverse onto a held h.  So an h below g, an h that is
+        not good or is held already, a held image whose coefficient at h is
+        not kappa_h and an image still held at the end all break the theory
+        and raise."""
         self._enter(nui)
         if self._canonical_memo is not None:
             return self._canonical_memo
         goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        out: list[tuple[Word, ShuffleElt, LaurentPoly]] = []
+        held: dict[Word, ShuffleElt] = {}
         for k, (g, factors) in enumerate(goods):
+            if g in held:
+                elt, kappa = held.pop(g), self._kappa_i(factors)
+                if elt.terms[g] != kappa:
+                    raise StraighteningFailure(f"reversed image's coefficient is not kappa {self._where(g)}")
+                done[g] = (elt, kappa)
+                continue
             pbw, kappa = self._dual_pbw_i(g, factors)
             # The dual PBW vectors are triangular on the good words, so one
             # pass from g down fixes every good coefficient: a correction at p
@@ -425,8 +447,19 @@ class GoodLyndonTable:
             if shuffle.max_word(elt) != g or elt.terms[g] != kappa:
                 raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
             done[g] = (elt, kappa)
-            out.append((g, elt, kappa))
-        self._canonical_memo = tuple(out)
+            reversed_terms = {w[::-1]: c for w, c in elt.terms.items()}
+            h = max(reversed_terms)
+            if h == g:
+                continue
+            if h < g or h in held or self._factors_i(h) is None:
+                raise StraighteningFailure(
+                    f"the reversal has maximal word {format_word(self._w_out(h))}: "
+                    f"below the good word, held already or not good {self._where(g)}"
+                )
+            held[h] = shuffle._raw_elt(self._idatum, nui, reversed_terms)
+        if held:
+            raise StraighteningFailure(f"a reversed image was never reached {self._where(min(held))}")
+        self._canonical_memo = tuple((g, *done[g]) for g, _ in goods)
         return self._canonical_memo
 
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:

@@ -98,8 +98,9 @@ def _count_builds(monkeypatch, table):
 
 
 def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch):
-    # one build per good word of D4 up to height 5: straightening fills the
-    # memo and the expansions of the same weight only read it
+    # one build per good word of D4 up to height 5: straightening builds the
+    # dual PBW vectors of the good words it straightens, the expansions those
+    # of the vectors derived by reversal, and each reads the other's
     table = basis.GoodLyndonTable(cartan.parse("D4"))
     built = _count_builds(monkeypatch, table)
     report = basis.scan(table, 5, "invariants")
@@ -109,15 +110,20 @@ def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch
 
 @pytest.mark.parametrize("label, nu", [("B2", (2, 2)), ("G2", (3, 2)), ("D4", (1, 1, 1, 1))])
 def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
+    # straightening builds E*_g at the straightened good words only, and
+    # nothing more is built for them; the vectors at the other good words
+    # are reversals, and the expansions build each of their E*_h once
     table = basis.GoodLyndonTable(cartan.parse(label))
     built = _count_builds(monkeypatch, table)
     vectors = table._dual_canonical_weight_i(nu)
-    assert len(built) == len(vectors)
+    goods = [g for g, _, _ in vectors]
+    derived = {h for g, elt, _ in vectors if (h := max(w[::-1] for w in elt.terms)) > g}
+    assert derived and built == [g for g in goods if g not in derived]
     for g, elt, _ in vectors:
         assert table._expand_i(elt)[g] == 1
-        pbw, _ = table._pbw_memo[g]
+        pbw, _ = table._dual_pbw_i(g)
         assert table._expand_i(pbw) == {g: 1}
-    assert len(built) == len(vectors)
+    assert sorted(built) == goods
 
 
 def _held_weights(table):

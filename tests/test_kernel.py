@@ -24,6 +24,8 @@ DIFFERENTIAL_RANGES = [
     ("D4", 5, None),
     ("A3", 6, (2, 1, 3)),
     ("F4", 4, None),
+    ("D4", 4, (4, 3, 2, 1)),
+    ("E6", 3, None),
 ]
 
 
@@ -168,10 +170,12 @@ def test_q_binom_four_choose_two():
 
 
 def _broken_table(monkeypatch, alter):
-    """An A3 table with order 2,1,3 whose dual PBW vector at the largest good
-    word of weight (1,1,1) is replaced by `alter(table, vector)`."""
+    """An A3 table with order 2,1,3 whose dual PBW vector at the largest
+    straightened good word of weight (1,1,1), the second of four, is replaced
+    by `alter(table, vector)`.  The vectors at the last two good words are the
+    reversals of the first two, so their dual PBW vectors are never built."""
     table = basis.GoodLyndonTable(cartan.parse("A3"), (2, 1, 3))
-    target = table.good_words_of_weight((1, 1, 1))[-1].word
+    target = table.good_words_of_weight((1, 1, 1))[1].word
     real = table._dual_pbw_i
 
     def broken(wi, factors):
