@@ -104,20 +104,13 @@ class GoodLyndonTable:
     def _nu_in(self, nu: Weight) -> Weight:
         if len(nu) != self.datum.rank:
             raise ValueError(f"weight needs {self.datum.rank} entries")
-        return tuple(nu[o - 1] for o in self.order)
+        return _moved(self._in_letters, nu)
 
     def _nu_out(self, nu: Weight) -> Weight:
-        out = [0] * len(nu)
-        for k, o in enumerate(self.order):
-            out[o - 1] = nu[k]
-        return tuple(out)
+        return _moved(self._out_letters, nu)
 
     def _elt_out(self, e: ShuffleElt) -> ShuffleElt:
-        return ShuffleElt(
-            self.datum,
-            self._nu_out(e.weight),
-            {self._w_out(w): c for w, c in e.terms.items()},
-        )
+        return _moved_elt(self._out_letters, self.datum, e)
 
     def _elt_in(self, e: ShuffleElt) -> ShuffleElt:
         if e.datum != self.datum:
@@ -381,38 +374,51 @@ class GoodLyndonTable:
 
     # -- the dual canonical basis --------------------------------------------------------
 
-    def _dual_canonical_weight_i(self, nui: Weight) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
+    def _dual_canonical_weight_i(
+        self, nui: Weight, images: Iterable[ShuffleElt] | None = None
+    ) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
         """The dual canonical vectors of nui, ascending by good word, built
         once while nui is the scope's weight.
 
-        Kashiwara's anti-involution * fixes every E_i and maps the canonical
-        basis onto itself; in the shuffle algebra it reverses words and keeps
-        every coefficient.  So the reversal tau(b*_g) of a dual canonical
-        vector is the dual canonical vector b*_h of nui indexed by its own
-        maximal word h, and tau permutes the vectors of nui.  The pass goes up
-        the good words.  A good word g that no earlier reversal reached is
-        straightened from its dual PBW vector E*_g; if the reversal of b*_g
-        has a maximal word h > g, it is held and taken as b*_h when the pass
-        reaches h, so E*_h is never built here.  A tau-fixed good word, h = g,
-        is straightened like any other.  As tau is an involution, b*_h with
-        h < g was met earlier and would have held g instead, and a second
-        vector cannot reverse onto a held h.  So an h below g, an h that is
-        not good or is held already, a held image whose coefficient at h is
-        not kappa_h and an image still held at the end all break the theory
-        and raise."""
+        Two symmetries map the dual canonical basis onto itself, keeping every
+        coefficient but not the lexicographic order, so each image of a dual
+        canonical vector is the vector b*_h indexed by its own maximal word h:
+        the reversal tau of words (Kashiwara's anti-involution *, which fixes
+        every E_i) permutes the vectors of nui, and a letter map sigma that
+        fixes the internal datum is an algebra automorphism (Lusztig), so
+        `images`, the sigma-images of the vectors of sigma^-1(nui), are the
+        vectors of nui.  The pass goes up the good words and takes each image
+        held at h as b*_h, so E*_h is never built here.  Given `images`, it
+        holds each at its maximal word and straightens nothing.  Otherwise a
+        good word g that no earlier reversal reached is straightened from its
+        dual PBW vector E*_g, and if the reversal of b*_g has a maximal word
+        h > g, it is held; a tau-fixed good word, h = g, is straightened like
+        any other.  As tau is an involution, b*_h with h < g was met earlier
+        and would have held g instead, and a second vector cannot reverse onto
+        a held h.  So a reversal onto an h below g, not good or held already,
+        two images with one maximal word, a held image whose coefficient at h
+        is not kappa_h, a good word that no given image reaches and an image
+        still held at the end, such as one at a word that is not good, all
+        break the theory and raise."""
         self._enter(nui)
         if self._canonical_memo is not None:
             return self._canonical_memo
         goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         held: dict[Word, ShuffleElt] = {}
+        for elt in images or ():
+            if (h := shuffle.max_word(elt)) in held:
+                raise StraighteningFailure(f"two images have this maximal word {self._where(h)}")
+            held[h] = elt
         for k, (g, factors) in enumerate(goods):
             if g in held:
                 elt, kappa = held.pop(g), self._kappa_i(factors)
                 if elt.terms[g] != kappa:
-                    raise StraighteningFailure(f"reversed image's coefficient is not kappa {self._where(g)}")
+                    raise StraighteningFailure(f"image's coefficient is not kappa {self._where(g)}")
                 done[g] = (elt, kappa)
                 continue
+            if images is not None:
+                raise StraighteningFailure(f"no image has this maximal word {self._where(g)}")
             pbw, kappa = self._dual_pbw_i(g, factors)
             # The dual PBW vectors are triangular on the good words, so one
             # pass from g down fixes every good coefficient: a correction at p
@@ -458,7 +464,7 @@ class GoodLyndonTable:
                 )
             held[h] = shuffle._raw_elt(self._idatum, nui, reversed_terms)
         if held:
-            raise StraighteningFailure(f"a reversed image was never reached {self._where(min(held))}")
+            raise StraighteningFailure(f"an image was never reached {self._where(min(held))}")
         self._canonical_memo = tuple((g, *done[g]) for g, _ in goods)
         return self._canonical_memo
 
@@ -510,6 +516,21 @@ class GoodLyndonTable:
 def _grouped(lyndons: Sequence[Word]) -> tuple[tuple[Word, int], ...]:
     """Runs of equal words in a non-increasing Lyndon factorization, with multiplicities."""
     return tuple((l, len(list(run))) for l, run in groupby(lyndons))
+
+
+def _moved(sigma: Sequence[int], nu: Weight) -> Weight:
+    """The weight of sigma(w) for the words w of weight nu, under the letter
+    map sigma = (0, s(1), ..., s(r))."""
+    out = [0] * len(nu)
+    for i, c in enumerate(nu, start=1):
+        out[sigma[i] - 1] = c
+    return tuple(out)
+
+
+def _moved_elt(sigma: Sequence[int], datum: CartanDatum, e: ShuffleElt) -> ShuffleElt:
+    """sigma applied to every letter of e, each coefficient kept, over datum."""
+    terms = {tuple(map(sigma.__getitem__, w)): c for w, c in e.terms.items()}
+    return shuffle._raw_elt(datum, _moved(sigma, e.weight), terms)
 
 
 # -- reality and whole-range scans ----------------------------------------------------
@@ -679,49 +700,14 @@ _SCAN_CHECKS = {
 }
 
 
-def _moved(sigma: Sequence[int], nui: Weight) -> Weight:
-    """The weight of sigma(w) for the words w of weight nui."""
-    out = [0] * len(nui)
-    for i, c in enumerate(nui, start=1):
-        out[sigma[i] - 1] = c
-    return tuple(out)
-
-
-def _relabeled(table: GoodLyndonTable, sigma: Sequence[int], vectors: Vectors, mui: Weight) -> Vectors:
-    """The dual canonical vectors of mui, ascending by good word, as the
-    images of `vectors`, those of a weight nu with mui = sigma(nu), under the
-    letter map sigma = (0, s(1), ..., s(r)) of internal letters, each
-    coefficient kept.  A letter map that fixes the internal datum is an
-    algebra automorphism that maps the dual canonical basis onto itself, but
-    not the lexicographic order, so each image is indexed by its own maximal
-    word: that word must be a good word of mui whose coefficient is its
-    kappa, and the images must index every good word of mui once.  Anything
-    else raises."""
-    images: dict[Word, tuple[Word, ShuffleElt, LaurentPoly]] = {}
-    for g, elt, _ in vectors:
-        terms = {tuple(map(sigma.__getitem__, w)): c for w, c in elt.terms.items()}
-        h = max(terms)
-        factors = table._factors_i(h)
-        if factors is None or h in images or terms[h] != (kappa := table._kappa_i(factors)):
-            raise laurent.TheoryViolation(
-                f"the image at weight {cartan.format_weight(table._nu_out(mui))} has maximal word "
-                f"{format_word(table._w_out(h))}: not good, not new, or its coefficient is not kappa {table._where(g)}"
-            )
-        images[h] = (h, shuffle._raw_elt(table._idatum, mui, terms), kappa)
-    goods = table._good_words_i(mui)
-    missing = [h for h, _ in goods if h not in images]
-    if missing:
-        raise laurent.TheoryViolation(f"no relabeled vector has this maximal word {table._where(missing[0])}")
-    return tuple(images[h] for h, _ in goods)
-
-
 def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
     """Run one check over every nonzero weight of height at most max_height.
 
     The diagram automorphisms of the internal datum split the weights into
-    orbits.  Only the first weight of each orbit, in scan order, is built;
-    its vectors are held until every later member has been relabeled from
-    them (`_relabeled`).  Every weight runs the check on its own vectors."""
+    orbits.  Only the first weight of each orbit, in scan order, is
+    straightened; its vectors are held until every later member has taken
+    their images as its own (`_dual_canonical_weight_i` with `images`).
+    Every weight runs the check on its own vectors."""
     if check not in _SCAN_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {sorted(_SCAN_CHECKS)}")
     run = _SCAN_CHECKS[check]
@@ -739,7 +725,9 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
                 if (mui := _moved(sigma, nui)) != nui:
                     sources.setdefault(mui, (sigma, vectors))
         else:
-            vectors = _relabeled(table, *source, nui)
+            sigma, first = source
+            images = [_moved_elt(sigma, table._idatum, elt) for _, elt, _ in first]
+            vectors = table._dual_canonical_weight_i(nui, images)
         violations = tuple(run(table, vectors))
         entries.append(WeightEntry(nu, len(vectors), violations, time.perf_counter() - w0))
     return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)

@@ -198,8 +198,8 @@ def _table(args: SimpleNamespace) -> basis.GoodLyndonTable:
         raise UsageError(str(exc)) from exc
 
 
-def _header(args: SimpleNamespace, **extra: str) -> str:
-    order = args.order or ",".join(str(i) for i in range(1, cartan.parse(args.type).rank + 1))
+def _header(args: SimpleNamespace, table: basis.GoodLyndonTable, **extra: str) -> str:
+    order = args.order or ",".join(map(str, table.order))
     parts = [args.command, args.type, f"order={order}"]
     parts.extend(f"{k}={v}" for k, v in extra.items())
     return " ".join(parts)
@@ -224,7 +224,7 @@ def _emit(text_lines: list[str], json_obj: dict, fmt: str) -> None:
 
 def _cmd_roots(args) -> int:
     table = _table(args)
-    lines = [_header(args)]
+    lines = [_header(args, table)]
     entries = []
     for k, beta in enumerate(table.roots_in_convex_order(), start=1):
         l = table.lyndon_of_root(beta)
@@ -245,7 +245,7 @@ def _cmd_weight(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = [row(table, item) for item in items(table, nu)]
-    lines = [_header(args, weight=cartan.format_weight(nu))] + [line for line, _ in rows]
+    lines = [_header(args, table, weight=cartan.format_weight(nu))] + [line for line, _ in rows]
     _emit(lines, {**_meta(args, table), "weight": list(nu), key: [entry for _, entry in rows]}, args.format)
     return 0
 
@@ -297,7 +297,7 @@ def _cmd_scan(args) -> int:
     if args.max_height < 1:
         raise UsageError("--max-height must be at least 1")
     report = basis.scan(table, args.max_height, args.check)
-    lines = [_header(args, check=args.check, **{"max-height": str(args.max_height)})]
+    lines = [_header(args, table, check=args.check, **{"max-height": str(args.max_height)})]
     entries = []
     for entry in report.entries:
         status = "ok" if not entry.violations else f"violations={len(entry.violations)}"
@@ -351,7 +351,7 @@ def _cmd_character(args) -> int:
         raise UsageError(str(exc)) from exc
     verdict = "MATCH" if computed.elt == char.element else "MISMATCH"
     lines = [
-        _header(args, shape=shape_str),
+        _header(args, table, shape=shape_str),
         f"good word: {format_word(char.good_word)}",
         f"tableaux: {char.tableau_count}",
         f"character: {char.element}",

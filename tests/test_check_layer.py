@@ -207,10 +207,10 @@ def test_reality_scan_straightens_each_weight_once(monkeypatch):
     real = table._dual_canonical_weight_i
     straightened = []
 
-    def counting(nui):
-        if table._canonical_memo is None or table._pbw_memo_weight != nui:
+    def counting(nui, images=None):
+        if images is None and (table._canonical_memo is None or table._pbw_memo_weight != nui):
             straightened.append(nui)
-        return real(nui)
+        return real(nui, images)
 
     monkeypatch.setattr(table, "_dual_canonical_weight_i", counting)
     report = basis.scan(table, 5, "reality")

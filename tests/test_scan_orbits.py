@@ -1,8 +1,9 @@
 """`basis.scan` straightens only the first weight of each orbit of the
-diagram automorphisms and relabels the vectors of the later members.  The
-scan must agree with the per-weight reference in `scan_oracle`, every
-relabeled weight with a fresh construction, and a letter map that does not
-fix the datum must be caught."""
+diagram automorphisms and seeds the pass of each later member with the
+relabeled vectors.  The scan must agree with the per-weight reference in
+`scan_oracle`, every relabeled weight with a fresh construction, and the
+pass must catch images that a letter map which does not fix the datum, or a
+spoilt vector, would give."""
 
 import os
 import subprocess
@@ -13,21 +14,22 @@ import pytest
 
 import scan_oracle
 from qshuffle import basis, cartan
-from qshuffle.laurent import TheoryViolation
+from qshuffle.basis import StraighteningFailure
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _scan_capturing(monkeypatch, table, max_height):
     """Scan with a check that keeps every weight's vectors; also the internal
-    weights the table straightened."""
+    weights the table straightened, those whose pass was given no images."""
     captured, built = [], []
     monkeypatch.setitem(basis._SCAN_CHECKS, "capture", lambda table, vectors: captured.append(vectors) or [])
     straighten = basis.GoodLyndonTable._dual_canonical_weight_i
 
-    def recording(self, nui):
-        built.append(nui)
-        return straighten(self, nui)
+    def recording(self, nui, images=None):
+        if images is None:
+            built.append(nui)
+        return straighten(self, nui, images)
 
     monkeypatch.setattr(basis.GoodLyndonTable, "_dual_canonical_weight_i", recording)
     report = basis.scan(table, max_height, "capture")
@@ -37,7 +39,16 @@ def _scan_capturing(monkeypatch, table, max_height):
 
 @pytest.mark.parametrize("check", ["positivity", "reality", "invariants"])
 @pytest.mark.parametrize(
-    "label, max_height, order", [("A3", 6, None), ("A3", 6, (3, 2, 1)), ("D4", 4, None), ("D4", 4, (4, 1, 3, 2))]
+    "label, max_height, order",
+    [
+        ("A3", 6, None),
+        ("A3", 6, (3, 2, 1)),
+        ("D4", 4, None),
+        ("D4", 4, (4, 1, 3, 2)),
+        # the imaginary vector at (1,1,2,1) and seeded weights
+        ("D4", 5, None),
+        ("D4", 5, (4, 1, 3, 2)),
+    ],
 )
 def test_scan_records_equal_the_per_weight_oracle(label, max_height, order, check):
     datum = cartan.parse(label)
@@ -75,33 +86,84 @@ def test_a_datum_without_automorphisms_straightens_every_weight(monkeypatch):
     assert len(built) == len(report.entries)
 
 
+# the A3 vectors of (0,1,1) are w[2,3] and w[3,2]; swapping letters 1 and 2,
+# which does not fix A3, maps them onto w[1,3] and w[3,1] at (1,0,1), whose
+# only good word is 3,1, so the image at 1,3 is never reached
 SWAP_12 = """
 from qshuffle import basis, cartan
-from qshuffle.laurent import TheoryViolation
+from qshuffle.basis import StraighteningFailure
 table = basis.GoodLyndonTable(cartan.parse("A3"))
-nu = (0, 1, 1)
+vectors = table._dual_canonical_weight_i((0, 1, 1))
+images = [basis._moved_elt((0, 2, 1, 3), table._idatum, elt) for _, elt, _ in vectors]
 try:
-    basis._relabeled(table, (0, 2, 1, 3), table._dual_canonical_weight_i(nu), (1, 0, 1))
-except TheoryViolation as exc:
+    table._dual_canonical_weight_i((1, 0, 1), images)
+except StraighteningFailure as exc:
     print(exc)
 else:
-    raise SystemExit("relabeled by a map that does not fix the datum")
+    raise SystemExit("seeded by a map that does not fix the datum")
 """
 
 
-def test_a_letter_map_that_breaks_the_datum_raises_a_located_violation_under_optimization():
-    # the image of the vector at 2,3 has maximal word 1,3, which is not good
+def _run_optimized(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-O", "-c", SWAP_12], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert "the image at weight 1,0,1 has maximal word w[1,3]" in done.stdout
-    assert "[A3 order 1,2,3 weight 0,1,1 good word w[2,3]]" in done.stdout
+    return done.stdout
+
+
+def test_a_letter_map_that_breaks_the_datum_raises_a_located_violation_under_optimization():
+    assert "an image was never reached [A3 order 1,2,3 weight 1,0,1 good word w[1,3]]" in _run_optimized(SWAP_12)
+
+
+# The reversal (0, 3, 2, 1) of A3 maps the vectors w[1,2] and w[2,1] of
+# (1,1,0) onto w[3,2] and w[2,3] at (0,1,1).  Adding the first to the second
+# gives two images with maximal word 3,2; doubling the first gives w[3,2]
+# the coefficient 2, where its kappa is 1.
+SPOILT_IMAGES = """
+from qshuffle import basis, cartan
+from qshuffle.basis import StraighteningFailure
+table = basis.GoodLyndonTable(cartan.parse("A3"))
+(_, b12, _), (_, b21, _) = table._dual_canonical_weight_i((1, 1, 0))
+images = [basis._moved_elt((0, 3, 2, 1), table._idatum, elt) for elt in ({sources})]
+try:
+    table._dual_canonical_weight_i((0, 1, 1), images)
+except StraighteningFailure as exc:
+    print(exc)
+else:
+    raise SystemExit("the spoilt images were taken")
+"""
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ("b12, b21 + b12", "two images have this maximal word [A3 order 1,2,3 weight 0,1,1 good word w[3,2]]"),
+        ("b12.scaled(2), b21", "image's coefficient is not kappa [A3 order 1,2,3 weight 0,1,1 good word w[3,2]]"),
+    ],
+    ids=["duplicate", "kappa"],
+)
+def test_spoilt_images_raise_a_located_failure_under_optimization(sources, message):
+    assert message in _run_optimized(SPOILT_IMAGES.replace("{sources}", sources))
 
 
 def test_relabeling_by_a_missing_good_word_names_it():
     # (1,0,1) has one vector, (0,1,1) two good words: 1,3 is no root of A3,
     # but its image 2,3 is
     table = basis.GoodLyndonTable(cartan.parse("A3"))
-    vectors = table._dual_canonical_weight_i((1, 0, 1))
-    with pytest.raises(TheoryViolation, match=r"no relabeled vector .* weight 0,1,1 good word w\[2,3\]\]"):
-        basis._relabeled(table, (0, 2, 1, 3), vectors, (0, 1, 1))
+    ((_, elt, _),) = table._dual_canonical_weight_i((1, 0, 1))
+    images = [basis._moved_elt((0, 2, 1, 3), table._idatum, elt)]
+    missing = r"no image has this maximal word .* weight 0,1,1 good word w\[2,3\]\]"
+    with pytest.raises(StraighteningFailure, match=missing):
+        table._dual_canonical_weight_i((0, 1, 1), images)
+
+
+def test_the_scope_holds_the_last_weight_also_when_it_is_relabeled(monkeypatch):
+    # (4,0,0) is the last weight of A3 <= 4 and the reversal's image of (0,0,4)
+    table = basis.GoodLyndonTable(cartan.parse("A3"))
+    _, captured, built = _scan_capturing(monkeypatch, table, 4)
+    assert (4, 0, 0) not in built and (0, 0, 4) in built
+    assert table._pbw_memo_weight == (4, 0, 0) and table._canonical_memo is captured[-1]
+    fresh = basis.GoodLyndonTable(cartan.parse("A3"))._dual_canonical_weight_i((4, 0, 0))
+    assert [(g, elt.weight, elt.terms, kappa) for g, elt, kappa in table._canonical_memo] == [
+        (g, elt.weight, elt.terms, kappa) for g, elt, kappa in fresh
+    ]

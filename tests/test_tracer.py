@@ -18,11 +18,15 @@ def test_tracer_instruments_and_restores_the_package():
     tracer = tracer_module.Tracer()
     tracer_module.instrument(tracer, qshuffle)
     try:
-        table = basis.GoodLyndonTable(cartan.parse("B2"))
-        report = basis.scan(table, 3, "reality")
+        # A3 has a diagram automorphism, so its scan also seeds weights
+        reports = [
+            basis.scan(basis.GoodLyndonTable(cartan.parse(label)), max_height, "reality")
+            for label, max_height in (("B2", 3), ("A3", 4))
+        ]
     finally:
         tracer.unwrap_all()
-    assert report.total_violations == 0
-    assert tracer.agg["basis.check"][0] > 0 and tracer.agg["laurent.mul"][0] > 0
+    assert [report.total_violations for report in reports] == [0, 0]
+    assert tracer.agg["basis.check"][0] == sum(len(report.entries) for report in reports)
+    assert tracer.agg["laurent.mul"][0] > 0
     assert qshuffle.laurent.LaurentPoly.__mul__ is mul
     assert isinstance(qshuffle.shuffle._CACHE, dict)
