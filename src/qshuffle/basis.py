@@ -65,8 +65,6 @@ class GoodLyndonTable:
         r = datum.rank
         self.datum = datum
         self.order = tuple(order) if order is not None else tuple(range(1, r + 1))
-        if sorted(self.order) != list(range(1, r + 1)):
-            raise ValueError(f"order must be a permutation of 1..{r}")
         self._idatum = cartan.reorder(datum, self.order)
         # internal letter k <-> original letter self.order[k-1]
         self._out_letters = (0,) + self.order
@@ -83,13 +81,15 @@ class GoodLyndonTable:
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
         # One weight scope: the dual PBW vectors, the shuffle powers E*_l^j of
         # their factors and of the factors of the good words of twice the
-        # weight, the dual canonical vectors once straightened and the reality
-        # workspace once asked; entering another weight clears them all.
+        # weight, the dual canonical vectors once straightened and the good
+        # words of twice the weight with the reality solve's rows once asked;
+        # entering another weight clears them all.
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         self._powers: dict[tuple[Word, int], ShuffleElt] = {}
         self._canonical_memo: tuple[tuple[Word, ShuffleElt, LaurentPoly], ...] | None = None
-        self._square: _SquareWorkspace | None = None
+        self._square_goods: list[tuple[Word, tuple[tuple[Word, int], ...]]] | None = None
+        self._square_rows: dict[Word, tuple[LaurentPoly, list[tuple[Word, dict[int, int]]]]] = {}
 
     # -- letter/weight/element translation -------------------------------------
 
@@ -122,12 +122,13 @@ class GoodLyndonTable:
         )
 
     def _where(self, g: Word | None = None, pivot: Word | None = None) -> str:
-        """Where a construction failed: datum and order, then the weight, good
-        word and pivot where there is one."""
+        """Where a construction failed: datum and order, then the weight, word
+        (labeled good word when it is one) and pivot where there is one."""
         text = f"[{self.datum} order {','.join(map(str, self.order))}"
         if g is not None:
             nu = self._nu_out(cartan.word_weight(self._idatum, g))
-            text += f" weight {cartan.format_weight(nu)} good word {format_word(self._w_out(g))}"
+            label = "word" if self._factors_i(g) is None else "good word"
+            text += f" weight {cartan.format_weight(nu)} {label} {format_word(self._w_out(g))}"
         if pivot is not None:
             text += f" pivot {format_word(self._w_out(pivot))}"
         return text + "]"
@@ -173,11 +174,15 @@ class GoodLyndonTable:
         except KeyError:
             raise NotGoodLyndon(f"{beta} is not a positive root") from None
 
-    def root_of_lyndon(self, l: Word) -> Weight:
+    def _lyndon_i(self, l: Word) -> Word:
+        """A good Lyndon word in internal letters; raises NotGoodLyndon otherwise."""
         li = self._w_in(tuple(l))
-        if li not in self._root_of_lyndon:
+        if li not in self._gl:
             raise NotGoodLyndon(f"{format_word(l)} is not a good Lyndon word")
-        return self._nu_out(self._root_of_lyndon[li])
+        return li
+
+    def root_of_lyndon(self, l: Word) -> Weight:
+        return self._nu_out(self._root_of_lyndon[self._lyndon_i(l)])
 
     def roots_in_convex_order(self) -> tuple[Weight, ...]:
         """Positive roots sorted by their good Lyndon words."""
@@ -204,15 +209,21 @@ class GoodLyndonTable:
     def _good_out(self, wi: Word, factors: tuple[tuple[Word, int], ...]) -> GoodWord:
         return GoodWord(self._w_out(wi), tuple((self._w_out(l), m) for l, m in factors))
 
+    def _good_i(self, g: Word | GoodWord) -> tuple[Word, tuple[tuple[Word, int], ...]]:
+        """A good word in internal letters with its grouped factors; raises
+        NotGoodWord otherwise."""
+        w = tuple(g.word if isinstance(g, GoodWord) else g)
+        wi = self._w_in(w)
+        factors = self._factors_i(wi)
+        if factors is None:
+            raise NotGoodWord(f"{format_word(w)} is not a good word")
+        return wi, factors
+
     def is_good(self, w: Word) -> bool:
         return self._factors_i(self._w_in(tuple(w))) is not None
 
     def good_word(self, w: Word) -> GoodWord:
-        wi = self._w_in(tuple(w))
-        factors = self._factors_i(wi)
-        if factors is None:
-            raise NotGoodWord(f"{format_word(w)} is not a good word")
-        return self._good_out(wi, factors)
+        return self._good_out(*self._good_i(w))
 
     def good_words_of_weight(self, nu: Weight) -> tuple[GoodWord, ...]:
         """One good word per Kostant partition of nu, ascending lexicographically."""
@@ -234,10 +245,7 @@ class GoodLyndonTable:
 
     def r_of_lyndon(self, l: Word) -> ShuffleElt:
         """The iterated shuffle bracket over the co-standard factorization."""
-        li = self._w_in(tuple(l))
-        if li not in self._gl:
-            raise NotGoodLyndon(f"{format_word(l)} is not a good Lyndon word")
-        return self._elt_out(self._r_i(li))
+        return self._elt_out(self._r_i(self._lyndon_i(l)))
 
     # -- dual PBW vectors -------------------------------------------------------------
 
@@ -273,11 +281,9 @@ class GoodLyndonTable:
         return elt, kappa
 
     def dual_root_vector(self, l: Word) -> DualPBWVector:
-        li = self._w_in(tuple(l))
-        if li not in self._gl:
-            raise NotGoodLyndon(f"{format_word(l)} is not a good Lyndon word")
+        li = self._lyndon_i(l)
         elt, kappa = self._dual_root_i(li)
-        return DualPBWVector(self.good_word(tuple(l)), self._elt_out(elt), kappa)
+        return DualPBWVector(self._good_out(li, ((li, 1),)), self._elt_out(elt), kappa)
 
     def _d_of_lyndon(self, l: Word) -> int:
         beta = self._root_of_lyndon[l]
@@ -304,19 +310,13 @@ class GoodLyndonTable:
 
     def kappa(self, g: Word | GoodWord) -> LaurentPoly:
         """The bar-symmetric leading coefficient attached to a good word."""
-        if isinstance(g, GoodWord):
-            g = g.word
-        wi = self._w_in(tuple(g))
-        factors = self._factors_i(wi)
-        if factors is None:
-            raise NotGoodWord(f"{format_word(g)} is not a good word")
-        return self._kappa_i(factors)
+        return self._kappa_i(self._good_i(g)[1])
 
     def _enter(self, nui: Weight) -> None:
         """Make nui the current weight of the scope, dropping the old one's state."""
         if nui != self._pbw_memo_weight:
-            self._pbw_memo_weight, self._pbw_memo, self._powers = nui, {}, {}
-            self._canonical_memo = self._square = None
+            self._pbw_memo_weight, self._pbw_memo, self._powers, self._square_rows = nui, {}, {}, {}
+            self._canonical_memo = self._square_goods = None
 
     def _dual_pbw_i(
         self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None
@@ -362,13 +362,25 @@ class GoodLyndonTable:
             powers.append(memo[(l, a)])
         return powers, sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
 
+    def _square_row(self, i: int) -> tuple[LaurentPoly, list[tuple[Word, dict[int, int]]]]:
+        """kappa_h and the raw coefficients of E*_h at the good words <= h,
+        h = _square_goods[i], extracted once in the weight scope from the
+        scope's powers E*_l^a of h's factors; E*_h's coefficient at h must be
+        kappa_h."""
+        h, factors = self._square_goods[i]
+        hit = self._square_rows.get(h)
+        if hit is None:
+            powers, shift = self._factor_powers(factors)
+            pbw = shuffle.product_coefficients(powers, (p for p, _ in self._square_goods[i:]), shift)
+            kappa = self._kappa_i(factors)
+            if pbw.get(h) != kappa:
+                raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(h)}")
+            hit = self._square_rows[h] = kappa, [(p, c.terms) for p, c in pbw.items()]
+        return hit
+
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
-        w = tuple(g.word if isinstance(g, GoodWord) else g)
-        wi = self._w_in(w)
-        factors = self._factors_i(wi)
-        if factors is None:
-            raise NotGoodWord(f"{format_word(w)} is not a good word")
+        wi, factors = self._good_i(g)
         elt, kappa = self._dual_pbw_i(wi, factors)
         return DualPBWVector(self._good_out(wi, factors), self._elt_out(elt), kappa)
 
@@ -453,8 +465,8 @@ class GoodLyndonTable:
             if shuffle.max_word(elt) != g or elt.terms[g] != kappa:
                 raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
             done[g] = (elt, kappa)
-            reversed_terms = {w[::-1]: c for w, c in elt.terms.items()}
-            h = max(reversed_terms)
+            reversal = shuffle.tau(elt)
+            h = shuffle.max_word(reversal)
             if h == g:
                 continue
             if h < g or h in held or self._factors_i(h) is None:
@@ -462,7 +474,7 @@ class GoodLyndonTable:
                     f"the reversal has maximal word {format_word(self._w_out(h))}: "
                     f"below the good word, held already or not good {self._where(g)}"
                 )
-            held[h] = shuffle._raw_elt(self._idatum, nui, reversed_terms)
+            held[h] = reversal
         if held:
             raise StraighteningFailure(f"an image was never reached {self._where(min(held))}")
         self._canonical_memo = tuple((g, *done[g]) for g, _ in goods)
@@ -477,8 +489,8 @@ class GoodLyndonTable:
 
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
         """The dual canonical vector indexed by one good word."""
-        good = self.good_word(tuple(g))
-        wi = self._w_in(good.word)
+        wi, factors = self._good_i(g)
+        good = self._good_out(wi, factors)
         for h, elt, kappa in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
             if h == wi:
                 return DualCanonicalVector(good, self._elt_out(elt), kappa)
@@ -545,96 +557,59 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     return _is_real_i(table, table._elt_in(vec.elt)) is None
 
 
-class _SquareWorkspace:
-    """What the reality solve reads at 2nu, a field of the table's weight
-    scope at nu, shared by the vectors of nu and cleared when the table
-    enters another weight: the good words of 2nu, descending, their kappas
-    and each row E*_h extracted at h and the good words below it from the
-    scope's powers E*_l^a of h's factors."""
-
-    __slots__ = ("table", "goods", "kappas", "rows")
-
-    def __init__(self, table: GoodLyndonTable, nui: Weight):
-        self.table = table
-        self.goods = table._good_words_i(cartan.add(nui, nui))[::-1]
-        self.kappas: dict[Word, LaurentPoly] = {}
-        self.rows: dict[Word, list[tuple[Word, dict[int, int]]]] = {}
-
-    def kappa(self, h: Word, factors: tuple[tuple[Word, int], ...]) -> LaurentPoly:
-        hit = self.kappas.get(h)
-        if hit is None:
-            hit = self.kappas[h] = self.table._kappa_i(factors)
-        return hit
-
-    def row(self, i: int) -> list[tuple[Word, dict[int, int]]]:
-        """The raw coefficients of E*_h, h = goods[i], at the good words
-        below h, extracted once; its coefficient at h must be kappa_h."""
-        h, factors = self.goods[i]
-        hit = self.rows.get(h)
-        if hit is None:
-            powers, shift = self.table._factor_powers(factors)
-            pbw = shuffle.product_coefficients(powers, (p for p, _ in self.goods[i:]), shift)
-            if pbw.pop(h, None) != self.kappa(h, factors):
-                raise StraighteningFailure(f"dual PBW vector has wrong leading term {self.table._where(h)}")
-            hit = self.rows[h] = [(p, c.terms) for p, c in pbw.items()]
-        return hit
-
-
 def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPoly] | None:
     """`is_real` on an element in internal coordinates, building nothing at
     the square's weight 2nu: None when elt is real, else the witness (h, c_h),
     the first good word h of 2nu below the top, from top down, whose
     coefficient c_h in the dual PBW expansion of q^{-k} times the square
-    lies outside q Z[q].  It enters elt's weight nu and reads the
-    scope's square workspace, made on the first question at nu.  The
-    maximal word g of elt fixes the square's top word: the good word whose
-    Lyndon factors are g's with every multiplicity doubled, with coefficient
-    q^k kappa_top.  With N = (nu, nu), v * u = q^{-N} bar(u * v) for words u,
-    v of weight nu, bar acting on the coefficients only, so q^{N/2} times
-    the square of elt, whose coefficients are bar-symmetric, is bar-symmetric
-    too, and k = -N/2.  The unit squares to itself and is real.  The square
-    lies in U, where an element is fixed by its coefficients at the good
-    words of its weight, and by uniqueness an element with bar-symmetric
-    coefficients in E*_top + sum q Z[q] E*_h is the dual canonical vector at
-    top.  So the check extracts the square's coefficients at the good words
-    of 2nu and solves the dual PBW expansion of q^{-k} times the square on
-    them from top down, reading each row E*_h from the workspace, which
-    extracts it once per weight.  A nonzero coefficient at a good word above
-    top, a top coefficient other than q^k kappa_top or an E*_h with leading
+    lies outside q Z[q].  It enters elt's weight nu, whose scope holds the
+    good words of 2nu from the first question at nu on.  The maximal word g
+    of elt fixes the square's top word: the good word whose Lyndon factors
+    are g's with every multiplicity doubled, with coefficient q^k kappa_top.
+    With N = (nu, nu), v * u = q^{-N} bar(u * v) for words u, v of weight nu,
+    bar acting on the coefficients only, so q^{N/2} times the square of elt,
+    whose coefficients are bar-symmetric, is bar-symmetric too, and
+    k = -N/2.  The unit squares to itself and is real.  The square lies in
+    U, where an element is fixed by its coefficients at the good words of
+    its weight, and by uniqueness an element with bar-symmetric coefficients
+    in E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
+    check extracts the square's coefficients at the good words of 2nu and
+    solves the dual PBW expansion of q^{-k} times the square on them from
+    top down.  Each step reads its row E*_h with kappa_h from the scope
+    (`_square_row`, one extraction per weight), divides by that kappa_h and
+    subtracts the row.  A nonzero coefficient at a good word above top, a
+    top coefficient other than q^k kappa_top or an E*_h with leading
     coefficient other than kappa_h breaks the theory and raises."""
     table._enter(elt.weight)
-    ws = table._square
-    if ws is None:
-        ws = table._square = _SquareWorkspace(table, elt.weight)
+    if table._square_goods is None:
+        table._square_goods = table._good_words_i(cartan.add(elt.weight, elt.weight))[::-1]
+    goods = table._square_goods
     g = shuffle.max_word(elt)
     factors = table._factors_i(g)
     if factors is None:
         raise laurent.TheoryViolation(f"maximal word is not good {table._where(g)}")
     if not factors:  # the unit squares to itself
         return None
-    doubled = tuple((l, 2 * a) for l, a in factors)
-    top = tuple(x for l, a in doubled for _ in range(a) for x in l)
+    top = tuple(x for l, a in factors for _ in range(2 * a) for x in l)
     k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)
-    square = shuffle.product_coefficients((elt, elt), (h for h, _ in ws.goods))
+    square = shuffle.product_coefficients((elt, elt), (h for h, _ in goods))
     above = [h for h in square if h > top]
     if above:
         raise laurent.TheoryViolation(f"square has a good word above its top {table._where(top, max(above))}")
-    if square.get(top) != ws.kappa(top, doubled).shifted(k):
-        raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
     residual = {h: c.shifted(-k).terms for h, c in square.items()}
-    for i, (h, f) in enumerate(ws.goods):
-        if not residual.get(h):
+    for i, (h, _) in enumerate(goods):
+        if h != top and not residual.get(h):
             continue
-        kappa_h = ws.kappa(h, f)
+        kappa_h, row = table._square_row(i)
+        if h == top and residual.get(h) != kappa_h.terms:
+            raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
         try:
             c = laurent.exact_div(laurent._raw(residual[h]), kappa_h)
         except laurent.InexactDivision as exc:
             raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
         if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
             return h, c
-        neg = {e: -x for e, x in c.terms.items()}
-        for p, x in ws.row(i):
-            laurent._mul_add(residual.setdefault(p, {}), x, neg)
+        shuffle._scaled_into(residual, row, laurent._scaled(c.terms, 0, -1))
     return None
 
 

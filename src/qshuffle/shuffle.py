@@ -390,8 +390,8 @@ def _pair_sum(datum: CartanDatum, w: Word) -> int:
 
 
 def tau(f: ShuffleElt) -> ShuffleElt:
-    """Word reversal; an anti-automorphism of the shuffle product."""
-    return _collect(f.datum, f.weight, ((w[::-1], c) for w, c in f.terms.items()))
+    """Word reversal, a bijection on words; an anti-automorphism of the shuffle product."""
+    return _raw_elt(f.datum, f.weight, {w[::-1]: c for w, c in f.terms.items()})
 
 
 def bar_elt(f: ShuffleElt) -> ShuffleElt:

@@ -2,7 +2,7 @@
 reference harvest in `serre_oracle`, the good-word reality solve against the
 full-vector comparison in `reality_oracle` and the guards it raises on, and
 the one-weight scope that the checks share: dual PBW and dual canonical
-vectors, factor powers and the reality workspace."""
+vectors, factor powers and the good words and rows of the reality solve."""
 
 from functools import reduce
 from itertools import permutations
@@ -15,7 +15,7 @@ import reality_oracle
 import serre_oracle
 from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
-from qshuffle.laurent import InexactDivision, LaurentPoly, TheoryViolation, monomial
+from qshuffle.laurent import ONE, ZERO, InexactDivision, LaurentPoly, TheoryViolation, monomial
 from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
 
 MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
@@ -165,14 +165,15 @@ def test_expansion_memo_holds_one_weight_only():
     assert _held_weights(table) == {(1, 2)}
     assert table._powers and _powers_fit(table, (1, 2))
     # no reality question was asked at (1, 2)
-    assert table._square is None
+    assert table._square_goods is None and table._square_rows == {}
 
 
 def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     # the reality check extracts what it reads at the weight 2nu of each
     # square, so a scan enters only the weights it reports, up to height 5,
     # and keeps the last one with its straightened vectors, the factor powers
-    # of nu and 2nu and the workspace of 2nu
+    # of nu and 2nu, and the good words of 2nu with the rows extracted there,
+    # each carrying kappa_h, its coefficient at h
     table = basis.GoodLyndonTable(B2)
     real = table._enter
     entered = []
@@ -186,18 +187,22 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
     assert _held_weights(table) == {last}
     assert table._powers and _powers_fit(table, last)
-    assert table._square.goods == table._good_words_i(cartan.add(last, last))[::-1]
-    assert table._square.rows
+    assert table._square_goods == table._good_words_i(cartan.add(last, last))[::-1]
+    assert table._square_rows
+    factors = dict(table._square_goods)
+    for h, (kappa, row) in table._square_rows.items():
+        assert kappa == table._kappa_i(factors[h]) and dict(row)[h] == kappa.terms
+        assert all(p <= h for p, _ in row)
 
 
 def test_entering_another_weight_drops_the_powers_and_the_workspace():
     table, elt = _b2_21()
     assert basis._is_real_i(table, elt) is None
-    assert table._powers and table._square.rows
+    assert table._powers and table._square_goods and table._square_rows
     table._enter((1, 2))
     assert table._pbw_memo_weight == (1, 2)
     assert table._pbw_memo == {} and table._powers == {}
-    assert table._canonical_memo is None and table._square is None
+    assert table._canonical_memo is None and table._square_goods is None and table._square_rows == {}
 
 
 def test_reality_scan_straightens_each_weight_once(monkeypatch):
@@ -252,9 +257,10 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
 
 def test_reality_scan_extracts_each_row_once(monkeypatch):
     # one extraction per square and per distinct row E*_h of the square
-    # weights: 40 + 75, where a fresh workspace per vector makes 162
+    # weights, where on B2 rows extracted afresh for each vector make 162
+    # and not 75; each row computes its kappa_h once, and construction one
+    # per vector, so a kappa_i call of the solve's own would show here
     real = shuffle.product_coefficients
-    squares, rows = [], []
 
     def counting(factors, targets, shift=0):
         targets = list(targets)
@@ -265,10 +271,14 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
         return real(factors, targets, shift)
 
     monkeypatch.setattr(shuffle, "product_coefficients", counting)
-    report = basis.scan(basis.GoodLyndonTable(B2), 5, "reality")
-    assert len(squares) == report.total_vectors == 40
-    assert len(squares) + len(rows) == 115
-    assert len(set(rows)) == len(rows)
+    for datum, counts in ((B2, (40, 75, 115)), (G2, (44, 110, 154))):
+        squares, rows, kappas = [], [], []
+        table = basis.GoodLyndonTable(datum)
+        monkeypatch.setattr(table, "_kappa_i", lambda f, real_kappa=table._kappa_i: kappas.append(f) or real_kappa(f))
+        report = basis.scan(table, 5, "reality")
+        assert len(squares) == report.total_vectors
+        assert (len(squares), len(rows), len(kappas)) == counts
+        assert len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -286,28 +296,38 @@ def _b2_21():
     return table, elt
 
 
-def _triple_kappa(monkeypatch, table, factors):
-    """Corrupt the kappa the reality check reads at one good word's factors."""
-    real = table._kappa_i
-    monkeypatch.setattr(table, "_kappa_i", lambda f: real(f) * 3 if tuple(f) == factors else real(f))
+def _spoil_square(monkeypatch, word, spoil):
+    """Change the coefficient that the reality check extracts from the square
+    at one good word; the rows E*_h are extracted as they are."""
+    real = shuffle.product_coefficients
+
+    def spoiled(factors, targets, shift=0):
+        out = real(factors, targets, shift)
+        if len(factors) == 2 and factors[0] is factors[1]:
+            out[word] = spoil(out.get(word, ZERO))
+        return out
+
+    monkeypatch.setattr(shuffle, "product_coefficients", spoiled)
 
 
 def test_inexact_division_in_the_reality_solve_names_where(monkeypatch):
-    # the solve divides at the good word w[2,1,2,1] = w[2] w[1,2] w[1] below
-    # top by its kappa, corrupted here from 1 to 3
+    # the solve divides at the good word w[2,1,1,2] = w[2] w[1,1,2] below
+    # top by its kappa q + q^-1; with the square's coefficient there moved
+    # by 1, the residual there is no multiple of it
     table, elt = _b2_21()
-    _triple_kappa(monkeypatch, table, (((2,), 1), ((1, 2), 1), ((1,), 1)))
-    with pytest.raises(InexactDivision, match=r"weight 2,2 good word w\[2,2,1,1\] pivot w\[2,1,2,1\]\]") as exc:
+    assert table.kappa((2, 1, 1, 2)) == LaurentPoly({1: 1, -1: 1})
+    _spoil_square(monkeypatch, (2, 1, 1, 2), lambda c: c + ONE)
+    with pytest.raises(InexactDivision, match=r"weight 2,2 good word w\[2,2,1,1\] pivot w\[2,1,1,2\]\]") as exc:
         basis._is_real_i(table, elt)
     assert isinstance(exc.value.__cause__, InexactDivision)
 
 
 def test_a_wrong_top_coefficient_of_the_square_raises(monkeypatch):
     # the top word w[2,2,1,1] = w[2]^2 w[1]^2 has coefficient q^k kappa,
-    # k = -(nu, nu)/2; construction guarantees it, so with that kappa
-    # corrupted from kappa to 3 kappa the check raises instead of answering
+    # k = -(nu, nu)/2; construction guarantees it, so with the square's
+    # coefficient there tripled the check raises instead of answering
     table, elt = _b2_21()
-    _triple_kappa(monkeypatch, table, (((2,), 2), ((1,), 2)))
+    _spoil_square(monkeypatch, (2, 2, 1, 1), lambda c: c * 3)
     with pytest.raises(TheoryViolation, match=r"top coefficient .* weight 2,2 good word w\[2,2,1,1\]\]"):
         basis._is_real_i(table, elt)
 
@@ -331,7 +351,7 @@ def test_is_real_enters_the_weight_of_its_vector(order):
     vectors = table.dual_canonical_weight((2, 2))
     assert [basis.is_real(table, vec) for vec in table.dual_canonical_weight((2, 1))].count(False) == 1
     verdicts = [basis.is_real(table, vec) for vec in vectors]
-    assert table._pbw_memo_weight == (2, 2) and table._square.goods == table._good_words_i((4, 4))[::-1]
+    assert table._pbw_memo_weight == (2, 2) and table._square_goods == table._good_words_i((4, 4))[::-1]
     fresh = basis.GoodLyndonTable(G2, order)
     assert verdicts == [basis.is_real(fresh, vec) for vec in fresh.dual_canonical_weight((2, 2))]
     assert verdicts.count(False) == 1
@@ -360,6 +380,15 @@ def test_the_solve_names_the_d4_witness():
     (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i(nu) if g == (3, 4, 2, 1, 3)]
     assert cartan.bilinear_form(table.datum, nu, nu) == 2
     assert basis._is_real_i(table, elt) == ((3, 4, 2, 3, 1, 3, 4, 2, 1, 3), LaurentPoly({0: 1, 6: -1}))
+
+
+def test_a_vector_whose_maximal_word_is_not_good_raises():
+    # w[1,2,2] is not good in B2, whose good Lyndon words are 1, 112, 12, 2,
+    # so the place names it as a word
+    table = basis.GoodLyndonTable(B2)
+    elt = ShuffleElt.from_word(table._idatum, (1, 2, 2))
+    with pytest.raises(TheoryViolation, match=r"maximal word is not good \[B2 order 1,2 weight 1,2 word w\[1,2,2\]\]"):
+        basis._is_real_i(table, elt)
 
 
 def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):

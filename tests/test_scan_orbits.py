@@ -112,7 +112,7 @@ def _run_optimized(script):
 
 
 def test_a_letter_map_that_breaks_the_datum_raises_a_located_violation_under_optimization():
-    assert "an image was never reached [A3 order 1,2,3 weight 1,0,1 good word w[1,3]]" in _run_optimized(SWAP_12)
+    assert "an image was never reached [A3 order 1,2,3 weight 1,0,1 word w[1,3]]" in _run_optimized(SWAP_12)
 
 
 # The reversal (0, 3, 2, 1) of A3 maps the vectors w[1,2] and w[2,1] of
