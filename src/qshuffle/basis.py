@@ -14,7 +14,6 @@ import time
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import groupby
-from math import comb
 
 from . import cartan, laurent, shuffle, words
 from .cartan import CartanDatum, Record, Weight
@@ -79,14 +78,13 @@ class GoodLyndonTable:
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
-        # One weight scope: the dual PBW vectors, the shuffle powers E*_l^j of
-        # their factors and of the factors of the good words of twice the
-        # weight, the dual canonical vectors once straightened and the good
-        # words of twice the weight with the reality solve's rows once asked;
-        # entering another weight clears them all.
+        # One weight scope: the dual PBW vectors, with those of their factor
+        # groups l^j and of the groups of the good words of twice the weight,
+        # the dual canonical vectors once straightened and the good words of
+        # twice the weight with the reality solve's rows once asked; entering
+        # another weight clears them all.
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        self._powers: dict[tuple[Word, int], ShuffleElt] = {}
         self._canonical_memo: tuple[tuple[Word, ShuffleElt, LaurentPoly], ...] | None = None
         self._square_goods: list[tuple[Word, tuple[tuple[Word, int], ...]]] | None = None
         self._square_rows: dict[Word, tuple[LaurentPoly, list[tuple[Word, dict[int, int]]]]] = {}
@@ -315,72 +313,64 @@ class GoodLyndonTable:
     def _enter(self, nui: Weight) -> None:
         """Make nui the current weight of the scope, dropping the old one's state."""
         if nui != self._pbw_memo_weight:
-            self._pbw_memo_weight, self._pbw_memo, self._powers, self._square_rows = nui, {}, {}, {}
+            self._pbw_memo_weight, self._pbw_memo, self._square_rows = nui, {}, {}
             self._canonical_memo = self._square_goods = None
 
     def _dual_pbw_i(
         self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None
     ) -> tuple[ShuffleElt, LaurentPoly]:
-        """The one route to a dual PBW vector.  The memo lives in the weight
-        scope, so straightening and the expansions of that weight share one
-        build per good word.  Without `factors` the word is factorized on a
-        miss only."""
+        """The one route to a dual PBW vector, memoised in the weight scope
+        that the caller enters.  A factor group l^a is a good word whose
+        vector is E*_l for a = 1 and E*_{l^(a-1)} * q^{(a-1) d_l} E*_l after,
+        so q^{C(a,2) d_l} E*_l^a; a word of several groups takes the plain
+        product of their vectors, smallest first.  Without `factors` the word
+        is factorized on a miss only."""
         hit = self._pbw_memo.get(wi)
         if hit is not None:
             return hit
-        self._enter(cartan.word_weight(self._idatum, wi))
         if factors is None and (factors := self._factors_i(wi)) is None:
             raise NotGoodWord(f"{format_word(self._w_out(wi))} is not a good word")
         if not factors:  # the empty good word indexes the unit
-            hit = ShuffleElt.from_word(self._idatum, ()), ONE
+            elt = ShuffleElt.from_word(self._idatum, ())
+        elif len(factors) > 1:
+            elt, *groups = self._group_vectors(factors)
+            for group in groups:
+                elt = shuffle.qshuffle(elt, group)
         else:
-            # qshuffle is bilinear, so the normalizing power of q scales the
-            # first operand, the smallest factor's power, whose support is a
-            # power's and not the product's
-            powers, shift = self._factor_powers(factors)
-            elt = powers[0].scaled(laurent.monomial(shift))
-            for power in powers[1:]:
-                elt = shuffle.qshuffle(elt, power)
-            kappa = self._kappa_i(factors)
-            if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:
-                raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
-            hit = elt, kappa
-        self._pbw_memo[wi] = hit
+            ((l, a),) = factors
+            elt, _ = self._dual_root_i(l)
+            if a > 1:  # the power of q scales the operand of smaller support
+                shift = laurent.monomial((a - 1) * self._d_of_lyndon(l))
+                elt = shuffle.qshuffle(self._dual_pbw_i(l * (a - 1), ((l, a - 1),))[0], elt.scaled(shift))
+        kappa = self._kappa_i(factors)
+        if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:
+            raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
+        hit = self._pbw_memo[wi] = elt, kappa
         return hit
 
-    def _factor_powers(self, factors: tuple[tuple[Word, int], ...]) -> tuple[list[ShuffleElt], int]:
-        """The shuffle powers E*_l^a of a good word's factors, smallest factor
-        first, each built once in the weight scope, and the power of q that
-        normalizes their product to the dual PBW vector."""
-        powers = []
-        memo = self._powers
-        for l, a in reversed(factors):
-            for j in range(1, a + 1):
-                if (l, j) not in memo:
-                    base, _ = self._dual_root_i(l)
-                    memo[(l, j)] = base if j == 1 else shuffle.qshuffle(memo[(l, j - 1)], base)
-            powers.append(memo[(l, a)])
-        return powers, sum(comb(a, 2) * self._d_of_lyndon(l) for l, a in factors)
+    def _group_vectors(self, factors: tuple[tuple[Word, int], ...]) -> list[ShuffleElt]:
+        """The vectors E*_{l^a} of a good word's factor groups, smallest first."""
+        return [self._dual_pbw_i(l * a, ((l, a),))[0] for l, a in reversed(factors)]
 
     def _square_row(self, i: int) -> tuple[LaurentPoly, list[tuple[Word, dict[int, int]]]]:
         """kappa_h and the raw coefficients of E*_h at the good words <= h,
         h = _square_goods[i], extracted once in the weight scope from the
-        scope's powers E*_l^a of h's factors; E*_h's coefficient at h must be
-        kappa_h."""
+        product of the scope's vectors E*_{l^a} of h's factor groups; E*_h's
+        coefficient at h must be kappa_h."""
         h, factors = self._square_goods[i]
         hit = self._square_rows.get(h)
         if hit is None:
-            powers, shift = self._factor_powers(factors)
-            pbw = shuffle.product_coefficients(powers, (p for p, _ in self._square_goods[i:]), shift)
+            pbw = shuffle.product_coefficients(self._group_vectors(factors), (p for p, _ in self._square_goods[i:]))
             kappa = self._kappa_i(factors)
-            if pbw.get(h) != kappa:
+            if pbw.get(h) != kappa.terms:
                 raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(h)}")
-            hit = self._square_rows[h] = kappa, [(p, c.terms) for p, c in pbw.items()]
+            hit = self._square_rows[h] = kappa, list(pbw.items())
         return hit
 
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
         wi, factors = self._good_i(g)
+        self._enter(cartan.word_weight(self._idatum, wi))
         elt, kappa = self._dual_pbw_i(wi, factors)
         return DualPBWVector(self._good_out(wi, factors), self._elt_out(elt), kappa)
 
@@ -495,12 +485,13 @@ class GoodLyndonTable:
             if h == wi:
                 return DualCanonicalVector(good, self._elt_out(elt), kappa)
         raise laurent.TheoryViolation(
-            f"no dual canonical vector for good word {good}; every good word indexes one"
+            f"no dual canonical vector for good word {good}; every good word indexes one {self._where(wi)}"
         )
 
     # -- expansion over the dual PBW family ------------------------------------------------
 
     def _expand_i(self, elt_i: ShuffleElt) -> dict[Word, LaurentPoly]:
+        self._enter(elt_i.weight)
         residual = {w: dict(c.terms) for w, c in elt_i.terms.items()}
         out: dict[Word, LaurentPoly] = {}
         while residual:
@@ -596,7 +587,7 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPo
     above = [h for h in square if h > top]
     if above:
         raise laurent.TheoryViolation(f"square has a good word above its top {table._where(top, max(above))}")
-    residual = {h: c.shifted(-k).terms for h, c in square.items()}
+    residual = {h: laurent._scaled(c, -k, 1) for h, c in square.items()}
     for i, (h, _) in enumerate(goods):
         if h != top and not residual.get(h):
             continue

@@ -362,10 +362,12 @@ def automorphisms(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
 def weights_up_to_height(rank: int, max_height: int) -> Iterator[Weight]:
     """All nonzero weights of height <= max_height, by ascending (height, coeffs)."""
     for h in range(1, max_height + 1):
-        seen: set[Weight] = set()
+        # each multiset of h letters is one weight, and a lexicographically
+        # larger multiset has the smaller weight, so the reversal ascends
+        weights = []
         for split in combinations_with_replacement(range(rank), h):
             nu = [0] * rank
             for i in split:
                 nu[i] += 1
-            seen.add(tuple(nu))
-        yield from sorted(seen)
+            weights.append(tuple(nu))
+        yield from reversed(weights)

@@ -98,6 +98,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if not self.terms.keys() - {0}:  # a constant equals its integer, so hashes like it
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- ring operations ------------------------------------------------------

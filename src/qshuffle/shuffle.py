@@ -239,11 +239,9 @@ def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
     return _raw_elt(datum, cartan.add(f.weight, g.weight), terms)
 
 
-def product_coefficients(
-    factors: Sequence[ShuffleElt], targets: Iterable[Word], shift: int = 0
-) -> dict[Word, LaurentPoly]:
-    """The nonzero coefficients of q^shift F1 * ... * Fk at the target words,
-    without building the product.
+def product_coefficients(factors: Sequence[ShuffleElt], targets: Iterable[Word]) -> dict[Word, dict[int, int]]:
+    """The nonzero coefficients of F1 * ... * Fk at the target words, as raw
+    exponent maps, without building the product.
 
     The coefficient at w sums over the ways to deal the letters of w out to
     the factors so that each receives a word of its support: the product of
@@ -279,9 +277,9 @@ def product_coefficients(
     tries = {i: _support_trie(f, width) for i, f in {id(f): f for f in factors}.items()}
     steps = [tries[id(f)][0] for f in factors]
     pairings = [tries[id(f)][1] for f in factors]
-    levels = [{(0,) * len(factors): (1, shift)}]
+    levels = [{(0,) * len(factors): (1, 0)}]
     done = (-1,) * len(factors)
-    out: dict[Word, LaurentPoly] = {}
+    out: dict[Word, dict[int, int]] = {}
     prev: Word = ()
     for w in words:
         n = 0
@@ -310,7 +308,7 @@ def product_coefficients(
             levels.append({s: ve for s, ve in nxt.items() if ve[0]})
         final = levels[-1].get(done)
         if final is not None:
-            out[w] = laurent._raw(laurent._unpack(*final, width))
+            out[w] = laurent._unpack(*final, width)
     return out
 
 

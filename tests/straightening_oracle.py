@@ -5,7 +5,8 @@ replaced: every correction is `elt - b.scaled(gamma)` on whole `ShuffleElt`
 values, every loop turn re-tests every coefficient for bar symmetry, and a
 word is a pivot when its Lyndon factors are all good.  They are kept only so
 tests can require the kernel to agree with them; they read the table's
-internals but never write its caches.
+internals and write none of its caches but the dual PBW memo, whose weight
+they enter as the library's entry points do.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from qshuffle.words import Word, format_word
 
 def dual_canonical_weight(table: GoodLyndonTable, nui: Weight) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
     """All dual canonical vectors of one internal weight, ascending by good word."""
+    table._enter(nui)
     goods = []
     for part in cartan.kostant_partitions(table._idatum, nui):
         factors = sorted((table._lyndon_of_root[b] for b in part), reverse=True)
@@ -61,6 +63,7 @@ def dual_canonical_weight(table: GoodLyndonTable, nui: Weight) -> tuple[tuple[Wo
 
 def expand(table: GoodLyndonTable, elt_i: ShuffleElt) -> dict[Word, LaurentPoly]:
     """Coefficients of an internal element over the dual PBW vectors."""
+    table._enter(elt_i.weight)
     residual = elt_i
     out: dict[Word, LaurentPoly] = {}
     while residual:

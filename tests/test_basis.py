@@ -539,6 +539,20 @@ def test_not_good_lyndon_errors(tables):
         t.lyndon_of_root((2, 2))
 
 
+def test_a_dropped_canonical_vector_names_where(monkeypatch):
+    # straightening that loses one vector of B2 (1, 2) in order 2,1: the
+    # error names the datum, the order, the weight and the good word
+    t = basis.GoodLyndonTable(cartan.parse("B2"), (2, 1))
+    real = t._dual_canonical_weight_i
+    lost = t._w_in((1, 2, 2))
+    monkeypatch.setattr(t, "_dual_canonical_weight_i", lambda nui: [v for v in real(nui) if v[0] != lost])
+    assert t.is_good((1, 2, 2))
+    where = r"\[B2 order 2,1 weight 1,2 good word w\[1,2,2\]\]$"
+    with pytest.raises(laurent.TheoryViolation, match=r"no dual canonical vector for good word w\[1,2,2\].* " + where):
+        t.dual_canonical_vector((1, 2, 2))
+    assert t.dual_canonical_vector((2, 1, 2)).good_word.word == (2, 1, 2)
+
+
 def test_good_word_without_a_canonical_vector_is_an_internal_error(monkeypatch):
     t = basis.GoodLyndonTable(cartan.parse("A2"))
     monkeypatch.setattr(t, "_dual_canonical_weight_i", lambda nui: ())

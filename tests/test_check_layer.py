@@ -1,8 +1,9 @@
 """The check layer: the run-length Serre membership test against the
 reference harvest in `serre_oracle`, the good-word reality solve against the
 full-vector comparison in `reality_oracle` and the guards it raises on, and
-the one-weight scope that the checks share: dual PBW and dual canonical
-vectors, factor powers and the good words and rows of the reality solve."""
+the one-weight scope that the checks share: dual PBW vectors, those of
+their factor groups, dual canonical vectors and the good words and rows of
+the reality solve."""
 
 from functools import reduce
 from itertools import permutations
@@ -15,7 +16,7 @@ import reality_oracle
 import serre_oracle
 from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
-from qshuffle.laurent import ONE, ZERO, InexactDivision, LaurentPoly, TheoryViolation, monomial
+from qshuffle.laurent import ONE, InexactDivision, LaurentPoly, TheoryViolation, monomial
 from qshuffle.shuffle import ShuffleElt, qshuffle, serre_membership
 
 MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2", 7), ("F4", 4)]
@@ -84,17 +85,37 @@ def test_membership_agrees_with_reference_on_random_elements(f):
 
 def _count_builds(monkeypatch, table):
     """Wrap the table's dual PBW route; a call builds exactly when its word
-    is not in the one-weight memo yet."""
-    real = table._dual_pbw_i
-    built = []
+    is not in the one-weight memo yet.  Returns the builds asked for from
+    outside the route and, apart, the builds of factor groups l^j that a
+    build or a reality row asks for inside it."""
+    real_pbw, real_row = table._dual_pbw_i, table._square_row
+    built, groups = [], []
+    depth = 0
+
+    def nested(real):
+        def call(*args):
+            nonlocal depth
+            depth += 1
+            try:
+                return real(*args)
+            finally:
+                depth -= 1
+
+        return call
 
     def counting(wi, factors=None):
         if wi not in table._pbw_memo:
-            built.append(wi)
-        return real(wi, factors)
+            (groups if depth else built).append(wi)
+        return nested(real_pbw)(wi, factors)
 
     monkeypatch.setattr(table, "_dual_pbw_i", counting)
-    return built
+    monkeypatch.setattr(table, "_square_row", nested(real_row))
+    return built, groups
+
+
+def _group_words(table, words):
+    """True when every word is a factor group l^j of one good Lyndon word l."""
+    return all(len(table._factors_i(w)) == 1 for w in words)
 
 
 def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch):
@@ -102,10 +123,11 @@ def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch
     # dual PBW vectors of the good words it straightens, the expansions those
     # of the vectors derived by reversal, and each reads the other's
     table = basis.GoodLyndonTable(cartan.parse("D4"))
-    built = _count_builds(monkeypatch, table)
+    built, groups = _count_builds(monkeypatch, table)
     report = basis.scan(table, 5, "invariants")
     assert report.total_violations == 0 and report.total_vectors == 320
     assert len(built) == 320 and len(set(built)) == 320
+    assert groups and _group_words(table, groups)
 
 
 @pytest.mark.parametrize("label, nu", [("B2", (2, 2)), ("G2", (3, 2)), ("D4", (1, 1, 1, 1))])
@@ -114,7 +136,7 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
     # nothing more is built for them; the vectors at the other good words
     # are reversals, and the expansions build each of their E*_h once
     table = basis.GoodLyndonTable(cartan.parse(label))
-    built = _count_builds(monkeypatch, table)
+    built, groups = _count_builds(monkeypatch, table)
     vectors = table._dual_canonical_weight_i(nu)
     goods = [g for g, _, _ in vectors]
     derived = {h for g, elt, _ in vectors if (h := max(w[::-1] for w in elt.terms)) > g}
@@ -124,11 +146,13 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
         pbw, _ = table._dual_pbw_i(g)
         assert table._expand_i(pbw) == {g: 1}
     assert sorted(built) == goods
+    assert _group_words(table, groups) and all(cartan.word_weight(table._idatum, w) != nu for w in groups)
 
 
 def _held_weights(table):
     """The weights of every vector the table holds outside its per-root caches
-    and its factor powers, which `_powers_fit` checks."""
+    and the factor groups of other weights in its dual PBW memo, which
+    `_groups_fit` checks."""
     found = set()
 
     def walk(x):
@@ -138,17 +162,28 @@ def _held_weights(table):
             for item in x.values() if isinstance(x, dict) else x:
                 walk(item)
 
+    others = set(_other_weights(table))
     for name, value in vars(table).items():
-        if name not in ("_r_cache", "_dual_root_cache", "_powers"):
+        if name == "_pbw_memo":
+            value = {w: v for w, v in value.items() if w not in others}
+        if name not in ("_r_cache", "_dual_root_cache"):
             walk(value)
     return found
 
 
-def _powers_fit(table, nui):
-    """Every power E*_l^j the scope holds has 1 <= j <= a for a factor group
-    (l, a) of a good word of nui or of 2 nui."""
-    groups = {group for mu in (nui, cartan.add(nui, nui)) for _, factors in table._good_words_i(mu) for group in factors}
-    return all(any(l == m and 1 <= j <= a for m, a in groups) for l, j in table._powers)
+def _other_weights(table):
+    """The words of the dual PBW memo whose weight is not the scope's."""
+    return [w for w in table._pbw_memo if cartan.word_weight(table._idatum, w) != table._pbw_memo_weight]
+
+
+def _groups_fit(table, *weights):
+    """The dual PBW memo holds words of other weights than the scope's, and
+    each is a factor group l^j with 1 <= j <= a for a factor group (l, a) of
+    a good word of one of the weights."""
+    factors = [group for mu in weights for _, groups in table._good_words_i(mu) for group in groups]
+    groups = {l * j for l, a in factors for j in range(1, a + 1)}
+    held = _other_weights(table)
+    return bool(held) and set(held) <= groups
 
 
 def test_expansion_memo_holds_one_weight_only():
@@ -156,14 +191,14 @@ def test_expansion_memo_holds_one_weight_only():
     for nu in ((2, 1), (1, 2)):
         for g, elt, _ in table._dual_canonical_weight_i(nu):
             assert table._expand_i(elt)[g] == 1
-    assert table._pbw_memo
-    assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} == {(1, 2)}
-    assert all(elt.weight == (1, 2) for elt, _ in table._pbw_memo.values())
     assert table._pbw_memo_weight == (1, 2)
+    # beside the vectors of (1, 2), the memo holds only their factor groups
+    assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} > {(1, 2)}
+    assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, (elt, _) in table._pbw_memo.items())
     # the dual canonical vectors share the memo's scope
     assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
     assert _held_weights(table) == {(1, 2)}
-    assert table._powers and _powers_fit(table, (1, 2))
+    assert _groups_fit(table, (1, 2))
     # no reality question was asked at (1, 2)
     assert table._square_goods is None and table._square_rows == {}
 
@@ -171,8 +206,8 @@ def test_expansion_memo_holds_one_weight_only():
 def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     # the reality check extracts what it reads at the weight 2nu of each
     # square, so a scan enters only the weights it reports, up to height 5,
-    # and keeps the last one with its straightened vectors, the factor powers
-    # of nu and 2nu, and the good words of 2nu with the rows extracted there,
+    # and keeps the last one with its straightened vectors, the factor group
+    # vectors of nu and 2nu, and the good words of 2nu with the rows extracted there,
     # each carrying kappa_h, its coefficient at h
     table = basis.GoodLyndonTable(B2)
     real = table._enter
@@ -186,7 +221,7 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert cartan.height(last) == 5 and table._pbw_memo_weight == last
     assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
     assert _held_weights(table) == {last}
-    assert table._powers and _powers_fit(table, last)
+    assert _groups_fit(table, last, cartan.add(last, last))
     assert table._square_goods == table._good_words_i(cartan.add(last, last))[::-1]
     assert table._square_rows
     factors = dict(table._square_goods)
@@ -198,10 +233,10 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
 def test_entering_another_weight_drops_the_powers_and_the_workspace():
     table, elt = _b2_21()
     assert basis._is_real_i(table, elt) is None
-    assert table._powers and table._square_goods and table._square_rows
+    assert _other_weights(table) and table._square_goods and table._square_rows
     table._enter((1, 2))
     assert table._pbw_memo_weight == (1, 2)
-    assert table._pbw_memo == {} and table._powers == {}
+    assert table._pbw_memo == {}
     assert table._canonical_memo is None and table._square_goods is None and table._square_rows == {}
 
 
@@ -259,26 +294,29 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
     # one extraction per square and per distinct row E*_h of the square
     # weights, where on B2 rows extracted afresh for each vector make 162
     # and not 75; each row computes its kappa_h once, and construction one
-    # per vector, so a kappa_i call of the solve's own would show here
+    # per vector, so a kappa_i call of the solve's own would show here; the
+    # build of each factor group's vector checks its own kappa
     real = shuffle.product_coefficients
 
-    def counting(factors, targets, shift=0):
+    def counting(factors, targets):
         targets = list(targets)
         if len(factors) == 2 and factors[0] is factors[1]:
             squares.append(factors[0])
         else:
             rows.append((reduce(cartan.add, (f.weight for f in factors)), max(targets)))
-        return real(factors, targets, shift)
+        return real(factors, targets)
 
     monkeypatch.setattr(shuffle, "product_coefficients", counting)
     for datum, counts in ((B2, (40, 75, 115)), (G2, (44, 110, 154))):
         squares, rows, kappas = [], [], []
         table = basis.GoodLyndonTable(datum)
         monkeypatch.setattr(table, "_kappa_i", lambda f, real_kappa=table._kappa_i: kappas.append(f) or real_kappa(f))
+        _, groups = _count_builds(monkeypatch, table)
         report = basis.scan(table, 5, "reality")
         assert len(squares) == report.total_vectors
-        assert (len(squares), len(rows), len(kappas)) == counts
+        assert (len(squares), len(rows), len(kappas) - len(groups)) == counts
         assert len(set(rows)) == len(rows)
+        assert _group_words(table, groups)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
@@ -301,10 +339,10 @@ def _spoil_square(monkeypatch, word, spoil):
     at one good word; the rows E*_h are extracted as they are."""
     real = shuffle.product_coefficients
 
-    def spoiled(factors, targets, shift=0):
-        out = real(factors, targets, shift)
+    def spoiled(factors, targets):
+        out = real(factors, targets)
         if len(factors) == 2 and factors[0] is factors[1]:
-            out[word] = spoil(out.get(word, ZERO))
+            out[word] = spoil(LaurentPoly(out.get(word, {}))).terms
         return out
 
     monkeypatch.setattr(shuffle, "product_coefficients", spoiled)
@@ -392,11 +430,31 @@ def test_a_vector_whose_maximal_word_is_not_good_raises():
 
 
 def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):
-    # the solve extracts E*_top = q^s E*_{w[1]}^2 * E*_{w[2]}^2 at its top word;
-    # with the dual root vector of w[2] doubled, that coefficient is 4 kappa
+    # the solve extracts E*_top = E*_{w[1,1]} * E*_{w[2,2]} at its top word,
+    # and builds E*_{w[2,2]} from E*_{w[2]}, which straightening at (1, 1)
+    # left unbuilt; with the dual root vector of w[2] doubled, the build of
+    # E*_{w[2]} itself finds the coefficient 2 kappa at its own good word
     table, elt = _b2_21()
     root, kappa = table._dual_root_i((2,))
     monkeypatch.setitem(table._dual_root_cache, (2,), (root.scaled(2), kappa))
+    with pytest.raises(StraighteningFailure, match=r"wrong leading term .* weight 0,1 good word w\[2\]\]"):
+        basis._is_real_i(table, elt)
+
+
+def test_a_row_with_a_wrong_leading_coefficient_raises(monkeypatch):
+    # with the coefficient that the row extraction reads at the top word
+    # doubled, the row of E*_top has 2 kappa at its own good word
+    table, elt = _b2_21()
+    real = shuffle.product_coefficients
+    top = (2, 2, 1, 1)
+
+    def spoiled(factors, targets):
+        out = real(factors, targets)
+        if not (len(factors) == 2 and factors[0] is factors[1]) and top in out:
+            out[top] = {e: 2 * c for e, c in out[top].items()}
+        return out
+
+    monkeypatch.setattr(shuffle, "product_coefficients", spoiled)
     with pytest.raises(StraighteningFailure, match=r"wrong leading term .* weight 2,2 good word w\[2,2,1,1\]\]"):
         basis._is_real_i(table, elt)
 

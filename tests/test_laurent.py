@@ -54,6 +54,15 @@ def test_normalization_drops_zero_coefficients():
     assert not ZERO
 
 
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_a_constant_hashes_like_the_integer_it_equals(n):
+    c = LaurentPoly({0: n})
+    assert c == n and hash(c) == hash(n)
+    assert len({c, n}) == 1 and {n: "x"}.get(c) == "x" and {c: "x"}.get(n) == "x"
+    # a monomial of the same coefficient is another key
+    assert n == 0 or monomial(1, n) not in {c, n}
+
+
 def test_non_integer_input_rejected():
     with pytest.raises(TypeError):
         LaurentPoly({0: 0.5})

@@ -3,7 +3,7 @@ random products of one to four factors, some the same object repeated,
 with bar-symmetric coefficients or not, small or up to 2^100, at words
 inside and outside the support; and every square and every dual PBW
 vector at weight 2nu that the reality check reads for B2 and G2 up to
-height 4."""
+height 4.  Coefficients come back as raw exponent maps."""
 
 from itertools import permutations
 
@@ -58,28 +58,28 @@ def _built(factors):
     return product
 
 
-def _assert_extracted_match_built(factors, shift, data):
+def _assert_extracted_match_built(factors, data):
     product = _built(factors)
     letters = tuple(x for f in factors for x in next(iter(f.terms)))  # a word of the product's weight
     inside = data.draw(st.lists(st.sampled_from(sorted(product.terms)), max_size=4))
     # same letters, maybe outside the support; and words of other weights
     outside = data.draw(st.lists(st.permutations(letters).map(tuple), max_size=4))
     other = [letters[:-1], letters + (1,), ()]
-    got = product_coefficients(factors, inside + outside + other, shift)
-    assert got == {w: product.terms[w].shifted(shift) for w in inside + outside if w in product.terms}
+    got = product_coefficients(factors, inside + outside + other)
+    assert got == {w: product.terms[w].terms for w in inside + outside if w in product.terms}
 
 
 @settings(max_examples=100, deadline=None)
-@given(products(), st.integers(-4, 4), st.data())
-def test_extracted_coefficients_match_the_built_product(factors, shift, data):
-    _assert_extracted_match_built(factors, shift, data)
+@given(products(), st.data())
+def test_extracted_coefficients_match_the_built_product(factors, data):
+    _assert_extracted_match_built(factors, data)
 
 
 @settings(max_examples=100, deadline=None)
-@given(products((wide_polys,)), st.integers(-4, 4), st.data())
-def test_extracted_coefficients_are_exact_with_coefficients_up_to_2_to_the_100(factors, shift, data):
+@given(products((wide_polys,)), st.data())
+def test_extracted_coefficients_are_exact_with_coefficients_up_to_2_to_the_100(factors, data):
     # the packed pass must pick W from the coefficients' size, not a fixed word
-    _assert_extracted_match_built(factors, shift, data)
+    _assert_extracted_match_built(factors, data)
 
 
 def test_a_zero_factor_gives_zero_and_a_factor_of_weight_zero_is_refused():
@@ -94,25 +94,30 @@ def _all_words(elt):
     return set(permutations(next(iter(elt.terms))))
 
 
+def _raw(elt):
+    return {w: c.terms for w, c in elt.terms.items()}
+
+
 # (dual canonical vectors up to height 4, good words at their doubled weights)
 COUNTS = {"B2": (24, 41), "G2": (25, 53)}
 
 
 @pytest.mark.parametrize("label", ["B2", "G2"])
 def test_squares_and_dual_pbw_vectors_at_twice_the_weight(label):
-    # what the reality check reads: b* * b*, and E*_h = q^s E*_l^a * ... over
-    # the powers of h's factors, smallest first, for every good word h of 2nu
+    # what the reality check reads: b* * b*, and E*_h = E*_{l^a} * ... over
+    # h's factor groups, smallest first, for every good word h of 2nu, the
+    # groups' vectors taken in the scope of nu as the check takes them
     table = basis.GoodLyndonTable(cartan.parse(label))
     built = basis.GoodLyndonTable(cartan.parse(label))
     squares = vectors = 0
     for nu in cartan.weights_up_to_height(2, 4):
         for _, elt, _ in table._dual_canonical_weight_i(nu):
             square = qshuffle(elt, elt)
-            assert product_coefficients([elt, elt], _all_words(square)) == square.terms
+            assert product_coefficients([elt, elt], _all_words(square)) == _raw(square)
             squares += 1
+        built._enter(cartan.add(nu, nu))
         for h, factors in table._good_words_i(cartan.add(nu, nu)):
             pbw, _ = built._dual_pbw_i(h, factors)
-            factor_powers, shift = table._factor_powers(factors)
-            assert product_coefficients(factor_powers, _all_words(pbw), shift) == pbw.terms
+            assert product_coefficients(table._group_vectors(factors), _all_words(pbw)) == _raw(pbw)
             vectors += 1
     assert (squares, vectors) == COUNTS[label]

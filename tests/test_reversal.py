@@ -47,15 +47,22 @@ def test_reversal_permutes_the_vectors_of_each_weight(label, max_height, order):
 
 
 def _scan_counts(monkeypatch, label, max_height):
-    """The dual PBW builds and straightening corrections of one positivity scan."""
+    """The dual PBW builds and straightening corrections of one positivity
+    scan; the builds of factor groups inside a build are not counted."""
     table = basis.GoodLyndonTable(cartan.parse(label))
     real_pbw, real_sub = table._dual_pbw_i, shuffle._sub_scaled
     built, corrections = [], []
+    depth = 0
 
     def counting(wi, factors=None):
-        if wi not in table._pbw_memo:
+        nonlocal depth
+        if wi not in table._pbw_memo and not depth:
             built.append(wi)
-        return real_pbw(wi, factors)
+        depth += 1
+        try:
+            return real_pbw(wi, factors)
+        finally:
+            depth -= 1
 
     def correcting(acc, f, c):
         corrections.append(f)
