@@ -74,7 +74,6 @@ class GoodLyndonTable:
 
         self._lyndon_of_root: dict[Weight, Word] = self._good_lyndon_map()
         self._root_of_lyndon = {l: b for b, l in self._lyndon_of_root.items()}
-        self._gl = frozenset(self._root_of_lyndon)
         self._r_cache: dict[Word, ShuffleElt] = {}
         self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
@@ -164,7 +163,7 @@ class GoodLyndonTable:
 
     def lyndon_words(self) -> tuple[Word, ...]:
         """All good Lyndon words, ascending in the table's lexicographic order."""
-        return tuple(self._w_out(l) for l in sorted(self._gl))
+        return tuple(self._w_out(l) for l in sorted(self._root_of_lyndon))
 
     def lyndon_of_root(self, beta: Weight) -> Word:
         try:
@@ -175,7 +174,7 @@ class GoodLyndonTable:
     def _lyndon_i(self, l: Word) -> Word:
         """A good Lyndon word in internal letters; raises NotGoodLyndon otherwise."""
         li = self._w_in(tuple(l))
-        if li not in self._gl:
+        if li not in self._root_of_lyndon:
             raise NotGoodLyndon(f"{format_word(l)} is not a good Lyndon word")
         return li
 
@@ -184,13 +183,13 @@ class GoodLyndonTable:
 
     def roots_in_convex_order(self) -> tuple[Weight, ...]:
         """Positive roots sorted by their good Lyndon words."""
-        return tuple(self._nu_out(self._root_of_lyndon[l]) for l in sorted(self._gl))
+        return tuple(self._nu_out(self._root_of_lyndon[l]) for l in sorted(self._root_of_lyndon))
 
     # -- good words ----------------------------------------------------------------
 
     def _factors_i(self, w: Word) -> tuple[tuple[Word, int], ...] | None:
         parts = words.lyndon_factorization(w)
-        if any(p not in self._gl for p in parts):
+        if any(p not in self._root_of_lyndon for p in parts):
             return None
         return _grouped(parts)
 
@@ -444,8 +443,8 @@ class GoodLyndonTable:
                 gamma = delta.positive_part()
                 if not gamma:
                     raise StraighteningFailure(f"empty correction {self._where(g, p)}")
-                shuffle._sub_scaled(acc, b_pivot, gamma)
-            elt = shuffle._raw_elt(self._idatum, pbw.weight, {w: laurent._raw(d) for w, d in acc.items()})
+                shuffle._scaled_into(acc, shuffle._maps(b_pivot), laurent._scaled(gamma.terms, 0, -1))
+            elt = shuffle._from_maps(self._idatum, pbw.weight, acc)
             bad = [w for w, c in elt.terms.items() if not c.is_bar_symmetric()]
             if bad:
                 raise StraighteningFailure(
@@ -507,7 +506,7 @@ class GoodLyndonTable:
             except laurent.InexactDivision as exc:
                 raise NotInU(f"leading coefficient at {format_word(self._w_out(w))} not divisible") from exc
             out[w] = c
-            shuffle._sub_scaled(residual, elt, c)
+            shuffle._scaled_into(residual, shuffle._maps(elt), laurent._scaled(c.terms, 0, -1))
         return out
 
     def expand_in_dual_pbw(self, f: ShuffleElt) -> dict[Word, LaurentPoly]:
@@ -649,7 +648,9 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict
         record = {"good_word": list(table._w_out(g))}
         membership = shuffle.serre_membership(elt)
         if not membership.ok:
+            # an element outside U has no expansion over the dual PBW family
             out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
+            continue
         for h, c in table._expand_i(elt).items():
             # the expansion pivots only below g, and off-diagonal coefficients live in q Z[q]
             if h != g and c.valuation() < 1:

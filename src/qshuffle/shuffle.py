@@ -2,14 +2,16 @@
 polynomial coefficients, the q-shuffle product, concatenation, letter-deletion
 operators, the reversal / bar / composite twists, and the linear-relation
 membership test for the subalgebra generated by the letters.
+
+`_scaled_into` is the one loop that accumulates into elements; `_maps` and
+`_from_maps` convert between an element and its raw word -> exponent maps.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain
 
 from . import cartan, laurent
 from .cartan import CartanDatum, Record, Weight
@@ -84,7 +86,9 @@ class ShuffleElt:
     def __add__(self, other: ShuffleElt) -> ShuffleElt:
         self._check_peer(other, same_weight=True)
         weight = self.weight if self.terms or not other.terms else other.weight
-        return _collect(self.datum, weight, chain(self.terms.items(), other.terms.items()))
+        acc = {w: dict(p) for w, p in _maps(self)}
+        _scaled_into(acc, _maps(other), {0: 1})
+        return _from_maps(self.datum, weight, acc)
 
     def __sub__(self, other: ShuffleElt) -> ShuffleElt:
         return self + (-other)
@@ -95,11 +99,11 @@ class ShuffleElt:
     def scaled(self, c: LaurentPoly | int) -> ShuffleElt:
         if isinstance(c, int):
             c = LaurentPoly({0: c})
-        if not c:
-            return ShuffleElt.zero(self.datum, self.weight)
         if c == ONE:
             return self
-        return _raw_elt(self.datum, self.weight, {w: v * c for w, v in self.terms.items()})
+        acc: dict[Word, dict[int, int]] = {}
+        _scaled_into(acc, _maps(self), c.terms)
+        return _from_maps(self.datum, self.weight, acc)
 
     def _check_peer(self, other: ShuffleElt, same_weight: bool = False) -> None:
         if self.datum != other.datum:
@@ -152,12 +156,14 @@ def _raw_elt(datum: CartanDatum, weight: Weight, terms: dict[Word, LaurentPoly])
     return e
 
 
-def _collect(datum: CartanDatum, weight: Weight, pairs: Iterable[tuple[Word, LaurentPoly]]) -> ShuffleElt:
-    """The element sum of c * w over (w, c) pairs; words that cancel are dropped."""
-    acc: dict[Word, dict[int, int]] = {}
-    for w, c in pairs:
-        laurent._add_into(acc.setdefault(w, {}), c.terms)
-    return _raw_elt(datum, weight, {w: laurent._raw(d) for w, d in acc.items() if d})
+def _maps(f: ShuffleElt) -> Iterator[tuple[Word, dict[int, int]]]:
+    """The words of f with their raw exponent maps, which are f's own: read only."""
+    return ((w, c.terms) for w, c in f.terms.items())
+
+
+def _from_maps(datum: CartanDatum, weight: Weight, acc: dict[Word, dict[int, int]]) -> ShuffleElt:
+    """The element of a normalized raw {word: {exponent: coeff}} map, whose maps it takes over."""
+    return _raw_elt(datum, weight, {w: laurent._raw(d) for w, d in acc.items()})
 
 
 # -- the q-shuffle product -----------------------------------------------------
@@ -194,15 +200,6 @@ def _scaled_into(
                 del acc[w]
 
 
-def _sub_scaled(acc: dict[Word, dict[int, int]], f: ShuffleElt, c: LaurentPoly) -> None:
-    """acc -= c * f on a raw {word: {exponent: coeff}} map the caller owns.
-
-    Coefficients and words that cancel are deleted, so acc stays normalized;
-    f and c are only read, and no map of theirs is shared into acc.
-    """
-    _scaled_into(acc, ((w, v.terms) for w, v in f.terms.items()), laurent._scaled(c.terms, 0, -1))
-
-
 def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[int, int]]:
     """The product of two single words: peel the last letter of either factor,
     twisting the second branch by q^{-(|w1|, last of w2)}."""
@@ -235,8 +232,7 @@ def qshuffle(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
             scale: dict[int, int] = {}
             laurent._mul_add(scale, cf.terms, cg.terms)
             _scaled_into(acc, _shuffle_words(datum, wf, wg).items(), scale)
-    terms = {w: laurent._raw(d) for w, d in acc.items()}
-    return _raw_elt(datum, cartan.add(f.weight, g.weight), terms)
+    return _from_maps(datum, cartan.add(f.weight, g.weight), acc)
 
 
 def product_coefficients(factors: Sequence[ShuffleElt], targets: Iterable[Word]) -> dict[Word, dict[int, int]]:
@@ -337,10 +333,10 @@ def _support_trie(f: ShuffleElt, width: int) -> tuple[list[dict], list[list[int]
 
 
 def concat(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
-    """Coefficient-wise bilinear concatenation of words."""
+    """Coefficient-wise bilinear concatenation; the words of f have one length."""
     f._check_peer(g)
-    pairs = ((wf + wg, cf * cg) for wf, cf in f.terms.items() for wg, cg in g.terms.items())
-    return _collect(f.datum, cartan.add(f.weight, g.weight), pairs)
+    terms = {wf + wg: cf * cg for wf, cf in f.terms.items() for wg, cg in g.terms.items()}
+    return _raw_elt(f.datum, cartan.add(f.weight, g.weight), terms)
 
 
 def prepend_letter(i: int, f: ShuffleElt) -> ShuffleElt:
@@ -365,15 +361,15 @@ def shuffle_bracket(f: ShuffleElt, g: ShuffleElt) -> ShuffleElt:
 def e_prime(f: ShuffleElt, i: int) -> ShuffleElt:
     """Linear extension of last-letter deletion (delete a trailing i)."""
     alpha = cartan.simple_root(f.datum, i)
-    pairs = ((w[:-1], c) for w, c in f.terms.items() if w and w[-1] == i)
-    return _collect(f.datum, cartan.sub(f.weight, alpha), pairs)
+    terms = {w[:-1]: c for w, c in f.terms.items() if w and w[-1] == i}
+    return _raw_elt(f.datum, cartan.sub(f.weight, alpha), terms)
 
 
 def e_prime_dag(f: ShuffleElt, i: int) -> ShuffleElt:
     """Linear extension of first-letter deletion (delete a leading i)."""
     alpha = cartan.simple_root(f.datum, i)
-    pairs = ((w[1:], c) for w, c in f.terms.items() if w and w[0] == i)
-    return _collect(f.datum, cartan.sub(f.weight, alpha), pairs)
+    terms = {w[1:]: c for w, c in f.terms.items() if w and w[0] == i}
+    return _raw_elt(f.datum, cartan.sub(f.weight, alpha), terms)
 
 
 def _pair_sum(datum: CartanDatum, w: Word) -> int:
@@ -395,8 +391,8 @@ def tau(f: ShuffleElt) -> ShuffleElt:
 def bar_elt(f: ShuffleElt) -> ShuffleElt:
     """q -> q^{-1} on coefficients, each word reversed and twisted by
     q^{-sum_{s<t}(alpha_{w_s}, alpha_{w_t})}."""
-    pairs = ((w[::-1], c.bar().shifted(-_pair_sum(f.datum, w))) for w, c in f.terms.items())
-    return _collect(f.datum, f.weight, pairs)
+    terms = {w[::-1]: c.bar().shifted(-_pair_sum(f.datum, w)) for w, c in f.terms.items()}
+    return _raw_elt(f.datum, f.weight, terms)
 
 
 def sigma(f: ShuffleElt) -> ShuffleElt:

@@ -1,7 +1,8 @@
 """The sparse-accumulation kernel: `laurent._scaled`, `laurent._add_into`
 and `laurent._mul_add` on raw exponent maps, the ring laws built on them,
-and the element operations that sum (word, coefficient) pairs through
-`shuffle._collect`, each against a plain dict-of-sums reference."""
+and the element operations: `+` and `scaled`, which accumulate through
+`shuffle._scaled_into`, and those that map distinct words to distinct
+words, each against a plain dict-of-sums reference."""
 
 from collections import defaultdict
 from itertools import permutations
@@ -93,7 +94,7 @@ def test_exact_div_and_sqrt_round_trips(p, d):
     assert sqrt_exact(p * p) in (p, -p)
 
 
-# -- element operations over _collect ----------------------------------------------
+# -- element operations -----------------------------------------------------------
 
 B2 = cartan.parse("B2")
 
@@ -142,6 +143,50 @@ def test_add_matches_naive_sum(f, g, cancel):
     pairs = [(w, c.terms.items()) for h in (f, g) for w, c in h.terms.items()]
     assert _raw_terms(f + g) == _naive(pairs)
     assert _raw_terms(f - f) == {}
+
+
+# 0, 1 and -1 as integers, the empty polynomial, monomials and longer polynomials
+scales = st.one_of(
+    st.sampled_from([0, 1, -1, ZERO]),
+    monomial_maps.map(LaurentPoly),
+    long_maps.map(LaurentPoly),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(WORDS_22), scales)
+def test_scaled_matches_naive_sum(f, c):
+    terms = LaurentPoly({0: c}).terms if isinstance(c, int) else c.terms
+    pairs = [
+        (w, [(e1 + e2, x1 * x2) for e1, x1 in v.terms.items() for e2, x2 in terms.items()])
+        for w, v in f.terms.items()
+    ]
+    h = f.scaled(c)
+    assert _raw_terms(h) == _naive(pairs)
+    assert h.weight == f.weight
+
+
+def _maps_of(*elts):
+    return {id(c.terms) for f in elts for c in f.terms.values()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(WORDS_22), elements(WORDS_22), scales.filter(lambda c: c != 1))
+def test_add_and_scaled_share_no_map_of_an_operand(f, g, c):
+    assert not _maps_of(f + g) & _maps_of(f, g)
+    assert not _maps_of(f.scaled(c)) & _maps_of(f)
+
+
+def test_scaled_multiplies_no_laurent_polynomial(monkeypatch):
+    f = ShuffleElt(B2, (2, 1), {(1, 1, 2): LaurentPoly({0: 1, 2: -1}), (2, 1, 1): laurent.monomial(-1, 3)})
+    scales = [laurent.monomial(2, -3), LaurentPoly({0: 1, 1: 2, -1: -1})]
+    expected = [{w: v * c for w, v in f.terms.items()} for c in scales]
+
+    def refused(self, other):
+        raise AssertionError("scaled multiplied through LaurentPoly.__mul__")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refused)
+    assert [f.scaled(c).terms for c in scales] == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -80,6 +80,32 @@ def test_membership_agrees_with_reference_on_random_elements(f):
     assert serre_membership(f) == serre_oracle.serre_membership(f)
 
 
+def test_invariants_check_reports_a_vector_outside_u_with_its_witness():
+    # w[1,1,2] breaks the Serre relation of A2 and its maximal word is not
+    # good, so an expansion would raise NotInU
+    table = basis.GoodLyndonTable(cartan.parse("A2"))
+    elt = ShuffleElt.from_word(table._idatum, (1, 1, 2))
+    assert basis._invariant_violations(table, [((1, 2, 1), elt, ONE)]) == [
+        {
+            "good_word": [1, 2, 1],
+            "kind": "not-in-subalgebra",
+            "witness": "relation i=1 j=2 z=w[] t=w[] sums to 1",
+        }
+    ]
+
+
+def test_invariants_check_reports_an_off_diagonal_expansion_coefficient():
+    # b*_{2,1,1} + E*_{1,1,2} lies in U; its expansion coefficient at 1,1,2
+    # is q^2 + 1, outside q Z[q]
+    table = basis.GoodLyndonTable(cartan.parse("B2"))
+    vectors = {g: (elt, kappa) for g, elt, kappa in table._dual_canonical_weight_i((2, 1))}
+    elt, kappa = vectors[(2, 1, 1)]
+    spoilt = elt + table._dual_pbw_i((1, 1, 2))[0]
+    assert basis._invariant_violations(table, [((2, 1, 1), spoilt, kappa)]) == [
+        {"good_word": [2, 1, 1], "kind": "expansion-off-diagonal", "at": [1, 1, 2], "value": "q^2 + 1"}
+    ]
+
+
 # -- one dual PBW build per good word per weight ---------------------------------------
 
 

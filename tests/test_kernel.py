@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import straightening_oracle as oracle
 from qshuffle import basis, cartan, laurent, shuffle
 from qshuffle.basis import StraighteningFailure
-from qshuffle.laurent import ONE, LaurentPoly, monomial
+from qshuffle.laurent import ONE, ZERO, LaurentPoly, monomial
 from qshuffle.shuffle import ShuffleElt
 
 DIFFERENTIAL_RANGES = [
@@ -111,12 +111,16 @@ def _elt(raw):
 
 @settings(max_examples=150, deadline=None)
 @given(raw_elements, raw_elements, coefficients)
-def test_sub_scaled_matches_element_arithmetic(acc, f_raw, c_raw):
+def test_scaled_into_matches_element_arithmetic(acc, f_raw, c_raw):
+    # the step of straightening and expansion, acc -= c * f, against
+    # coefficient-wise Laurent arithmetic
     f, c = _elt(f_raw), LaurentPoly(c_raw)
-    expected = _elt(acc) - f.scaled(c)
+    expected = {w: LaurentPoly(d) for w, d in acc.items()}
+    for w, v in f.terms.items():
+        expected[w] = expected.get(w, ZERO) - v * c
     f_before, c_before = copy.deepcopy(f.terms), dict(c.terms)
-    shuffle._sub_scaled(acc, f, c)
-    assert _elt(acc) == expected
+    shuffle._scaled_into(acc, shuffle._maps(f), laurent._scaled(c.terms, 0, -1))
+    assert _elt(acc) == ShuffleElt(DATUM, WEIGHT, expected)
     assert all(d and all(d.values()) for d in acc.values())
     assert f.terms == f_before and c.terms == c_before
     # the accumulator never shares a map with its operand

@@ -15,6 +15,7 @@ import pytest
 import straightening_oracle as oracle
 from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
+from qshuffle.laurent import LaurentPoly
 from qshuffle.shuffle import ShuffleElt
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,9 +49,11 @@ def test_reversal_permutes_the_vectors_of_each_weight(label, max_height, order):
 
 def _scan_counts(monkeypatch, label, max_height):
     """The dual PBW builds and straightening corrections of one positivity
-    scan; the builds of factor groups inside a build are not counted."""
+    scan; the builds of factor groups inside a build are not counted.  Each
+    correction takes its gamma as a positive part, and nothing else of a
+    scan calls `LaurentPoly.positive_part`."""
     table = basis.GoodLyndonTable(cartan.parse(label))
-    real_pbw, real_sub = table._dual_pbw_i, shuffle._sub_scaled
+    real_pbw, real_positive = table._dual_pbw_i, LaurentPoly.positive_part
     built, corrections = [], []
     depth = 0
 
@@ -64,12 +67,12 @@ def _scan_counts(monkeypatch, label, max_height):
         finally:
             depth -= 1
 
-    def correcting(acc, f, c):
-        corrections.append(f)
-        real_sub(acc, f, c)
+    def correcting(delta):
+        corrections.append(delta)
+        return real_positive(delta)
 
     monkeypatch.setattr(table, "_dual_pbw_i", counting)
-    monkeypatch.setattr(shuffle, "_sub_scaled", correcting)
+    monkeypatch.setattr(LaurentPoly, "positive_part", correcting)
     report = basis.scan(table, max_height, "positivity")
     assert report.total_violations == 0
     return report.total_vectors, len(built), len(corrections)
@@ -158,6 +161,7 @@ def test_a_reversal_that_is_held_not_good_or_below_raises(label, nu, spoilt, ext
 LEFT_HELD = """
 from qshuffle import basis, cartan
 from qshuffle.basis import StraighteningFailure
+from qshuffle.laurent import LaurentPoly
 table = basis.GoodLyndonTable(cartan.parse("A3"))
 real = table._good_words_i
 # drop 3,2,1, the reversal partner of 1,2,3, from the pass

@@ -28,5 +28,8 @@ def test_tracer_instruments_and_restores_the_package():
     assert [report.total_violations for report in reports] == [0, 0]
     assert tracer.agg["basis.check"][0] == sum(len(report.entries) for report in reports)
     assert tracer.agg["laurent.mul"][0] > 0
+    # the element operations and the product the benchmark times are still
+    # the names it wraps
+    assert tracer.agg["shuffle.elt"][0] > 0 and tracer.agg["shuffle.qshuffle"][0] > 0
     assert qshuffle.laurent.LaurentPoly.__mul__ is mul
     assert isinstance(qshuffle.shuffle._CACHE, dict)
