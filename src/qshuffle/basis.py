@@ -376,10 +376,11 @@ class GoodLyndonTable:
     # -- the dual canonical basis --------------------------------------------------------
 
     def _dual_canonical_weight_i(
-        self, nui: Weight, images: Iterable[ShuffleElt] | None = None
-    ) -> tuple[tuple[Word, ShuffleElt, LaurentPoly], ...]:
+        self, nui: Weight, images: Iterable[tuple[Word, ShuffleElt]] | None = None
+    ) -> tuple[tuple[Word, ShuffleElt, LaurentPoly, Word], ...]:
         """The dual canonical vectors of nui, ascending by good word, built
-        once while nui is the scope's weight.
+        once while nui is the scope's weight, each as (g, b*_g, kappa_g,
+        origin): the good word of the vector that b*_g is an image of.
 
         Two symmetries map the dual canonical basis onto itself, keeping every
         coefficient but not the lexicographic order, so each image of a dual
@@ -387,16 +388,17 @@ class GoodLyndonTable:
         the reversal tau of words (Kashiwara's anti-involution *, which fixes
         every E_i) permutes the vectors of nui, and a letter map sigma that
         fixes the internal datum is an algebra automorphism (Lusztig), so
-        `images`, the sigma-images of the vectors of sigma^-1(nui), are the
-        vectors of nui.  The pass goes up the good words and takes each image
-        held at h as b*_h, so E*_h is never built here.  Given `images`, it
-        holds each at its maximal word and straightens nothing.  Otherwise a
-        good word g that no earlier reversal reached is straightened from its
-        dual PBW vector E*_g, and if the reversal of b*_g has a maximal word
-        h > g, it is held; a tau-fixed good word, h = g, is straightened like
-        any other.  As tau is an involution, b*_h with h < g was met earlier
-        and would have held g instead, and a second vector cannot reverse onto
-        a held h.  So a reversal onto an h below g, not good or held already,
+        `images`, the sigma-images of the vectors of sigma^-1(nui), each given
+        with its origin, are the vectors of nui.  The pass goes up the good
+        words and takes each image held at h as b*_h with the image's origin,
+        so E*_h is never built here.  Given `images`, it holds each at its
+        maximal word and straightens nothing.  Otherwise a good word g that no
+        earlier reversal reached is straightened from its dual PBW vector
+        E*_g and is its own origin, and if the reversal of b*_g has a maximal
+        word h > g, it is held with origin g; a tau-fixed good word, h = g, is
+        straightened like any other.  As tau is an involution, b*_h with
+        h < g was met earlier and would have held g instead, and a second
+        vector cannot reverse onto a held h.  So a reversal onto an h below g, not good or held already,
         two images with one maximal word, a held image whose coefficient at h
         is not kappa_h, a good word that no given image reaches and an image
         still held at the end, such as one at a word that is not good, all
@@ -405,18 +407,18 @@ class GoodLyndonTable:
         if self._canonical_memo is not None:
             return self._canonical_memo
         goods = self._good_words_i(nui)
-        done: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        held: dict[Word, ShuffleElt] = {}
-        for elt in images or ():
+        done: dict[Word, tuple[ShuffleElt, LaurentPoly, Word]] = {}
+        held: dict[Word, tuple[Word, ShuffleElt]] = {}
+        for origin, elt in images or ():
             if (h := shuffle.max_word(elt)) in held:
                 raise StraighteningFailure(f"two images have this maximal word {self._where(h)}")
-            held[h] = elt
+            held[h] = origin, elt
         for k, (g, factors) in enumerate(goods):
             if g in held:
-                elt, kappa = held.pop(g), self._kappa_i(factors)
+                (origin, elt), kappa = held.pop(g), self._kappa_i(factors)
                 if elt.terms[g] != kappa:
                     raise StraighteningFailure(f"image's coefficient is not kappa {self._where(g)}")
-                done[g] = (elt, kappa)
+                done[g] = (elt, kappa, origin)
                 continue
             if images is not None:
                 raise StraighteningFailure(f"no image has this maximal word {self._where(g)}")
@@ -431,7 +433,7 @@ class GoodLyndonTable:
                     continue
                 if p == g:
                     raise StraighteningFailure(f"leading coefficient is not bar-symmetric {self._where(g, p)}")
-                b_pivot, kappa_p = done[p]
+                b_pivot, kappa_p, _ = done[p]
                 # Bar symmetry of alpha - gamma*kappa_p with gamma in q Z[q]
                 # pins gamma: gamma - bar(gamma) = (alpha - bar(alpha)) / kappa_p.
                 try:
@@ -453,7 +455,7 @@ class GoodLyndonTable:
                 )
             if shuffle.max_word(elt) != g or elt.terms[g] != kappa:
                 raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
-            done[g] = (elt, kappa)
+            done[g] = (elt, kappa, g)
             reversal = shuffle.tau(elt)
             h = shuffle.max_word(reversal)
             if h == g:
@@ -463,7 +465,7 @@ class GoodLyndonTable:
                     f"the reversal has maximal word {format_word(self._w_out(h))}: "
                     f"below the good word, held already or not good {self._where(g)}"
                 )
-            held[h] = reversal
+            held[h] = g, reversal
         if held:
             raise StraighteningFailure(f"an image was never reached {self._where(min(held))}")
         self._canonical_memo = tuple((g, *done[g]) for g, _ in goods)
@@ -473,14 +475,14 @@ class GoodLyndonTable:
         """All dual canonical vectors of one weight, ascending by good word."""
         return tuple(
             DualCanonicalVector(self._good_out(g, self._factors_i(g)), self._elt_out(elt), kappa)
-            for g, elt, kappa in self._dual_canonical_weight_i(self._nu_in(tuple(nu)))
+            for g, elt, kappa, _ in self._dual_canonical_weight_i(self._nu_in(tuple(nu)))
         )
 
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
         """The dual canonical vector indexed by one good word."""
         wi, factors = self._good_i(g)
         good = self._good_out(wi, factors)
-        for h, elt, kappa in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
+        for h, elt, kappa, _ in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
             if h == wi:
                 return DualCanonicalVector(good, self._elt_out(elt), kappa)
         raise laurent.TheoryViolation(
@@ -619,32 +621,42 @@ class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elap
         return sum(len(e.violations) for e in self.entries)
 
 
-# Each check takes the vectors of one weight from `scan`, which builds them once.
-Vectors = Sequence[tuple[Word, ShuffleElt, LaurentPoly]]
+# Each check takes the vectors of one weight from `scan`, which builds them
+# once, with the verdicts of the weight's orbit by origin, which `scan` holds
+# from the orbit's first weight to its last member.
+Vectors = Sequence[tuple[Word, ShuffleElt, LaurentPoly, Word]]
 
 
-def _positivity_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
+def _positivity_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:
     """Every negative coefficient of the dual canonical vectors of one weight."""
     return [
         {"good_word": list(table._w_out(g)), "word": list(table._w_out(w)), "coefficient": elt.terms[w].to_json()}
-        for g, elt, _ in vectors
+        for g, elt, _, _ in vectors
         for w in sorted((w for w, c in elt.terms.items() if min(c.terms.values()) < 0), key=table._w_out)
     ]
 
 
-def _reality_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
-    return [
-        {"good_word": list(table._w_out(g)), "kind": "imaginary"}
-        for g, elt, _ in vectors
-        if _is_real_i(table, elt) is not None
-    ]
+def _reality_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:
+    """The imaginary vectors of one weight.  The reversal tau and the
+    diagram automorphisms sigma map the dual canonical basis onto itself and
+    respect squares, tau(b)^2 = tau(b^2) and sigma(b)^2 = sigma(b^2), so an
+    image is real exactly when its origin is.  `_is_real_i` decides the first
+    vector of each origin, which in ascending order is the origin itself,
+    and the others take its verdict from `verdicts`."""
+    out = []
+    for g, elt, _, origin in vectors:
+        if origin not in verdicts:
+            verdicts[origin] = _is_real_i(table, elt) is None
+        if not verdicts[origin]:
+            out.append({"good_word": list(table._w_out(g)), "kind": "imaginary"})
+    return out
 
 
-def _invariant_violations(table: GoodLyndonTable, vectors: Vectors) -> list[dict]:
+def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:
     """Membership in U and the q Z[q] expansion over the dual PBW family:
     construction raises on everything else a dual canonical vector must satisfy."""
     out = []
-    for g, elt, _ in vectors:
+    for g, elt, _, _ in vectors:
         record = {"good_word": list(table._w_out(g))}
         membership = shuffle.serre_membership(elt)
         if not membership.ok:
@@ -672,14 +684,17 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
 
     The diagram automorphisms of the internal datum split the weights into
     orbits.  Only the first weight of each orbit, in scan order, is
-    straightened; its vectors are held until every later member has taken
-    their images as its own (`_dual_canonical_weight_i` with `images`).
+    straightened; its vectors and their verdicts are held until every later
+    member has taken their images as its own (`_dual_canonical_weight_i`
+    with `images`).  Each image carries its source's origin, so every origin
+    in the orbit names a vector of the first weight that is its own origin.
     Every weight runs the check on its own vectors."""
     if check not in _SCAN_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {sorted(_SCAN_CHECKS)}")
     run = _SCAN_CHECKS[check]
     sigmas = [(0, *s) for s in cartan.automorphisms(table._idatum)]
-    sources: dict[Weight, tuple[tuple[int, ...], Vectors]] = {}  # a later member -> its map and source
+    # a later member -> its map, and the source's vectors and orbit verdicts
+    sources: dict[Weight, tuple[tuple[int, ...], Vectors, dict[Word, bool]]] = {}
     entries = []
     t0 = time.perf_counter()
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
@@ -687,14 +702,14 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
         nui = table._nu_in(nu)
         source = sources.pop(nui, None)
         if source is None:
-            vectors = table._dual_canonical_weight_i(nui)
+            vectors, verdicts = table._dual_canonical_weight_i(nui), {}
             for sigma in sigmas:
                 if (mui := _moved(sigma, nui)) != nui:
-                    sources.setdefault(mui, (sigma, vectors))
+                    sources.setdefault(mui, (sigma, vectors, verdicts))
         else:
-            sigma, first = source
-            images = [_moved_elt(sigma, table._idatum, elt) for _, elt, _ in first]
+            sigma, first, verdicts = source
+            images = [(origin, _moved_elt(sigma, table._idatum, elt)) for _, elt, _, origin in first]
             vectors = table._dual_canonical_weight_i(nui, images)
-        violations = tuple(run(table, vectors))
+        violations = tuple(run(table, vectors, verdicts))
         entries.append(WeightEntry(nu, len(vectors), violations, time.perf_counter() - w0))
     return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)

@@ -23,7 +23,7 @@ def is_real(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     the dual canonical vector at the square's maximal word."""
     square = shuffle.qshuffle(elt, elt)
     top = shuffle.max_word(square)
-    for g, candidate, kappa in table._dual_canonical_weight_i(square.weight):
+    for g, candidate, kappa, _ in table._dual_canonical_weight_i(square.weight):
         if g == top:
             break
     else:

@@ -410,7 +410,7 @@ def test_expand_rejects_elements_outside_the_subalgebra(tables):
 def test_positivity_report_g2(tables):
     t = tables("G2")
     vectors = t._dual_canonical_weight_i((3, 2))
-    assert basis._positivity_violations(t, vectors) == []
+    assert basis._positivity_violations(t, vectors, {}) == []
     assert len(vectors) == 7
 
 

@@ -24,7 +24,7 @@ MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2
 
 def _canonical_vectors(table, max_height):
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
-        for _, elt, _ in table._dual_canonical_weight_i(table._nu_in(nu)):
+        for _, elt, _, _ in table._dual_canonical_weight_i(table._nu_in(nu)):
             yield elt
 
 
@@ -85,7 +85,7 @@ def test_invariants_check_reports_a_vector_outside_u_with_its_witness():
     # good, so an expansion would raise NotInU
     table = basis.GoodLyndonTable(cartan.parse("A2"))
     elt = ShuffleElt.from_word(table._idatum, (1, 1, 2))
-    assert basis._invariant_violations(table, [((1, 2, 1), elt, ONE)]) == [
+    assert basis._invariant_violations(table, [((1, 2, 1), elt, ONE, (1, 2, 1))], {}) == [
         {
             "good_word": [1, 2, 1],
             "kind": "not-in-subalgebra",
@@ -98,10 +98,10 @@ def test_invariants_check_reports_an_off_diagonal_expansion_coefficient():
     # b*_{2,1,1} + E*_{1,1,2} lies in U; its expansion coefficient at 1,1,2
     # is q^2 + 1, outside q Z[q]
     table = basis.GoodLyndonTable(cartan.parse("B2"))
-    vectors = {g: (elt, kappa) for g, elt, kappa in table._dual_canonical_weight_i((2, 1))}
+    vectors = {g: (elt, kappa) for g, elt, kappa, _ in table._dual_canonical_weight_i((2, 1))}
     elt, kappa = vectors[(2, 1, 1)]
     spoilt = elt + table._dual_pbw_i((1, 1, 2))[0]
-    assert basis._invariant_violations(table, [((2, 1, 1), spoilt, kappa)]) == [
+    assert basis._invariant_violations(table, [((2, 1, 1), spoilt, kappa, (2, 1, 1))], {}) == [
         {"good_word": [2, 1, 1], "kind": "expansion-off-diagonal", "at": [1, 1, 2], "value": "q^2 + 1"}
     ]
 
@@ -164,10 +164,10 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
     table = basis.GoodLyndonTable(cartan.parse(label))
     built, groups = _count_builds(monkeypatch, table)
     vectors = table._dual_canonical_weight_i(nu)
-    goods = [g for g, _, _ in vectors]
-    derived = {h for g, elt, _ in vectors if (h := max(w[::-1] for w in elt.terms)) > g}
+    goods = [g for g, *_ in vectors]
+    derived = {h for g, elt, *_ in vectors if (h := max(w[::-1] for w in elt.terms)) > g}
     assert derived and built == [g for g in goods if g not in derived]
-    for g, elt, _ in vectors:
+    for g, elt, *_ in vectors:
         assert table._expand_i(elt)[g] == 1
         pbw, _ = table._dual_pbw_i(g)
         assert table._expand_i(pbw) == {g: 1}
@@ -215,14 +215,14 @@ def _groups_fit(table, *weights):
 def test_expansion_memo_holds_one_weight_only():
     table = basis.GoodLyndonTable(B2)
     for nu in ((2, 1), (1, 2)):
-        for g, elt, _ in table._dual_canonical_weight_i(nu):
+        for g, elt, *_ in table._dual_canonical_weight_i(nu):
             assert table._expand_i(elt)[g] == 1
     assert table._pbw_memo_weight == (1, 2)
     # beside the vectors of (1, 2), the memo holds only their factor groups
     assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} > {(1, 2)}
     assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, (elt, _) in table._pbw_memo.items())
     # the dual canonical vectors share the memo's scope
-    assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
+    assert [g for g, *_ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
     assert _held_weights(table) == {(1, 2)}
     assert _groups_fit(table, (1, 2))
     # no reality question was asked at (1, 2)
@@ -245,7 +245,7 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert max(cartan.height(nu) for nu in entered) == 5
     last = report.entries[-1].weight
     assert cartan.height(last) == 5 and table._pbw_memo_weight == last
-    assert [g for g, _, _ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
+    assert [g for g, *_ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
     assert _held_weights(table) == {last}
     assert _groups_fit(table, last, cartan.add(last, last))
     assert table._square_goods == table._good_words_i(cartan.add(last, last))[::-1]
@@ -305,24 +305,27 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
         table._dual_canonical_weight_i(table._nu_in(nu))
         for nu in cartan.weights_up_to_height(table.datum.rank, max_height)
     ]
-    shared = [[v["good_word"] for v in basis._reality_violations(table, vectors)] for vectors in weights]
-    alone = [[basis._is_real_i(table, elt) is None for _, elt, _ in vectors] for vectors in weights]
-    reference = [[reality_oracle.is_real(table, elt) for _, elt, _ in vectors] for vectors in weights]
+    shared = [[v["good_word"] for v in basis._reality_violations(table, vectors, {})] for vectors in weights]
+    alone = [[basis._is_real_i(table, elt) is None for _, elt, *_ in vectors] for vectors in weights]
+    reference = [[reality_oracle.is_real(table, elt) for _, elt, *_ in vectors] for vectors in weights]
     assert alone == reference
     assert shared == [
-        [list(table._w_out(g)) for (g, _, _), real in zip(vectors, verdicts) if not real]
+        [list(table._w_out(g)) for (g, *_), real in zip(vectors, verdicts) if not real]
         for vectors, verdicts in zip(weights, reference)
     ]
     assert sum(len(goods) for goods in shared) == imaginary
 
 
 def test_reality_scan_extracts_each_row_once(monkeypatch):
-    # one extraction per square and per distinct row E*_h of the square
-    # weights, where on B2 rows extracted afresh for each vector make 162
-    # and not 75; each row computes its kappa_h once, and construction one
-    # per vector, so a kappa_i call of the solve's own would show here; the
-    # build of each factor group's vector checks its own kappa
+    # one square per solve, that is per vector that is its own origin, and
+    # one extraction per distinct row E*_h of the square weights: 38 rows on
+    # B2, against 75 with every vector solved and 162 with the rows
+    # extracted afresh for each vector; each row computes its kappa_h once,
+    # and construction one per vector, so a kappa_i call of the solve's own
+    # would show here; the build of each factor group's vector checks its
+    # own kappa
     real = shuffle.product_coefficients
+    real_is_real = basis._is_real_i
 
     def counting(factors, targets):
         targets = list(targets)
@@ -333,13 +336,14 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
         return real(factors, targets)
 
     monkeypatch.setattr(shuffle, "product_coefficients", counting)
-    for datum, counts in ((B2, (40, 75, 115)), (G2, (44, 110, 154))):
-        squares, rows, kappas = [], [], []
+    monkeypatch.setattr(basis, "_is_real_i", lambda table, elt: solves.append(elt) or real_is_real(table, elt))
+    for datum, counts in ((B2, (29, 38, 78)), (G2, (30, 45, 89))):
+        squares, rows, kappas, solves = [], [], [], []
         table = basis.GoodLyndonTable(datum)
         monkeypatch.setattr(table, "_kappa_i", lambda f, real_kappa=table._kappa_i: kappas.append(f) or real_kappa(f))
         _, groups = _count_builds(monkeypatch, table)
-        report = basis.scan(table, 5, "reality")
-        assert len(squares) == report.total_vectors
+        basis.scan(table, 5, "reality")
+        assert len(squares) == len(solves)
         assert (len(squares), len(rows), len(kappas) - len(groups)) == counts
         assert len(set(rows)) == len(rows)
         assert _group_words(table, groups)
@@ -356,7 +360,7 @@ def test_the_unit_is_real(label):
 def _b2_21():
     """The B2 table and b*_{w[2,1]}, whose square has top word w[2,2,1,1]."""
     table = basis.GoodLyndonTable(B2)
-    (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i((1, 1)) if g == (2, 1)]
+    (elt,) = [elt for g, elt, *_ in table._dual_canonical_weight_i((1, 1)) if g == (2, 1)]
     return table, elt
 
 
@@ -441,7 +445,7 @@ def test_the_solve_names_the_d4_witness():
     # = -1, has the dual PBW coefficient 1 - q^6
     table = basis.GoodLyndonTable(cartan.parse("D4"))
     nu = (1, 1, 2, 1)
-    (elt,) = [elt for g, elt, _ in table._dual_canonical_weight_i(nu) if g == (3, 4, 2, 1, 3)]
+    (elt,) = [elt for g, elt, *_ in table._dual_canonical_weight_i(nu) if g == (3, 4, 2, 1, 3)]
     assert cartan.bilinear_form(table.datum, nu, nu) == 2
     assert basis._is_real_i(table, elt) == ((3, 4, 2, 3, 1, 3, 4, 2, 1, 3), LaurentPoly({0: 1, 6: -1}))
 

@@ -111,7 +111,7 @@ def test_squares_and_dual_pbw_vectors_at_twice_the_weight(label):
     built = basis.GoodLyndonTable(cartan.parse(label))
     squares = vectors = 0
     for nu in cartan.weights_up_to_height(2, 4):
-        for _, elt, _ in table._dual_canonical_weight_i(nu):
+        for _, elt, *_ in table._dual_canonical_weight_i(nu):
             square = qshuffle(elt, elt)
             assert product_coefficients([elt, elt], _all_words(square)) == _raw(square)
             squares += 1

@@ -47,6 +47,17 @@ def test_reversal_permutes_the_vectors_of_each_weight(label, max_height, order):
     assert moved
 
 
+@pytest.mark.parametrize("label, max_height, order", THEORY_RANGES)
+def test_each_vector_names_the_smaller_word_of_its_reversal_pair_as_origin(label, max_height, order):
+    # the pass straightens the smaller word g of each pair and takes the
+    # reversal of b*_g at the larger one, so the reality check can carry
+    # g's verdict there
+    table = basis.GoodLyndonTable(cartan.parse(label), order)
+    for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
+        for g, elt, _, origin in table._dual_canonical_weight_i(table._nu_in(nu)):
+            assert origin == min(g, shuffle.max_word(shuffle.tau(elt))), (nu, g)
+
+
 def _scan_counts(monkeypatch, label, max_height):
     """The dual PBW builds and straightening corrections of one positivity
     scan; the builds of factor groups inside a build are not counted.  Each

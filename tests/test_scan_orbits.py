@@ -1,9 +1,11 @@
 """`basis.scan` straightens only the first weight of each orbit of the
 diagram automorphisms and seeds the pass of each later member with the
-relabeled vectors.  The scan must agree with the per-weight reference in
-`scan_oracle`, every relabeled weight with a fresh construction, and the
-pass must catch images that a letter map which does not fix the datum, or a
-spoilt vector, would give."""
+relabeled vectors, and it decides reality once per origin: the vector that
+the others of its class are reversals or relabelings of.  The scan must
+agree with the per-weight, per-vector reference in `scan_oracle`, every
+relabeled weight with a fresh construction, a spoilt verdict must reach the
+whole class, and the pass must catch images that a letter map which does
+not fix the datum, or a spoilt vector, would give."""
 
 import os
 import subprocess
@@ -23,7 +25,7 @@ def _scan_capturing(monkeypatch, table, max_height):
     """Scan with a check that keeps every weight's vectors; also the internal
     weights the table straightened, those whose pass was given no images."""
     captured, built = [], []
-    monkeypatch.setitem(basis._SCAN_CHECKS, "capture", lambda table, vectors: captured.append(vectors) or [])
+    monkeypatch.setitem(basis._SCAN_CHECKS, "capture", lambda table, vectors, verdicts: captured.append(vectors) or [])
     straighten = basis.GoodLyndonTable._dual_canonical_weight_i
 
     def recording(self, nui, images=None):
@@ -48,6 +50,9 @@ def _scan_capturing(monkeypatch, table, max_height):
         # the imaginary vector at (1,1,2,1) and seeded weights
         ("D4", 5, None),
         ("D4", 5, (4, 1, 3, 2)),
+        # reversal pairs without automorphisms, 7 and 3 imaginary vectors
+        ("G2", 6, (2, 1)),
+        ("C3", 5, (3, 1, 2)),
     ],
 )
 def test_scan_records_equal_the_per_weight_oracle(label, max_height, order, check):
@@ -74,10 +79,29 @@ def test_relabeled_weights_equal_a_fresh_construction(monkeypatch, label, max_he
     fresh = basis.GoodLyndonTable(datum)
     for nu, vectors in derived:
         want = fresh._dual_canonical_weight_i(nu)
-        assert [(g, {w: c.terms for w, c in elt.terms.items()}, kappa) for g, elt, kappa in vectors] == [
-            (g, {w: c.terms for w, c in elt.terms.items()}, kappa) for g, elt, kappa in want
+        assert [(g, {w: c.terms for w, c in elt.terms.items()}, kappa) for g, elt, kappa, _ in vectors] == [
+            (g, {w: c.terms for w, c in elt.terms.items()}, kappa) for g, elt, kappa, _ in want
         ], nu
-        assert all(elt.weight == nu for _, elt, _ in vectors)
+        assert all(elt.weight == nu for _, elt, *_ in vectors)
+
+
+@pytest.mark.parametrize(
+    "label, max_height, order, solves, carried",
+    [
+        # reversal pairs only: the vector at each pair's maximal word is carried
+        ("B2", 5, None, 29, 11),
+        ("G2", 7, None, 73, 42),
+        # and sigma-images: every later member of an orbit is carried whole
+        ("D4", 5, None, 67, 253),
+        ("D4", 5, (2, 1, 3, 4), 67, 253),
+    ],
+)
+def test_reality_solves_one_vector_per_origin(monkeypatch, label, max_height, order, solves, carried):
+    real = basis._is_real_i
+    solved = []
+    monkeypatch.setattr(basis, "_is_real_i", lambda table, elt: solved.append(elt) or real(table, elt))
+    report = basis.scan(basis.GoodLyndonTable(cartan.parse(label), order), max_height, "reality")
+    assert (len(solved), report.total_vectors - len(solved)) == (solves, carried)
 
 
 def test_a_datum_without_automorphisms_straightens_every_weight(monkeypatch):
@@ -94,7 +118,7 @@ from qshuffle import basis, cartan
 from qshuffle.basis import StraighteningFailure
 table = basis.GoodLyndonTable(cartan.parse("A3"))
 vectors = table._dual_canonical_weight_i((0, 1, 1))
-images = [basis._moved_elt((0, 2, 1, 3), table._idatum, elt) for _, elt, _ in vectors]
+images = [(g, basis._moved_elt((0, 2, 1, 3), table._idatum, elt)) for g, elt, *_ in vectors]
 try:
     table._dual_canonical_weight_i((1, 0, 1), images)
 except StraighteningFailure as exc:
@@ -115,6 +139,43 @@ def test_a_letter_map_that_breaks_the_datum_raises_a_located_violation_under_opt
     assert "an image was never reached [A3 order 1,2,3 weight 1,0,1 word w[1,3]]" in _run_optimized(SWAP_12)
 
 
+# Spoil the verdict of b*_{3,4} at (0,0,1,1) of D4, whose node 3 is the
+# centre: the scan must report it, its reversal w[4,3] at its own good word,
+# and the images of both under the automorphisms that move letter 4, at
+# (0,1,1,0) and (1,0,1,0), and solve none of them again.
+SPOILT_SOURCE = """
+from qshuffle import basis, cartan, shuffle
+from qshuffle.laurent import ONE
+real = basis._is_real_i
+solved = []
+
+def spoilt(table, elt):
+    solved.append(elt.weight)
+    if elt.weight == (0, 0, 1, 1) and shuffle.max_word(elt) == (3, 4):
+        return (3, 3, 4, 4), ONE
+    return real(table, elt)
+
+basis._is_real_i = spoilt
+report = basis.scan(basis.GoodLyndonTable(cartan.parse("D4")), 3, "reality")
+for e in report.entries:
+    for v in e.violations:
+        print(cartan.format_weight(e.weight), v["good_word"], v["kind"])
+print("solved at", solved.count((0, 0, 1, 1)), solved.count((0, 1, 1, 0)), solved.count((1, 0, 1, 0)))
+"""
+
+
+def test_a_spoilt_verdict_reaches_the_reversal_and_the_images_under_optimization():
+    assert _run_optimized(SPOILT_SOURCE).splitlines() == [
+        "0,0,1,1 [3, 4] imaginary",
+        "0,0,1,1 [4, 3] imaginary",
+        "0,1,1,0 [2, 3] imaginary",
+        "0,1,1,0 [3, 2] imaginary",
+        "1,0,1,0 [1, 3] imaginary",
+        "1,0,1,0 [3, 1] imaginary",
+        "solved at 1 0 0",
+    ]
+
+
 # The reversal (0, 3, 2, 1) of A3 maps the vectors w[1,2] and w[2,1] of
 # (1,1,0) onto w[3,2] and w[2,3] at (0,1,1).  Adding the first to the second
 # gives two images with maximal word 3,2; doubling the first gives w[3,2]
@@ -123,8 +184,8 @@ SPOILT_IMAGES = """
 from qshuffle import basis, cartan
 from qshuffle.basis import StraighteningFailure
 table = basis.GoodLyndonTable(cartan.parse("A3"))
-(_, b12, _), (_, b21, _) = table._dual_canonical_weight_i((1, 1, 0))
-images = [basis._moved_elt((0, 3, 2, 1), table._idatum, elt) for elt in ({sources})]
+(_, b12, *_), (_, b21, *_) = table._dual_canonical_weight_i((1, 1, 0))
+images = [((1, 2), basis._moved_elt((0, 3, 2, 1), table._idatum, elt)) for elt in ({sources})]
 try:
     table._dual_canonical_weight_i((0, 1, 1), images)
 except StraighteningFailure as exc:
@@ -150,8 +211,8 @@ def test_relabeling_by_a_missing_good_word_names_it():
     # (1,0,1) has one vector, (0,1,1) two good words: 1,3 is no root of A3,
     # but its image 2,3 is
     table = basis.GoodLyndonTable(cartan.parse("A3"))
-    ((_, elt, _),) = table._dual_canonical_weight_i((1, 0, 1))
-    images = [basis._moved_elt((0, 2, 1, 3), table._idatum, elt)]
+    ((g, elt, *_),) = table._dual_canonical_weight_i((1, 0, 1))
+    images = [(g, basis._moved_elt((0, 2, 1, 3), table._idatum, elt))]
     missing = r"no image has this maximal word .* weight 0,1,1 good word w\[2,3\]\]"
     with pytest.raises(StraighteningFailure, match=missing):
         table._dual_canonical_weight_i((0, 1, 1), images)
@@ -164,6 +225,6 @@ def test_the_scope_holds_the_last_weight_also_when_it_is_relabeled(monkeypatch):
     assert (4, 0, 0) not in built and (0, 0, 4) in built
     assert table._pbw_memo_weight == (4, 0, 0) and table._canonical_memo is captured[-1]
     fresh = basis.GoodLyndonTable(cartan.parse("A3"))._dual_canonical_weight_i((4, 0, 0))
-    assert [(g, elt.weight, elt.terms, kappa) for g, elt, kappa in table._canonical_memo] == [
-        (g, elt.weight, elt.terms, kappa) for g, elt, kappa in fresh
+    assert [(g, elt.weight, elt.terms, kappa) for g, elt, kappa, _ in table._canonical_memo] == [
+        (g, elt.weight, elt.terms, kappa) for g, elt, kappa, _ in fresh
     ]

@@ -1,7 +1,8 @@
 """The algebraic laws of the q-shuffle product that the basis construction
 relies on, as properties of random homogeneous elements and random words:
 associativity, bilinearity over Laurent scalars, `tau` as an
-anti-automorphism, `bar_elt` as an automorphism, agreement of the
+anti-automorphism, a diagram automorphism's letter map and `bar_elt` as
+automorphisms, agreement of the
 recursive product with direct interleaving, and the product of elements as
 the sum over their word pairs, with cancelling pairs."""
 
@@ -10,7 +11,7 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshuffle import cartan
+from qshuffle import basis, cartan
 from qshuffle.laurent import LaurentPoly
 from qshuffle.shuffle import ShuffleElt, bar_elt, qshuffle, tau
 from test_shuffle import qshuffle_by_interleaving
@@ -57,6 +58,23 @@ def test_a_scalar_moves_through_qshuffle(fg, c):
 def test_tau_is_an_anti_automorphism(fg):
     f, g = fg
     assert tau(qshuffle(f, g)) == qshuffle(tau(g), tau(f))
+
+
+SIGMA_DATA = [cartan.parse(label) for label in ("A3", "D4", "E6")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(SIGMA_DATA).flatmap(
+        lambda d: st.tuples(st.sampled_from(cartan.automorphisms(d)), elements(d), elements(d))
+    )
+)
+def test_a_diagram_automorphism_is_an_automorphism(case):
+    # the scan relabels a weight's vectors and their reality verdicts by
+    # sigma, which needs sigma(f * g) = sigma(f) * sigma(g)
+    s, f, g = case
+    sigma = lambda e: basis._moved_elt((0, *s), e.datum, e)  # noqa: E731
+    assert sigma(qshuffle(f, g)) == qshuffle(sigma(f), sigma(g))
 
 
 @settings(max_examples=100, deadline=None)
