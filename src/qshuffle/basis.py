@@ -623,7 +623,10 @@ class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elap
 
 # Each check takes the vectors of one weight from `scan`, which builds them
 # once, with the verdicts of the weight's orbit by origin, which `scan` holds
-# from the orbit's first weight to its last member.
+# from the orbit's first weight to its last member: whether the origin is
+# real for the reality check, whether it lies in U for the invariants check.
+# The reversal and the diagram automorphisms keep both, so an image's verdict
+# is its origin's.
 Vectors = Sequence[tuple[Word, ShuffleElt, LaurentPoly, Word]]
 
 
@@ -654,16 +657,41 @@ def _reality_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict
 
 def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:
     """Membership in U and the q Z[q] expansion over the dual PBW family:
-    construction raises on everything else a dual canonical vector must satisfy."""
+    construction raises on everything else a dual canonical vector must satisfy.
+
+    sigma maps the Serre relation at (i, j, z, t) to the one at (sigma i,
+    sigma j, sigma z, sigma t), and tau to the one at (i, j, tau t, tau z),
+    as [m choose k] = [m choose m-k], so an image is in U exactly when its
+    origin is.  `serre_membership` decides the first vector of each origin,
+    the origin itself, into `verdicts`; an image of a member is only
+    expanded, which proves membership.  An image tests itself, for its own
+    witness, only when its expansion fails or its origin is outside U, and
+    raises when the two verdicts differ.  The expansion depends on the
+    order, so every vector runs it."""
     out = []
-    for g, elt, _, _ in vectors:
+    for g, elt, _, origin in vectors:
         record = {"good_word": list(table._w_out(g))}
-        membership = shuffle.serre_membership(elt)
-        if not membership.ok:
-            # an element outside U has no expansion over the dual PBW family
-            out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
-            continue
-        for h, c in table._expand_i(elt).items():
+        carried = verdicts.get(origin)
+        expansion = None
+        if carried:
+            try:
+                expansion = table._expand_i(elt)
+            except NotInU:
+                pass
+        if expansion is None:
+            membership = shuffle.serre_membership(elt)
+            if carried is None:
+                verdicts[origin] = membership.ok
+            elif membership.ok:
+                image = f"image of {format_word(table._w_out(origin))}"
+                broken = "has no dual PBW expansion" if carried else "lies in U, but its origin does not"
+                raise laurent.TheoryViolation(f"{image} {broken} {table._where(g)}")
+            if not membership.ok:
+                # an element outside U has no expansion over the dual PBW family
+                out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
+                continue
+            expansion = table._expand_i(elt)
+        for h, c in expansion.items():
             # the expansion pivots only below g, and off-diagonal coefficients live in q Z[q]
             if h != g and c.valuation() < 1:
                 out.append(
@@ -688,7 +716,9 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
     member has taken their images as its own (`_dual_canonical_weight_i`
     with `images`).  Each image carries its source's origin, so every origin
     in the orbit names a vector of the first weight that is its own origin.
-    Every weight runs the check on its own vectors."""
+    Every weight runs the check on its own vectors, with the orbit's verdicts
+    by origin: reality for the reality check, membership in U for the
+    invariants check, both kept by every image."""
     if check not in _SCAN_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {sorted(_SCAN_CHECKS)}")
     run = _SCAN_CHECKS[check]

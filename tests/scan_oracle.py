@@ -1,12 +1,32 @@
 """Reference for `basis.scan`: every weight straightened on its own table
-scope, with no diagram automorphism used, and reality decided on every
-vector by `basis._is_real_i`, with no verdict carried from another vector.
-The scan's records must equal these weight by weight."""
+scope, with no diagram automorphism used, and reality and membership in U
+decided on every vector itself, by `basis._is_real_i` and
+`shuffle.serre_membership`, with no verdict carried from another vector;
+every vector in U is expanded by `_expand_i`.  The scan's records must equal
+these weight by weight."""
 
-from qshuffle import basis, cartan
+from qshuffle import basis, cartan, shuffle
+
+
+def _invariants(table, vectors):
+    out = []
+    for g, elt, *_ in vectors:
+        record = {"good_word": list(table._w_out(g))}
+        membership = shuffle.serre_membership(elt)
+        if not membership.ok:
+            out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
+            continue
+        out.extend(
+            {**record, "kind": "expansion-off-diagonal", "at": list(table._w_out(h)), "value": str(c)}
+            for h, c in table._expand_i(elt).items()
+            if h != g and c.valuation() < 1
+        )
+    return out
 
 
 def _violations(table, vectors, check):
+    if check == "invariants":
+        return tuple(_invariants(table, vectors))
     if check != "reality":
         return tuple(basis._SCAN_CHECKS[check](table, vectors, {}))
     return tuple(

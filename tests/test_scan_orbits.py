@@ -5,7 +5,10 @@ the others of its class are reversals or relabelings of.  The scan must
 agree with the per-weight, per-vector reference in `scan_oracle`, every
 relabeled weight with a fresh construction, a spoilt verdict must reach the
 whole class, and the pass must catch images that a letter map which does
-not fix the datum, or a spoilt vector, would give."""
+not fix the datum, or a spoilt vector, would give.  Membership in U is
+decided once per origin too: an image outside U must still be reported with
+its own witness, and an image whose membership differs from its origin's
+must raise."""
 
 import os
 import subprocess
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import scan_oracle
-from qshuffle import basis, cartan
+from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +107,25 @@ def test_reality_solves_one_vector_per_origin(monkeypatch, label, max_height, or
     assert (len(solved), report.total_vectors - len(solved)) == (solves, carried)
 
 
+@pytest.mark.parametrize(
+    "label, max_height, order, checked, carried",
+    [
+        # the origins are those of the reality solves
+        ("B2", 5, None, 29, 11),
+        ("G2", 7, None, 73, 42),
+        ("D4", 5, None, 67, 253),
+        ("D4", 5, (2, 1, 3, 4), 67, 253),
+    ],
+)
+def test_membership_checked_once_per_origin(monkeypatch, label, max_height, order, checked, carried):
+    member = shuffle.serre_membership
+    calls = []
+    monkeypatch.setattr(shuffle, "serre_membership", lambda elt: calls.append(elt) or member(elt))
+    report = basis.scan(basis.GoodLyndonTable(cartan.parse(label), order), max_height, "invariants")
+    assert report.total_violations == 0
+    assert (len(calls), report.total_vectors - len(calls)) == (checked, carried)
+
+
 def test_a_datum_without_automorphisms_straightens_every_weight(monkeypatch):
     table = basis.GoodLyndonTable(cartan.parse("B2"))
     report, _, built = _scan_capturing(monkeypatch, table, 5)
@@ -114,7 +136,7 @@ def test_a_datum_without_automorphisms_straightens_every_weight(monkeypatch):
 # which does not fix A3, maps them onto w[1,3] and w[3,1] at (1,0,1), whose
 # only good word is 3,1, so the image at 1,3 is never reached
 SWAP_12 = """
-from qshuffle import basis, cartan
+from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
 table = basis.GoodLyndonTable(cartan.parse("A3"))
 vectors = table._dual_canonical_weight_i((0, 1, 1))
@@ -176,12 +198,88 @@ def test_a_spoilt_verdict_reaches_the_reversal_and_the_images_under_optimization
     ]
 
 
+# The sigma-image at (0,1,2,0) of b*_{3,4,3} = w[3,4,3] + [2] w[3,3,4] of D4
+# is w[3,2,3] + [2] w[3,3,2]; a stray w[2,3,3] keeps its maximal word and its
+# coefficient there, so construction takes it, but breaks the Serre relation
+# at i=3, j=2.  Its origin is in U, so only the failed expansion makes the
+# check test the image itself.
+STRAY_WORD = """
+from qshuffle import basis, cartan, shuffle
+from qshuffle.laurent import ONE
+from qshuffle.shuffle import ShuffleElt
+moved, spoilt = basis._moved_elt, []
+
+def stray(sigma, datum, elt):
+    image = moved(sigma, datum, elt)
+    if image.weight == (0, 1, 2, 0) and shuffle.max_word(image) == (3, 3, 2):
+        image = image + ShuffleElt(datum, image.weight, {(2, 3, 3): ONE})
+        spoilt.append(image)
+    return image
+
+basis._moved_elt = stray
+report = basis.scan(basis.GoodLyndonTable(cartan.parse("D4")), 3, "invariants")
+for e in report.entries:
+    for v in e.violations:
+        print(cartan.format_weight(e.weight), v["good_word"], v["kind"], v["witness"])
+print(shuffle.serre_membership(spoilt[0]).witness)
+"""
+
+
+def test_an_image_outside_u_is_reported_with_its_own_witness_under_optimization():
+    *records, witness = _run_optimized(STRAY_WORD).splitlines()
+    assert witness.startswith("relation i=3 j=2 ")
+    assert records == [f"0,1,2,0 [3, 3, 2] not-in-subalgebra {witness}"]
+
+
+# Spoil the membership of one source vector of D4, read in order 2,1,3,4, or
+# the expansion of one image: the first image in U of that source, the
+# reversal w[4,3] of w[3,4] or the relabeling w[2] of w[4], or the spoilt
+# image itself, breaks the symmetry and must stop the scan with a located
+# violation, exit status 2.
+SPOILT_CHECK = """
+import contextlib, io
+from qshuffle import basis, cli, shuffle
+from qshuffle.shuffle import MembershipResult
+member, expand = shuffle.serre_membership, basis.GoodLyndonTable._expand_i
+
+def spoilt(elt):
+    if (elt.weight, shuffle.max_word(elt)) == {source}:
+        return MembershipResult(False, None)
+    return member(elt)
+
+def unexpandable(table, elt):
+    if (elt.weight, shuffle.max_word(elt)) == {image}:
+        raise basis.NotInU("spoilt")
+    return expand(table, elt)
+
+shuffle.serre_membership, basis.GoodLyndonTable._expand_i = spoilt, unexpandable
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main(["scan", "D4", "--max-height", "2", "--check", "invariants", "--order", "2,1,3,4"])
+print(code, err.getvalue())
+"""
+
+
+@pytest.mark.parametrize(
+    "source, image, message, where",
+    [
+        ("((0, 0, 1, 1), (3, 4))", None, "w[3,4] lies in U, but its origin does not", "0,0,1,1 good word w[4,3]"),
+        ("((0, 0, 0, 1), (4,))", None, "w[4] lies in U, but its origin does not", "0,1,0,0 good word w[2]"),
+        (None, "((0, 0, 1, 1), (4, 3))", "w[3,4] has no dual PBW expansion", "0,0,1,1 good word w[4,3]"),
+    ],
+    ids=["reversal", "relabeling", "expansion"],
+)
+def test_a_spoilt_membership_raises_a_located_violation_under_optimization(source, image, message, where):
+    out = _run_optimized(SPOILT_CHECK.replace("{source}", str(source)).replace("{image}", str(image)))
+    assert out.startswith(f"2 internal error: TheoryViolation: image of {message} [D4 order 2,1,3,4 weight {where}]")
+
+
 # The reversal (0, 3, 2, 1) of A3 maps the vectors w[1,2] and w[2,1] of
 # (1,1,0) onto w[3,2] and w[2,3] at (0,1,1).  Adding the first to the second
 # gives two images with maximal word 3,2; doubling the first gives w[3,2]
 # the coefficient 2, where its kappa is 1.
 SPOILT_IMAGES = """
-from qshuffle import basis, cartan
+from qshuffle import basis, cartan, shuffle
 from qshuffle.basis import StraighteningFailure
 table = basis.GoodLyndonTable(cartan.parse("A3"))
 (_, b12, *_), (_, b21, *_) = table._dual_canonical_weight_i((1, 1, 0))
