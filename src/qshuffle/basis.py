@@ -664,10 +664,11 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: di
     as [m choose k] = [m choose m-k], so an image is in U exactly when its
     origin is.  `serre_membership` decides the first vector of each origin,
     the origin itself, into `verdicts`; an image of a member is only
-    expanded, which proves membership.  An image tests itself, for its own
-    witness, only when its expansion fails or its origin is outside U, and
-    raises when the two verdicts differ.  The expansion depends on the
-    order, so every vector runs it."""
+    expanded, which proves membership.  An image tests itself only when its
+    expansion fails or its origin is outside U.  A vector found outside U is
+    reported with its own witness; one found in U raises a located violation
+    if it has no expansion or its origin is outside U.  The expansion depends
+    on the order, so every vector runs it."""
     out = []
     for g, elt, _, origin in vectors:
         record = {"good_word": list(table._w_out(g))}
@@ -690,7 +691,11 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: di
                 # an element outside U has no expansion over the dual PBW family
                 out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
                 continue
-            expansion = table._expand_i(elt)
+            try:
+                expansion = table._expand_i(elt)
+            except NotInU as exc:
+                broken = f"{format_word(table._w_out(g))} lies in U, but has no dual PBW expansion: {exc}"
+                raise laurent.TheoryViolation(f"{broken} {table._where(g)}") from exc
         for h, c in expansion.items():
             # the expansion pivots only below g, and off-diagonal coefficients live in q Z[q]
             if h != g and c.valuation() < 1:

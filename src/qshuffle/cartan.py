@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, permutations
 
 from .laurent import TheoryViolation
 
@@ -241,33 +241,22 @@ def parse_weight(text: str, rank: int) -> Weight:
 
 @lru_cache(maxsize=None)
 def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
-    """All positive roots, by root-string closure, sorted by (height, coeffs)."""
-    r = datum.rank
-    a = datum.cartan
-    simples = [simple_root(datum, i) for i in range(1, r + 1)]
-    roots: set[Weight] = set(simples)
-    current = list(simples)
-    while current:
-        nxt: list[Weight] = []
-        for beta in current:
-            for i in range(1, r + 1):
-                alpha = simples[i - 1]
-                if beta == alpha:
-                    continue
-                # Walk down the alpha_i-string through beta.
-                p = 0
-                g = sub(beta, alpha)
-                while all(x >= 0 for x in g) and g in roots:
-                    p += 1
-                    g = sub(g, alpha)
-                pairing = sum(beta[j] * a[i - 1][j] for j in range(r))
-                if p - pairing > 0:
-                    up = add(beta, alpha)
-                    if up not in roots:
-                        roots.add(up)
-                        nxt.append(up)
-        current = nxt
+    """All positive roots, sorted by (height, coeffs): the closure of the simple
+    roots under the reflections s_i(beta) = beta - <beta, a_i^v> a_i that raise
+    them.  s_i permutes the positive roots other than a_i and lowers every
+    non-simple one with <beta, a_i^v> > 0, so the closure is all of them.  A
+    closure that outgrows the family's count, as off finite type, raises."""
     expected = _ROOT_COUNTS[datum.family](datum.rank)
+    roots = {simple_root(datum, i) for i in range(1, datum.rank + 1)}
+    todo = list(roots)
+    for beta in todo:  # todo grows as it is read
+        for i, row in enumerate(datum.cartan):
+            pairing = sum(c * x for c, x in zip(beta, row))
+            if pairing < 0 and (up := beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]) not in roots:
+                roots.add(up)
+                todo.append(up)
+        if len(roots) > expected:
+            break
     if len(roots) != expected:
         raise TheoryViolation(f"root closure for {datum} found {len(roots)} roots, expected {expected}")
     return tuple(sorted(roots, key=lambda w: (height(w), w)))
@@ -314,48 +303,29 @@ def automorphisms(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
     """Every permutation s of the nodes other than the identity with
     a[s(i)][s(j)] = a[i][j] and d[s(i)] = d[i], as (s(1), ..., s(r)), ascending.
 
-    The search extends a partial map one node at a time, breadth first over
-    the diagram, and keeps a candidate image only when every pair with the
-    nodes already mapped agrees in a and d.  A node with a mapped neighbour
-    can only go to a neighbour of that neighbour's image, so on the chains
-    and forks of the finite types each level holds a small multiple of r
-    partial maps, in any numbering, and the r! permutations are never walked.
+    A finite-type diagram is a tree with at most three leaves, and its nodes
+    are told apart by their distances to the leaves, which s keeps; so each
+    permutation of the leaves gives one candidate, kept when it keeps a and
+    d.  Raises ValueError when the distances do not separate the nodes.
     """
-    r = datum.rank
-    a, d = datum.cartan, datum.d
-    # breadth first: anchor[k] is the position of a neighbour of visit[k]
-    # visited before it, None for the first node of a component
-    visit: list[int] = []
-    anchor: list[int | None] = []
-    walked = 0
-    while len(visit) < r:
-        if walked == len(visit):
-            visit.append(next(i for i in range(r) if i not in visit))
-            anchor.append(None)
-        i = visit[walked]
-        walked += 1
-        for j in range(r):
-            if a[i][j] and j not in visit:
-                visit.append(j)
-                anchor.append(walked - 1)
+    r, a, d = datum.rank, datum.cartan, datum.d
+    far = []  # far[k][i]: the distance from the k-th leaf to node i, r when out of reach
+    for leaf in (i for i in range(r) if sum(map(bool, a[i])) <= 2):
+        dist, ring = [r] * r, [leaf]
+        for x in range(r):
+            for i in ring:
+                dist[i] = x
+            ring = [j for i in ring for j in range(r) if a[i][j] and dist[j] == r]
+        far.append(dist)
+    node = {key: i for i, key in enumerate(zip(*far))}
+    if len(node) < r:
+        raise ValueError(f"the distances to the leaves do not separate the nodes of {datum}")
     found = []
-    stack: list[tuple[int, ...]] = [()]  # images of visit[:k]
-    while stack:
-        images = stack.pop()
-        k = len(images)
-        if k == r:
-            s = [0] * r
-            for i, c in zip(visit, images):
-                s[i] = c + 1
-            found.append(tuple(s))
-            continue
-        i, p = visit[k], anchor[k]
-        pool = range(r) if p is None else (c for c in range(r) if a[images[p]][c])
-        for c in pool:
-            if d[c] == d[i] and c not in images and all(
-                a[i][j] == a[c][cj] and a[j][i] == a[cj][c] for j, cj in zip(visit, images)
-            ):
-                stack.append(images + (c,))
+    for image in permutations(far):
+        # dist(s(l), s(i)) = dist(l, i) for every leaf l
+        s = [node.get(key) for key in zip(*image)]
+        if None not in s and all(d[s[i]] == d[i] and tuple(a[s[i]][c] for c in s) == a[i] for i in range(r)):
+            found.append(tuple(c + 1 for c in s))
     return tuple(sorted(s for s in found if s != tuple(range(1, r + 1))))
 
 

@@ -84,29 +84,19 @@ class ShiftedSkewShape(SkewShape):
 def standard_tableaux(shape: SkewShape) -> Iterator[tuple[Cell, ...]]:
     """All standard fillings, each as the cell sequence in numbering order.
 
-    Backtracks over the values 1..m: a cell may receive the next value once
-    its left and upper neighbours inside the shape are filled.
+    The next value goes to any empty cell, in ascending order, whose left
+    and upper neighbours inside the shape are filled, and the rest of the
+    filling is a standard filling of the cells still empty.
     """
-    cells = set(shape.cells())
-    placed: list[Cell] = []
-    filled: set[Cell] = set()
 
-    def addable() -> list[Cell]:
-        empty = cells - filled
-        return sorted((i, j) for i, j in empty if (i, j - 1) not in empty and (i - 1, j) not in empty)
+    def fillings(empty: frozenset[Cell], placed: tuple[Cell, ...]) -> Iterator[tuple[Cell, ...]]:
+        if not empty:
+            yield placed
+        for i, j in sorted(empty):
+            if (i, j - 1) not in empty and (i - 1, j) not in empty:
+                yield from fillings(empty - {(i, j)}, placed + ((i, j),))
 
-    def descend() -> Iterator[tuple[Cell, ...]]:
-        if len(placed) == len(cells):
-            yield tuple(placed)
-            return
-        for cell in addable():
-            placed.append(cell)
-            filled.add(cell)
-            yield from descend()
-            placed.pop()
-            filled.remove(cell)
-
-    return descend()
+    return fillings(frozenset(shape.cells()), ())
 
 
 # -- character sums ------------------------------------------------------------------

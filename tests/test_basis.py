@@ -404,6 +404,14 @@ def test_expand_rejects_elements_outside_the_subalgebra(tables):
         t.expand_in_dual_pbw(ShuffleElt.from_word(t.datum, (1, 1, 2)))
 
 
+def test_expand_rejects_a_leading_coefficient_that_kappa_does_not_divide(tables):
+    # 1,1,2 is good on B2, but kappa_112 = q + q^-1 does not divide 1
+    t = tables("B2")
+    assert t.dual_pbw((1, 1, 2)).kappa == TWO1
+    with pytest.raises(NotInU, match=r"leading coefficient at w\[1,1,2\] not divisible"):
+        t.expand_in_dual_pbw(ShuffleElt.from_word(t.datum, (1, 1, 2)))
+
+
 # -- positivity and reality ------------------------------------------------------------
 
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import kostant_oracle
+import roots_oracle
 from qshuffle import cartan
 from qshuffle.laurent import TheoryViolation
 from qshuffle.cartan import (
@@ -305,3 +310,64 @@ def test_automorphisms_follow_the_diagram_under_any_numbering():
     position = {o: k for k, o in enumerate(order, start=1)}
     reversal = tuple(position[61 - o] for o in order)
     assert cartan.automorphisms(reorder(build("A", 60), order)) == (reversal,)
+
+
+def _orders(rank):
+    """The natural order, its reversal and a rotation by one."""
+    natural = tuple(range(1, rank + 1))
+    return [natural, natural[::-1], natural[1:] + natural[:1]]
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        *[f"A{r}" for r in range(1, 9)],
+        *[f"{f}{r}" for f in "BC" for r in range(2, 9)],
+        *[f"D{r}" for r in range(4, 9)],
+        "E6", "E7", "E8", "F4", "G2", "A20", "D20",
+    ],
+)
+def test_positive_roots_equal_the_root_string_closure(label):
+    for order in _orders(parse(label).rank):
+        datum = reorder(parse(label), order)
+        assert positive_roots(datum) == roots_oracle.positive_roots(datum), order
+
+
+@pytest.mark.parametrize("label", ["A4", "B3", "D4", "F4"])
+def test_automorphisms_match_every_permutation_checked_in_every_order(label):
+    base = parse(label)
+    identity = tuple(range(1, base.rank + 1))
+    for order in permutations(identity):
+        datum = reorder(base, order)
+        every = {s for s in permutations(identity) if s != identity and _fixes(datum, s)}
+        assert cartan.automorphisms(datum) == tuple(sorted(every)), order
+
+
+@pytest.mark.parametrize("d, group", [((1, 1), ((2, 1),)), ((1, 2), ())])
+def test_automorphisms_keep_the_symmetrizers(d, group):
+    # two nodes without an edge: a alone does not tell them apart
+    a = ((2, 0), (0, 2))
+    datum = cartan.CartanDatum("A", 2, a, d, tuple(tuple(x * di for x in row) for row, di in zip(a, d)))
+    assert cartan.automorphisms(datum) == group
+
+
+# The affine diagram of type A2 is a 3-cycle: it has no leaves and infinitely
+# many real roots, so neither enumeration may answer, and neither may hang.
+AFFINE = """
+from qshuffle import cartan
+from qshuffle.laurent import TheoryViolation
+a = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+datum = cartan.CartanDatum("A", 3, a, (1, 1, 1), a)
+for enumerate_ in (cartan.automorphisms, cartan.positive_roots):
+    try:
+        enumerate_(datum)
+    except (ValueError, TheoryViolation) as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_a_diagram_of_affine_type_raises_instead_of_hanging():
+    env = {**os.environ, "PYTHONPATH": str(Path(cartan.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", AFFINE], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ValueError", "TheoryViolation"]

@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+import tableaux_oracle
 from oracles import (
     Segment,
     good_word_to_multisegment,
@@ -105,6 +106,22 @@ def test_standard_tableaux_counts_match_hook_formula():
 def test_shifted_tableaux_counts_match_product_formula():
     for lam in [(2,), (2, 1), (3, 1), (3, 2), (4, 2, 1), (3, 2, 1)]:
         assert len(list(standard_tableaux(ShiftedSkewShape(lam)))) == shifted_count(lam)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        SkewShape((5, 5, 3), (3, 1)),
+        SkewShape((5, 4, 3, 2)),
+        SkewShape((4, 3, 1), (2, 1)),
+        SkewShape((1,)),
+        ShiftedSkewShape((6, 4, 2)),
+        ShiftedSkewShape((5, 3, 2), (2,)),
+        ShiftedSkewShape((4, 3, 2, 1), (3, 1)),
+    ],
+)
+def test_standard_tableaux_equal_the_backtracking_enumeration(shape):
+    assert list(standard_tableaux(shape)) == list(tableaux_oracle.standard_tableaux(shape))
 
 
 def test_skew_character_small_golden(tables):

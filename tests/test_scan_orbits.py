@@ -7,8 +7,8 @@ relabeled weight with a fresh construction, a spoilt verdict must reach the
 whole class, and the pass must catch images that a letter map which does
 not fix the datum, or a spoilt vector, would give.  Membership in U is
 decided once per origin too: an image outside U must still be reported with
-its own witness, and an image whose membership differs from its origin's
-must raise."""
+its own witness, whatever its origin's verdict, and a vector in U must raise
+when its origin is outside U or when it has no dual PBW expansion."""
 
 import os
 import subprocess
@@ -232,10 +232,11 @@ def test_an_image_outside_u_is_reported_with_its_own_witness_under_optimization(
 
 
 # Spoil the membership of one source vector of D4, read in order 2,1,3,4, or
-# the expansion of one image: the first image in U of that source, the
+# the expansion of one vector: the first image in U of that source, the
 # reversal w[4,3] of w[3,4] or the relabeling w[2] of w[4], or the spoilt
 # image itself, breaks the symmetry and must stop the scan with a located
-# violation, exit status 2.
+# violation, exit status 2.  So must an origin, w[3,4], that is in U but has
+# no expansion.
 SPOILT_CHECK = """
 import contextlib, io
 from qshuffle import basis, cli, shuffle
@@ -263,15 +264,21 @@ print(code, err.getvalue())
 @pytest.mark.parametrize(
     "source, image, message, where",
     [
-        ("((0, 0, 1, 1), (3, 4))", None, "w[3,4] lies in U, but its origin does not", "0,0,1,1 good word w[4,3]"),
-        ("((0, 0, 0, 1), (4,))", None, "w[4] lies in U, but its origin does not", "0,1,0,0 good word w[2]"),
-        (None, "((0, 0, 1, 1), (4, 3))", "w[3,4] has no dual PBW expansion", "0,0,1,1 good word w[4,3]"),
+        ("((0, 0, 1, 1), (3, 4))", None, "image of w[3,4] lies in U, but its origin does not", "0,0,1,1 good word w[4,3]"),
+        ("((0, 0, 0, 1), (4,))", None, "image of w[4] lies in U, but its origin does not", "0,1,0,0 good word w[2]"),
+        (None, "((0, 0, 1, 1), (4, 3))", "image of w[3,4] has no dual PBW expansion", "0,0,1,1 good word w[4,3]"),
+        (
+            None,
+            "((0, 0, 1, 1), (3, 4))",
+            "w[3,4] lies in U, but has no dual PBW expansion: spoilt",
+            "0,0,1,1 good word w[3,4]",
+        ),
     ],
-    ids=["reversal", "relabeling", "expansion"],
+    ids=["reversal", "relabeling", "expansion", "origin"],
 )
 def test_a_spoilt_membership_raises_a_located_violation_under_optimization(source, image, message, where):
     out = _run_optimized(SPOILT_CHECK.replace("{source}", str(source)).replace("{image}", str(image)))
-    assert out.startswith(f"2 internal error: TheoryViolation: image of {message} [D4 order 2,1,3,4 weight {where}]")
+    assert out.startswith(f"2 internal error: TheoryViolation: {message} [D4 order 2,1,3,4 weight {where}]")
 
 
 # The reversal (0, 3, 2, 1) of A3 maps the vectors w[1,2] and w[2,1] of
