@@ -622,11 +622,11 @@ class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elap
 
 
 # Each check takes the vectors of one weight from `scan`, which builds them
-# once, with the verdicts of the weight's orbit by origin, which `scan` holds
-# from the orbit's first weight to its last member: whether the origin is
+# once, with the scan's one map of verdicts by origin: whether the origin is
 # real for the reality check, whether it lies in U for the invariants check.
-# The reversal and the diagram automorphisms keep both, so an image's verdict
-# is its origin's.
+# The first vector of each origin, the origin itself, writes its verdict and
+# every other vector reads it.  The reversal and the diagram automorphisms
+# keep both, so an image's verdict is its origin's.
 Vectors = Sequence[tuple[Word, ShuffleElt, LaurentPoly, Word]]
 
 
@@ -644,8 +644,8 @@ def _reality_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict
     diagram automorphisms sigma map the dual canonical basis onto itself and
     respect squares, tau(b)^2 = tau(b^2) and sigma(b)^2 = sigma(b^2), so an
     image is real exactly when its origin is.  `_is_real_i` decides the first
-    vector of each origin, which in ascending order is the origin itself,
-    and the others take its verdict from `verdicts`."""
+    vector of each origin, which in scan order is the origin itself, into the
+    scan-wide `verdicts`, and every other vector reads its verdict there."""
     out = []
     for g, elt, _, origin in vectors:
         if origin not in verdicts:
@@ -662,40 +662,33 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: di
     sigma maps the Serre relation at (i, j, z, t) to the one at (sigma i,
     sigma j, sigma z, sigma t), and tau to the one at (i, j, tau t, tau z),
     as [m choose k] = [m choose m-k], so an image is in U exactly when its
-    origin is.  `serre_membership` decides the first vector of each origin,
-    the origin itself, into `verdicts`; an image of a member is only
-    expanded, which proves membership.  An image tests itself only when its
-    expansion fails or its origin is outside U.  A vector found outside U is
-    reported with its own witness; one found in U raises a located violation
-    if it has no expansion or its origin is outside U.  The expansion depends
-    on the order, so every vector runs it."""
+    origin is.  Every vector is expanded first, as the expansion depends on
+    the order, and an expansion proves membership.  `serre_membership` runs
+    on an origin, which writes its verdict, on a vector with no expansion and
+    on an image of an origin outside U.  A vector it finds outside U is
+    reported with its own witness; one in U with no expansion or with its
+    origin outside U raises a located violation."""
     out = []
     for g, elt, _, origin in vectors:
         record = {"good_word": list(table._w_out(g))}
-        carried = verdicts.get(origin)
-        expansion = None
-        if carried:
-            try:
-                expansion = table._expand_i(elt)
-            except NotInU:
-                pass
-        if expansion is None:
+        try:
+            expansion, failure = table._expand_i(elt), None
+        except NotInU as exc:
+            expansion, failure = None, exc
+        if origin not in verdicts or expansion is None or not verdicts[origin]:
             membership = shuffle.serre_membership(elt)
-            if carried is None:
-                verdicts[origin] = membership.ok
-            elif membership.ok:
-                image = f"image of {format_word(table._w_out(origin))}"
-                broken = "has no dual PBW expansion" if carried else "lies in U, but its origin does not"
-                raise laurent.TheoryViolation(f"{image} {broken} {table._where(g)}")
+            verdicts.setdefault(origin, membership.ok)
             if not membership.ok:
                 # an element outside U has no expansion over the dual PBW family
                 out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
                 continue
-            try:
-                expansion = table._expand_i(elt)
-            except NotInU as exc:
-                broken = f"{format_word(table._w_out(g))} lies in U, but has no dual PBW expansion: {exc}"
-                raise laurent.TheoryViolation(f"{broken} {table._where(g)}") from exc
+            if expansion is None or not verdicts[origin]:
+                if g == origin:  # its own verdict, stored above, is that it lies in U
+                    broken = f"{format_word(table._w_out(g))} lies in U, but has no dual PBW expansion: {failure}"
+                else:
+                    broken = "has no dual PBW expansion" if verdicts[origin] else "lies in U, but its origin does not"
+                    broken = f"image of {format_word(table._w_out(origin))} {broken}"
+                raise laurent.TheoryViolation(f"{broken} {table._where(g)}") from failure
         for h, c in expansion.items():
             # the expansion pivots only below g, and off-diagonal coefficients live in q Z[q]
             if h != g and c.valuation() < 1:
@@ -717,19 +710,20 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
 
     The diagram automorphisms of the internal datum split the weights into
     orbits.  Only the first weight of each orbit, in scan order, is
-    straightened; its vectors and their verdicts are held until every later
-    member has taken their images as its own (`_dual_canonical_weight_i`
-    with `images`).  Each image carries its source's origin, so every origin
-    in the orbit names a vector of the first weight that is its own origin.
-    Every weight runs the check on its own vectors, with the orbit's verdicts
-    by origin: reality for the reality check, membership in U for the
-    invariants check, both kept by every image."""
+    straightened; its vectors are held until every later member has taken
+    their images as its own (`_dual_canonical_weight_i` with `images`).
+    Each image carries its source's origin, a good word of the orbit's first
+    weight, and words of different weights differ, so one map of verdicts
+    by origin serves the whole scan: reality for the reality check,
+    membership in U for the invariants check, both kept by every image.
+    Every weight runs the check on its own vectors with that map."""
     if check not in _SCAN_CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {sorted(_SCAN_CHECKS)}")
     run = _SCAN_CHECKS[check]
     sigmas = [(0, *s) for s in cartan.automorphisms(table._idatum)]
-    # a later member -> its map, and the source's vectors and orbit verdicts
-    sources: dict[Weight, tuple[tuple[int, ...], Vectors, dict[Word, bool]]] = {}
+    # a later member -> its map and the source's vectors
+    sources: dict[Weight, tuple[tuple[int, ...], Vectors]] = {}
+    verdicts: dict[Word, bool] = {}
     entries = []
     t0 = time.perf_counter()
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
@@ -737,12 +731,12 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
         nui = table._nu_in(nu)
         source = sources.pop(nui, None)
         if source is None:
-            vectors, verdicts = table._dual_canonical_weight_i(nui), {}
+            vectors = table._dual_canonical_weight_i(nui)
             for sigma in sigmas:
                 if (mui := _moved(sigma, nui)) != nui:
-                    sources.setdefault(mui, (sigma, vectors, verdicts))
+                    sources.setdefault(mui, (sigma, vectors))
         else:
-            sigma, first, verdicts = source
+            sigma, first = source
             images = [(origin, _moved_elt(sigma, table._idatum, elt)) for _, elt, _, origin in first]
             vectors = table._dual_canonical_weight_i(nui, images)
         violations = tuple(run(table, vectors, verdicts))

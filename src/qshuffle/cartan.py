@@ -92,6 +92,13 @@ class CartanDatum(Record, namedtuple("CartanDatum", "family rank cartan d biline
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if b[i][j] != d[i] * a[i][j] or b[i][j] != b[j][i]:
                     raise ValueError("bilinear form must be the symmetrized Cartan matrix")
+        # finite type: every leading principal minor is positive (Sylvester), by Bareiss elimination
+        m, prev = [list(row) for row in b], 1
+        for k in range(rank):
+            if m[k][k] <= 0:
+                raise ValueError("bilinear form must be positive definite")
+            m[k + 1 :] = [[(x * m[k][k] - row[k] * y) // prev for x, y in zip(row, m[k])] for row in m[k + 1 :]]
+            prev = m[k][k]
         return super().__new__(cls, family, rank, cartan, d, bilinear)
 
     def __str__(self) -> str:

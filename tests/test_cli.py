@@ -82,12 +82,23 @@ def test_json_roundtrip(capsys):
 
 
 def test_scan_json(capsys):
-    code, out, err = run(capsys, "scan", "A2", "--max-height", "3", "--check", "invariants", "--format", "json")
+    argv = ("scan", "A2", "--max-height", "3", "--check", "invariants")
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["total_violations"] == 0
     assert "elapsed" not in data  # timing only with --timing
     assert "elapsed" in err
+    code, out, err = run(capsys, *argv, "--format", "json", "--timing")
+    assert code == 0 and "elapsed" in err
+    timed = json.loads(out)
+    total = timed.pop("elapsed")
+    each = [entry.pop("elapsed") for entry in timed["weights"]]
+    assert len(each) == 9 and all(isinstance(t, float) and t >= 0 for t in [total, *each])
+    assert sum(each) <= total
+    assert timed == data
+    # the flag changes JSON only; text stdout is the same
+    assert run(capsys, *argv, "--timing")[:2] == run(capsys, *argv)[:2]
 
 
 def test_scan_text(capsys):

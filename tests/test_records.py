@@ -123,6 +123,11 @@ def test_membership_result_truth_is_its_verdict():
         ({"bilinear": ((4, -2), (-2, 4))}, "bilinear diagonal must be 2\\*d_i"),
         ({"cartan": ((2, 2), (-1, 2))}, "off-diagonal Cartan entries must be <= 0"),
         ({"bilinear": ((2, -1), (-1, 4))}, "bilinear form must be the symmetrized Cartan matrix"),
+        # affine A1: a generalized Cartan matrix, but not of finite type
+        (
+            {"cartan": ((2, -2), (-2, 2)), "d": (1, 1), "bilinear": ((2, -2), (-2, 2))},
+            "bilinear form must be positive definite",
+        ),
     ],
 )
 def test_cartan_datum_validation(changes, message):

@@ -126,6 +126,24 @@ def test_membership_checked_once_per_origin(monkeypatch, label, max_height, orde
     assert (len(calls), report.total_vectors - len(calls)) == (checked, carried)
 
 
+def test_one_verdict_map_serves_the_whole_scan(monkeypatch):
+    # origins are good words of the orbits' first weights, so they never
+    # collide, and every weight reads and writes the same map
+    reality, received, origins = basis._SCAN_CHECKS["reality"], [], set()
+
+    def keeping(table, vectors, verdicts):
+        received.append(verdicts)
+        origins.update(origin for *_, origin in vectors)
+        return reality(table, vectors, verdicts)
+
+    monkeypatch.setitem(basis._SCAN_CHECKS, "reality", keeping)
+    report = basis.scan(basis.GoodLyndonTable(cartan.parse("D4")), 5, "reality")
+    assert len(received) == len(report.entries)
+    assert all(verdicts is received[0] for verdicts in received)
+    # one verdict per origin, as many as the pinned solves
+    assert set(received[0]) == origins and len(origins) == 67
+
+
 def test_a_datum_without_automorphisms_straightens_every_weight(monkeypatch):
     table = basis.GoodLyndonTable(cartan.parse("B2"))
     report, _, built = _scan_capturing(monkeypatch, table, 5)

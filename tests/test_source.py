@@ -23,6 +23,28 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+LOCATED = {"TheoryViolation", "StraighteningFailure", "InexactDivision"}
+
+
+def test_every_theory_violation_in_basis_is_located():
+    # every violation names the datum, order, weight and word it failed on,
+    # and a re-raise `type(exc)(...)` keeps that rule for what it re-raises
+    sites = [
+        node
+        for node in ast.walk(ast.parse((SRC / "basis.py").read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and (_name(node.exc.func) in LOCATED or ast.unparse(node.exc.func) == "type(exc)")
+    ]
+    assert len(sites) >= 20
+    unlocated = [
+        node.lineno
+        for node in sites
+        if not any(isinstance(n, ast.Call) and _name(n.func) == "_where" for arg in node.exc.args for n in ast.walk(arg))
+    ]
+    assert not unlocated, unlocated
+
+
 def _modules_loaded_by(code):
     """Modules a fresh interpreter without site packages loads to run `code`."""
     script = f"import sys; before = set(sys.modules); {code}; print(*sorted(set(sys.modules) - before))"
