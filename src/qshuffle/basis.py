@@ -74,19 +74,21 @@ class GoodLyndonTable:
 
         self._lyndon_of_root: dict[Weight, Word] = self._good_lyndon_map()
         self._root_of_lyndon = {l: b for b, l in self._lyndon_of_root.items()}
-        self._r_cache: dict[Word, ShuffleElt] = {}
-        self._dual_root_cache: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
+        # For the table's life: each good Lyndon word's (r_l, E*_l, kappa_l,
+        # d_l) and each factor group's kappa value.
+        self._roots: dict[Word, tuple[ShuffleElt, ShuffleElt, LaurentPoly, int]] = {}
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
         # One weight scope: the dual PBW vectors, with those of their factor
         # groups l^j and of the groups of the good words of twice the weight,
         # the dual canonical vectors once straightened and the good words of
         # twice the weight with the reality solve's rows once asked; entering
-        # another weight clears them all.
+        # another weight clears them all.  A vector's kappa is its coefficient
+        # at its own good word, checked against `_kappa_i` before it is held.
         self._pbw_memo_weight: Weight | None = None
-        self._pbw_memo: dict[Word, tuple[ShuffleElt, LaurentPoly]] = {}
-        self._canonical_memo: tuple[tuple[Word, ShuffleElt, LaurentPoly], ...] | None = None
+        self._pbw_memo: dict[Word, ShuffleElt] = {}
+        self._canonical_memo: tuple[tuple[Word, ShuffleElt, Word], ...] | None = None
         self._square_goods: list[tuple[Word, tuple[tuple[Word, int], ...]]] | None = None
-        self._square_rows: dict[Word, tuple[LaurentPoly, list[tuple[Word, dict[int, int]]]]] = {}
+        self._square_rows: dict[Word, dict[Word, dict[int, int]]] = {}
 
     # -- letter/weight/element translation -------------------------------------
 
@@ -117,6 +119,11 @@ class GoodLyndonTable:
             self._nu_in(e.weight),
             {self._w_in(w): c for w, c in e.terms.items()},
         )
+
+    def _witness_out(self, w: shuffle.MembershipWitness) -> shuffle.MembershipWitness:
+        """A failing Serre relation in the table's letters."""
+        out = self._out_letters
+        return w._replace(i=out[w.i], j=out[w.j], left=self._w_out(w.left), right=self._w_out(w.right))
 
     def _where(self, g: Word | None = None, pivot: Word | None = None) -> str:
         """Where a construction failed: datum and order, then the weight, word
@@ -226,34 +233,27 @@ class GoodLyndonTable:
         """One good word per Kostant partition of nu, ascending lexicographically."""
         return tuple(self._good_out(w, f) for w, f in self._good_words_i(self._nu_in(tuple(nu))))
 
-    # -- Lyndon basis vectors -------------------------------------------------------
+    # -- Lyndon basis vectors and dual root vectors -----------------------------------
 
-    def _r_i(self, l: Word) -> ShuffleElt:
-        hit = self._r_cache.get(l)
-        if hit is not None:
-            return hit
-        if len(l) == 1:
-            out = ShuffleElt.from_word(self._idatum, l)
-        else:
-            l1, l2 = words.costandard_factorization(l)
-            out = shuffle.shuffle_bracket(self._r_i(l1), self._r_i(l2))
-        self._r_cache[l] = out
-        return out
-
-    def r_of_lyndon(self, l: Word) -> ShuffleElt:
-        """The iterated shuffle bracket over the co-standard factorization."""
-        return self._elt_out(self._r_i(self._lyndon_i(l)))
-
-    # -- dual PBW vectors -------------------------------------------------------------
-
-    def _dual_root_i(self, l: Word) -> tuple[ShuffleElt, LaurentPoly]:
-        hit = self._dual_root_cache.get(l)
+    def _root_i(self, l: Word) -> tuple[ShuffleElt, ShuffleElt, LaurentPoly, int]:
+        """(r_l, E*_l, kappa_l, d_l) of a good Lyndon word l, built once per
+        table: r_l is the iterated shuffle bracket over the co-standard
+        factorization, E*_l its normalization with coefficient kappa_l at l,
+        and d_l = (b, b)/2 for the root b of l."""
+        hit = self._roots.get(l)
         if hit is not None:
             return hit
         datum = self._idatum
         beta = self._root_of_lyndon[l]
-        n_val = cartan.n_of(datum, beta)
         norm = cartan.bilinear_form(datum, beta, beta)
+        d = norm // 2
+        if d not in (1, 2, 3):
+            raise laurent.TheoryViolation(f"root has (b,b)/2 = {d}, not 1, 2 or 3 {self._where(l)}")
+        if len(l) == 1:
+            r = ShuffleElt.from_word(datum, l)
+        else:
+            l1, l2 = words.costandard_factorization(l)
+            r = shuffle.shuffle_bracket(self._root_i(l1)[0], self._root_i(l2)[0])
         # Normalize the bracket vector: scale by (-1)^{len-1} q^{-N} times the
         # inverse of the squared-norm product, which is exact by construction.
         numerator = ONE - laurent.monomial(norm)
@@ -264,8 +264,7 @@ class GoodLyndonTable:
                 for _ in range(c):
                     denominator = denominator * factor
         sign = 1 if len(l) % 2 else -1
-        scale = numerator.shifted(-n_val) * sign
-        scaled = self._r_i(l).scaled(scale)
+        scaled = r.scaled(numerator.shifted(-cartan.n_of(datum, beta)) * sign)
         try:
             normalized = {w: laurent.exact_div(c, denominator) for w, c in scaled.terms.items()}
             kappa = laurent.sqrt_exact(normalized.get(l, ZERO))
@@ -274,20 +273,19 @@ class GoodLyndonTable:
             raise type(exc)(f"{exc} {self._where(l)}") from exc
         if shuffle.max_word(elt) != l:
             raise StraighteningFailure(f"dual root vector has wrong maximal word {self._where(l)}")
-        self._dual_root_cache[l] = (elt, kappa)
-        return elt, kappa
+        hit = self._roots[l] = r, elt, kappa, d
+        return hit
+
+    def r_of_lyndon(self, l: Word) -> ShuffleElt:
+        """The iterated shuffle bracket over the co-standard factorization."""
+        return self._elt_out(self._root_i(self._lyndon_i(l))[0])
+
+    # -- dual PBW vectors -------------------------------------------------------------
 
     def dual_root_vector(self, l: Word) -> DualPBWVector:
         li = self._lyndon_i(l)
-        elt, kappa = self._dual_root_i(li)
+        _, elt, kappa, _ = self._root_i(li)
         return DualPBWVector(self._good_out(li, ((li, 1),)), self._elt_out(elt), kappa)
-
-    def _d_of_lyndon(self, l: Word) -> int:
-        beta = self._root_of_lyndon[l]
-        d = cartan.bilinear_form(self._idatum, beta, beta) // 2
-        if d not in (1, 2, 3):
-            raise laurent.TheoryViolation(f"root has (b,b)/2 = {d}, not 1, 2 or 3 {self._where(l)}")
-        return d
 
     def _kappa_i(self, factors: Iterable[tuple[Word, int]]) -> LaurentPoly:
         """The product over the factor groups (l, a) of kappa_l^a [a]_{d_l}!,
@@ -297,8 +295,8 @@ class GoodLyndonTable:
             value = self._kappa_cache.get(group)
             if value is None:
                 l, a = group
-                _, kappa_l = self._dual_root_i(l)
-                value = laurent.q_factorial(a, self._d_of_lyndon(l))
+                _, _, kappa_l, d_l = self._root_i(l)
+                value = laurent.q_factorial(a, d_l)
                 for _ in range(a):
                     value = value * kappa_l
                 self._kappa_cache[group] = value
@@ -315,9 +313,7 @@ class GoodLyndonTable:
             self._pbw_memo_weight, self._pbw_memo, self._square_rows = nui, {}, {}
             self._canonical_memo = self._square_goods = None
 
-    def _dual_pbw_i(
-        self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None
-    ) -> tuple[ShuffleElt, LaurentPoly]:
+    def _dual_pbw_i(self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None) -> ShuffleElt:
         """The one route to a dual PBW vector, memoised in the weight scope
         that the caller enters.  A factor group l^a is a good word whose
         vector is E*_l for a = 1 and E*_{l^(a-1)} * q^{(a-1) d_l} E*_l after,
@@ -337,50 +333,49 @@ class GoodLyndonTable:
                 elt = shuffle.qshuffle(elt, group)
         else:
             ((l, a),) = factors
-            elt, _ = self._dual_root_i(l)
+            _, elt, _, d_l = self._root_i(l)
             if a > 1:  # the power of q scales the operand of smaller support
-                shift = laurent.monomial((a - 1) * self._d_of_lyndon(l))
-                elt = shuffle.qshuffle(self._dual_pbw_i(l * (a - 1), ((l, a - 1),))[0], elt.scaled(shift))
-        kappa = self._kappa_i(factors)
-        if shuffle.max_word(elt) != wi or elt.terms[wi] != kappa:
+                shift = laurent.monomial((a - 1) * d_l)
+                elt = shuffle.qshuffle(self._dual_pbw_i(l * (a - 1), ((l, a - 1),)), elt.scaled(shift))
+        if shuffle.max_word(elt) != wi or elt.terms[wi] != self._kappa_i(factors):
             raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
-        hit = self._pbw_memo[wi] = elt, kappa
-        return hit
+        self._pbw_memo[wi] = elt
+        return elt
 
     def _group_vectors(self, factors: tuple[tuple[Word, int], ...]) -> list[ShuffleElt]:
         """The vectors E*_{l^a} of a good word's factor groups, smallest first."""
-        return [self._dual_pbw_i(l * a, ((l, a),))[0] for l, a in reversed(factors)]
+        return [self._dual_pbw_i(l * a, ((l, a),)) for l, a in reversed(factors)]
 
-    def _square_row(self, i: int) -> tuple[LaurentPoly, list[tuple[Word, dict[int, int]]]]:
-        """kappa_h and the raw coefficients of E*_h at the good words <= h,
-        h = _square_goods[i], extracted once in the weight scope from the
-        product of the scope's vectors E*_{l^a} of h's factor groups; E*_h's
-        coefficient at h must be kappa_h."""
+    def _square_row(self, i: int) -> dict[Word, dict[int, int]]:
+        """The raw coefficients of E*_h at the good words <= h, h =
+        _square_goods[i], extracted once in the weight scope from the product
+        of the scope's vectors E*_{l^a} of h's factor groups; the one at h,
+        kappa_h, must be `_kappa_i` of h's factors."""
         h, factors = self._square_goods[i]
-        hit = self._square_rows.get(h)
-        if hit is None:
-            pbw = shuffle.product_coefficients(self._group_vectors(factors), (p for p, _ in self._square_goods[i:]))
-            kappa = self._kappa_i(factors)
-            if pbw.get(h) != kappa.terms:
+        row = self._square_rows.get(h)
+        if row is None:
+            row = shuffle.product_coefficients(self._group_vectors(factors), (p for p, _ in self._square_goods[i:]))
+            if row.get(h) != self._kappa_i(factors).terms:
                 raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(h)}")
-            hit = self._square_rows[h] = kappa, list(pbw.items())
-        return hit
+            self._square_rows[h] = row
+        return row
 
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
         wi, factors = self._good_i(g)
         self._enter(cartan.word_weight(self._idatum, wi))
-        elt, kappa = self._dual_pbw_i(wi, factors)
-        return DualPBWVector(self._good_out(wi, factors), self._elt_out(elt), kappa)
+        elt = self._dual_pbw_i(wi, factors)
+        return DualPBWVector(self._good_out(wi, factors), self._elt_out(elt), elt.terms[wi])
 
     # -- the dual canonical basis --------------------------------------------------------
 
     def _dual_canonical_weight_i(
         self, nui: Weight, images: Iterable[tuple[Word, ShuffleElt]] | None = None
-    ) -> tuple[tuple[Word, ShuffleElt, LaurentPoly, Word], ...]:
+    ) -> tuple[tuple[Word, ShuffleElt, Word], ...]:
         """The dual canonical vectors of nui, ascending by good word, built
-        once while nui is the scope's weight, each as (g, b*_g, kappa_g,
-        origin): the good word of the vector that b*_g is an image of.
+        once while nui is the scope's weight, each as (g, b*_g, origin): the
+        good word of the vector that b*_g is an image of.  kappa_g is b*_g's
+        coefficient at g.
 
         Two symmetries map the dual canonical basis onto itself, keeping every
         coefficient but not the lexicographic order, so each image of a dual
@@ -407,7 +402,7 @@ class GoodLyndonTable:
         if self._canonical_memo is not None:
             return self._canonical_memo
         goods = self._good_words_i(nui)
-        done: dict[Word, tuple[ShuffleElt, LaurentPoly, Word]] = {}
+        done: dict[Word, tuple[ShuffleElt, Word]] = {}
         held: dict[Word, tuple[Word, ShuffleElt]] = {}
         for origin, elt in images or ():
             if (h := shuffle.max_word(elt)) in held:
@@ -415,14 +410,14 @@ class GoodLyndonTable:
             held[h] = origin, elt
         for k, (g, factors) in enumerate(goods):
             if g in held:
-                (origin, elt), kappa = held.pop(g), self._kappa_i(factors)
-                if elt.terms[g] != kappa:
+                origin, elt = held.pop(g)
+                if elt.terms[g] != self._kappa_i(factors):
                     raise StraighteningFailure(f"image's coefficient is not kappa {self._where(g)}")
-                done[g] = (elt, kappa, origin)
+                done[g] = (elt, origin)
                 continue
             if images is not None:
                 raise StraighteningFailure(f"no image has this maximal word {self._where(g)}")
-            pbw, kappa = self._dual_pbw_i(g, factors)
+            pbw = self._dual_pbw_i(g, factors)
             # The dual PBW vectors are triangular on the good words, so one
             # pass from g down fixes every good coefficient: a correction at p
             # subtracts in place from a private copy and changes only words <= p.
@@ -433,11 +428,11 @@ class GoodLyndonTable:
                     continue
                 if p == g:
                     raise StraighteningFailure(f"leading coefficient is not bar-symmetric {self._where(g, p)}")
-                b_pivot, kappa_p, _ = done[p]
+                b_pivot = done[p][0]
                 # Bar symmetry of alpha - gamma*kappa_p with gamma in q Z[q]
                 # pins gamma: gamma - bar(gamma) = (alpha - bar(alpha)) / kappa_p.
                 try:
-                    delta = laurent.exact_div(alpha - alpha.bar(), kappa_p)
+                    delta = laurent.exact_div(alpha - alpha.bar(), b_pivot.terms[p])
                 except laurent.InexactDivision as exc:
                     raise laurent.InexactDivision(f"{exc} {self._where(g, p)}") from exc
                 if delta.bar() != -delta:
@@ -453,9 +448,9 @@ class GoodLyndonTable:
                     f"no good pivot {self._where(g)}; asymmetric words "
                     f"{[format_word(self._w_out(w)) for w in sorted(bad, reverse=True)]}"
                 )
-            if shuffle.max_word(elt) != g or elt.terms[g] != kappa:
+            if shuffle.max_word(elt) != g or elt.terms[g] != self._kappa_i(factors):
                 raise StraighteningFailure(f"straightened vector has wrong leading term {self._where(g)}")
-            done[g] = (elt, kappa, g)
+            done[g] = (elt, g)
             reversal = shuffle.tau(elt)
             h = shuffle.max_word(reversal)
             if h == g:
@@ -474,17 +469,17 @@ class GoodLyndonTable:
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
         return tuple(
-            DualCanonicalVector(self._good_out(g, self._factors_i(g)), self._elt_out(elt), kappa)
-            for g, elt, kappa, _ in self._dual_canonical_weight_i(self._nu_in(tuple(nu)))
+            DualCanonicalVector(self._good_out(g, self._factors_i(g)), self._elt_out(elt), elt.terms[g])
+            for g, elt, _ in self._dual_canonical_weight_i(self._nu_in(tuple(nu)))
         )
 
     def dual_canonical_vector(self, g: Word) -> DualCanonicalVector:
         """The dual canonical vector indexed by one good word."""
         wi, factors = self._good_i(g)
         good = self._good_out(wi, factors)
-        for h, elt, kappa, _ in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
+        for h, elt, _ in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
             if h == wi:
-                return DualCanonicalVector(good, self._elt_out(elt), kappa)
+                return DualCanonicalVector(good, self._elt_out(elt), elt.terms[wi])
         raise laurent.TheoryViolation(
             f"no dual canonical vector for good word {good}; every good word indexes one {self._where(wi)}"
         )
@@ -498,13 +493,13 @@ class GoodLyndonTable:
         while residual:
             w = max(residual)
             try:
-                elt, kappa = self._dual_pbw_i(w)
+                elt = self._dual_pbw_i(w)
             except NotGoodWord:
                 raise NotInU(
                     f"maximal word {format_word(self._w_out(w))} of the residual is not good"
                 ) from None
             try:
-                c = laurent.exact_div(laurent._raw(residual[w]), kappa)
+                c = laurent.exact_div(laurent._raw(residual[w]), elt.terms[w])
             except laurent.InexactDivision as exc:
                 raise NotInU(f"leading coefficient at {format_word(self._w_out(w))} not divisible") from exc
             out[w] = c
@@ -567,8 +562,8 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPo
     in E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
     check extracts the square's coefficients at the good words of 2nu and
     solves the dual PBW expansion of q^{-k} times the square on them from
-    top down.  Each step reads its row E*_h with kappa_h from the scope
-    (`_square_row`, one extraction per weight), divides by that kappa_h and
+    top down.  Each step reads its row E*_h from the scope (`_square_row`,
+    one extraction per weight), divides by the row's kappa_h at h and
     subtracts the row.  A nonzero coefficient at a good word above top, a
     top coefficient other than q^k kappa_top or an E*_h with leading
     coefficient other than kappa_h breaks the theory and raises."""
@@ -592,16 +587,16 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPo
     for i, (h, _) in enumerate(goods):
         if h != top and not residual.get(h):
             continue
-        kappa_h, row = table._square_row(i)
-        if h == top and residual.get(h) != kappa_h.terms:
+        row = table._square_row(i)
+        if h == top and residual.get(h) != row[h]:
             raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
         try:
-            c = laurent.exact_div(laurent._raw(residual[h]), kappa_h)
+            c = laurent.exact_div(laurent._raw(residual[h]), laurent._raw(row[h]))
         except laurent.InexactDivision as exc:
             raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
         if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
             return h, c
-        shuffle._scaled_into(residual, row, laurent._scaled(c.terms, 0, -1))
+        shuffle._scaled_into(residual, row.items(), laurent._scaled(c.terms, 0, -1))
     return None
 
 
@@ -627,14 +622,14 @@ class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elap
 # The first vector of each origin, the origin itself, writes its verdict and
 # every other vector reads it.  The reversal and the diagram automorphisms
 # keep both, so an image's verdict is its origin's.
-Vectors = Sequence[tuple[Word, ShuffleElt, LaurentPoly, Word]]
+Vectors = Sequence[tuple[Word, ShuffleElt, Word]]
 
 
 def _positivity_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:
     """Every negative coefficient of the dual canonical vectors of one weight."""
     return [
         {"good_word": list(table._w_out(g)), "word": list(table._w_out(w)), "coefficient": elt.terms[w].to_json()}
-        for g, elt, _, _ in vectors
+        for g, elt, _ in vectors
         for w in sorted((w for w, c in elt.terms.items() if min(c.terms.values()) < 0), key=table._w_out)
     ]
 
@@ -647,7 +642,7 @@ def _reality_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict
     vector of each origin, which in scan order is the origin itself, into the
     scan-wide `verdicts`, and every other vector reads its verdict there."""
     out = []
-    for g, elt, _, origin in vectors:
+    for g, elt, origin in vectors:
         if origin not in verdicts:
             verdicts[origin] = _is_real_i(table, elt) is None
         if not verdicts[origin]:
@@ -669,7 +664,7 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: di
     reported with its own witness; one in U with no expansion or with its
     origin outside U raises a located violation."""
     out = []
-    for g, elt, _, origin in vectors:
+    for g, elt, origin in vectors:
         record = {"good_word": list(table._w_out(g))}
         try:
             expansion, failure = table._expand_i(elt), None
@@ -680,7 +675,8 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: di
             verdicts.setdefault(origin, membership.ok)
             if not membership.ok:
                 # an element outside U has no expansion over the dual PBW family
-                out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
+                witness = str(table._witness_out(membership.witness))
+                out.append({**record, "kind": "not-in-subalgebra", "witness": witness})
                 continue
             if expansion is None or not verdicts[origin]:
                 if g == origin:  # its own verdict, stored above, is that it lies in U
@@ -737,7 +733,7 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
                     sources.setdefault(mui, (sigma, vectors))
         else:
             sigma, first = source
-            images = [(origin, _moved_elt(sigma, table._idatum, elt)) for _, elt, _, origin in first]
+            images = [(origin, _moved_elt(sigma, table._idatum, elt)) for _, elt, origin in first]
             vectors = table._dual_canonical_weight_i(nui, images)
         violations = tuple(run(table, vectors, verdicts))
         entries.append(WeightEntry(nu, len(vectors), violations, time.perf_counter() - w0))

@@ -195,6 +195,8 @@ def simple_root(datum: CartanDatum, i: int) -> Weight:
 def word_weight(datum: CartanDatum, word: Sequence[int]) -> Weight:
     counts = [0] * datum.rank
     for a in word:
+        if not 1 <= a <= datum.rank:
+            raise ValueError(f"letter {a} outside alphabet 1..{datum.rank}")
         counts[a - 1] += 1
     return tuple(counts)
 

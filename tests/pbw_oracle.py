@@ -32,7 +32,7 @@ class Oracle:
         """E*_l^a, the a-fold q-shuffle of the dual root vector of l."""
         hit = self.powers.get((l, a))
         if hit is None:
-            base, _ = self.table._dual_root_i(l)
+            _, base, _, _ = self.table._root_i(l)
             hit = self.powers[(l, a)] = base if a == 1 else shuffle.qshuffle(self.power(l, a - 1), base)
         return hit
 
@@ -43,7 +43,7 @@ class Oracle:
     def kappa(self, factors: tuple[tuple[Word, int], ...]) -> LaurentPoly:
         out = ONE
         for l, a in factors:
-            _, kappa_l = self.table._dual_root_i(l)
+            _, _, kappa_l, _ = self.table._root_i(l)
             out = out * laurent.q_factorial(a, self.d(l))
             for _ in range(a):
                 out = out * kappa_l

@@ -5,7 +5,7 @@ the square, straighten the whole weight 2nu of the square, and compare the
 square with a power of q times the straightened vector at its maximal word.
 `_is_real_i` builds nothing at 2nu: it enters nu and extracts the square's
 coefficients and those of the dual PBW vectors it needs at the good words of
-2nu only, holding those rows with their kappas in the table's scope at nu.
+2nu only, holding those rows in the table's scope at nu.
 This reference shares none of that route, and is kept only so tests can
 require the two to agree; it enters the square's weight in the table's scope
 like any straightening, which drops those rows.
@@ -23,13 +23,13 @@ def is_real(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     the dual canonical vector at the square's maximal word."""
     square = shuffle.qshuffle(elt, elt)
     top = shuffle.max_word(square)
-    for g, candidate, kappa, _ in table._dual_canonical_weight_i(square.weight):
+    for g, candidate, _ in table._dual_canonical_weight_i(square.weight):
         if g == top:
             break
     else:
         return False
     try:
-        ratio = laurent.exact_div(square.terms[top], kappa)
+        ratio = laurent.exact_div(square.terms[top], candidate.terms[top])
     except laurent.InexactDivision:
         return False
     if not ratio.is_monomial() or ratio.leading_coefficient() != 1:

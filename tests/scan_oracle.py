@@ -2,10 +2,21 @@
 scope, with no diagram automorphism used, and reality and membership in U
 decided on every vector itself, by `basis._is_real_i` and
 `shuffle.serre_membership`, with no verdict carried from another vector;
-every vector in U is expanded by `_expand_i`.  The scan's records must equal
-these weight by weight."""
+every vector in U is expanded by `_expand_i`, and a Serre witness is written
+in the table's letters.  The scan's records must equal these weight by
+weight."""
 
 from qshuffle import basis, cartan, shuffle
+from qshuffle.words import format_word
+
+
+def _witness(table, witness):
+    """The failing relation written in the table's letters, internal letter k
+    being order[k-1]."""
+    i, j, z, t, total = witness
+    out = (0, *table.order)
+    z, t = (format_word(tuple(out[a] for a in w)) for w in (z, t))
+    return f"relation i={out[i]} j={out[j]} z={z} t={t} sums to {total}"
 
 
 def _invariants(table, vectors):
@@ -14,7 +25,7 @@ def _invariants(table, vectors):
         record = {"good_word": list(table._w_out(g))}
         membership = shuffle.serre_membership(elt)
         if not membership.ok:
-            out.append({**record, "kind": "not-in-subalgebra", "witness": str(membership.witness)})
+            out.append({**record, "kind": "not-in-subalgebra", "witness": _witness(table, membership.witness)})
             continue
         out.extend(
             {**record, "kind": "expansion-off-diagonal", "at": list(table._w_out(h)), "value": str(c)}

@@ -31,7 +31,7 @@ def dual_canonical_weight(table: GoodLyndonTable, nui: Weight) -> tuple[tuple[Wo
     out = []
     for g in goods:
         factors = table._factors_i(g)
-        elt, kappa = table._dual_pbw_i(g, factors)
+        elt, kappa = table._dual_pbw_i(g, factors), table._kappa_i(factors)
         last_pivot: Word | None = None
         while True:
             bad = [w for w, c in elt.terms.items() if not c.is_bar_symmetric()]
@@ -71,7 +71,7 @@ def expand(table: GoodLyndonTable, elt_i: ShuffleElt) -> dict[Word, LaurentPoly]
         factors = table._factors_i(w)
         if factors is None:
             raise NotInU(f"maximal word {format_word(w)} of the residual is not good")
-        elt, kappa = table._dual_pbw_i(w, factors)
+        elt, kappa = table._dual_pbw_i(w, factors), table._kappa_i(factors)
         try:
             c = laurent.exact_div(residual.terms[w], kappa)
         except laurent.InexactDivision as exc:

@@ -200,6 +200,24 @@ def test_r_bracket_recursion_g2(tables):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("label, max_height, order", [("G2", 5, None), ("D4", 5, (2, 1, 3, 4)), ("B3", 5, None)])
+def test_scans_build_each_lyndon_bracket_once_per_table(monkeypatch, label, max_height, order):
+    # each composite good Lyndon word's bracket r_l is built once, from the
+    # entries of its co-standard factors, and kept with E*_l for the table's
+    # life: a second scan, and r_l and E*_l asked for after, build none
+    brackets = []
+    real = shuffle.shuffle_bracket
+    monkeypatch.setattr(shuffle, "shuffle_bracket", lambda f, g: brackets.append(real(f, g)) or brackets[-1])
+    table = basis.GoodLyndonTable(cartan.parse(label), order)
+    composite = sorted(table._w_in(l) for l in table.lyndon_words() if len(l) > 1)
+    basis.scan(table, max_height, "invariants")
+    assert sorted(max_word(r) for r in brackets) == composite
+    basis.scan(table, max_height, "reality")
+    for l in table.lyndon_words():
+        table.r_of_lyndon(l), table.dual_root_vector(l)
+    assert len(brackets) == len(composite)
+
+
 def test_dual_root_vectors_g2(tables):
     t = tables("G2")
     v = t.dual_root_vector((1, 2))

@@ -24,7 +24,7 @@ MEMBERSHIP_RANGES = [("A3", 6), ("B2", 6), ("B3", 5), ("C3", 5), ("D4", 5), ("G2
 
 def _canonical_vectors(table, max_height):
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
-        for _, elt, _, _ in table._dual_canonical_weight_i(table._nu_in(nu)):
+        for _, elt, _ in table._dual_canonical_weight_i(table._nu_in(nu)):
             yield elt
 
 
@@ -85,7 +85,7 @@ def test_invariants_check_reports_a_vector_outside_u_with_its_witness():
     # good, so an expansion would raise NotInU
     table = basis.GoodLyndonTable(cartan.parse("A2"))
     elt = ShuffleElt.from_word(table._idatum, (1, 1, 2))
-    assert basis._invariant_violations(table, [((1, 2, 1), elt, ONE, (1, 2, 1))], {}) == [
+    assert basis._invariant_violations(table, [((1, 2, 1), elt, (1, 2, 1))], {}) == [
         {
             "good_word": [1, 2, 1],
             "kind": "not-in-subalgebra",
@@ -94,14 +94,34 @@ def test_invariants_check_reports_a_vector_outside_u_with_its_witness():
     ]
 
 
+@pytest.mark.parametrize(
+    "word, good_word, witness",
+    [
+        ((1, 1, 2), [2, 1, 2], "relation i=2 j=1 z=w[] t=w[] sums to 1"),
+        ((2, 1, 1, 2), [1, 2, 2, 1], "relation i=2 j=1 z=w[] t=w[1] sums to 1"),
+    ],
+)
+def test_invariants_check_writes_the_witness_in_the_table_letters(word, good_word, witness):
+    # in order 2,1 the internal letter k is the table's letter order[k-1], so
+    # the relation that fails internally at i=1, j=2 is reported at i=2, j=1,
+    # with z and t moved too, as the public element's own test finds it
+    table = basis.GoodLyndonTable(cartan.parse("A2"), (2, 1))
+    elt = ShuffleElt.from_word(table._idatum, word)
+    assert (serre_membership(elt).witness.i, serre_membership(elt).witness.j) == (1, 2)
+    g = table._w_in(good_word)
+    assert basis._invariant_violations(table, [(g, elt, g)], {}) == [
+        {"good_word": good_word, "kind": "not-in-subalgebra", "witness": witness}
+    ]
+    assert str(serre_membership(table._elt_out(elt)).witness) == witness
+
+
 def test_invariants_check_reports_an_off_diagonal_expansion_coefficient():
     # b*_{2,1,1} + E*_{1,1,2} lies in U; its expansion coefficient at 1,1,2
     # is q^2 + 1, outside q Z[q]
     table = basis.GoodLyndonTable(cartan.parse("B2"))
-    vectors = {g: (elt, kappa) for g, elt, kappa, _ in table._dual_canonical_weight_i((2, 1))}
-    elt, kappa = vectors[(2, 1, 1)]
-    spoilt = elt + table._dual_pbw_i((1, 1, 2))[0]
-    assert basis._invariant_violations(table, [((2, 1, 1), spoilt, kappa, (2, 1, 1))], {}) == [
+    vectors = {g: elt for g, elt, _ in table._dual_canonical_weight_i((2, 1))}
+    spoilt = vectors[(2, 1, 1)] + table._dual_pbw_i((1, 1, 2))
+    assert basis._invariant_violations(table, [((2, 1, 1), spoilt, (2, 1, 1))], {}) == [
         {"good_word": [2, 1, 1], "kind": "expansion-off-diagonal", "at": [1, 1, 2], "value": "q^2 + 1"}
     ]
 
@@ -169,7 +189,7 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
     assert derived and built == [g for g in goods if g not in derived]
     for g, elt, *_ in vectors:
         assert table._expand_i(elt)[g] == 1
-        pbw, _ = table._dual_pbw_i(g)
+        pbw = table._dual_pbw_i(g)
         assert table._expand_i(pbw) == {g: 1}
     assert sorted(built) == goods
     assert _group_words(table, groups) and all(cartan.word_weight(table._idatum, w) != nu for w in groups)
@@ -192,7 +212,7 @@ def _held_weights(table):
     for name, value in vars(table).items():
         if name == "_pbw_memo":
             value = {w: v for w, v in value.items() if w not in others}
-        if name not in ("_r_cache", "_dual_root_cache"):
+        if name != "_roots":
             walk(value)
     return found
 
@@ -220,7 +240,7 @@ def test_expansion_memo_holds_one_weight_only():
     assert table._pbw_memo_weight == (1, 2)
     # beside the vectors of (1, 2), the memo holds only their factor groups
     assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} > {(1, 2)}
-    assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, (elt, _) in table._pbw_memo.items())
+    assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, elt in table._pbw_memo.items())
     # the dual canonical vectors share the memo's scope
     assert [g for g, *_ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
     assert _held_weights(table) == {(1, 2)}
@@ -234,7 +254,7 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     # square, so a scan enters only the weights it reports, up to height 5,
     # and keeps the last one with its straightened vectors, the factor group
     # vectors of nu and 2nu, and the good words of 2nu with the rows extracted there,
-    # each carrying kappa_h, its coefficient at h
+    # each with kappa_h as its coefficient at h
     table = basis.GoodLyndonTable(B2)
     real = table._enter
     entered = []
@@ -251,9 +271,9 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert table._square_goods == table._good_words_i(cartan.add(last, last))[::-1]
     assert table._square_rows
     factors = dict(table._square_goods)
-    for h, (kappa, row) in table._square_rows.items():
-        assert kappa == table._kappa_i(factors[h]) and dict(row)[h] == kappa.terms
-        assert all(p <= h for p, _ in row)
+    for h, row in table._square_rows.items():
+        assert row[h] == table._kappa_i(factors[h]).terms
+        assert all(p <= h for p in row)
 
 
 def test_entering_another_weight_drops_the_powers_and_the_workspace():
@@ -321,9 +341,9 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
     # one extraction per distinct row E*_h of the square weights: 38 rows on
     # B2, against 75 with every vector solved and 162 with the rows
     # extracted afresh for each vector; each row computes its kappa_h once,
-    # and construction one per vector, so a kappa_i call of the solve's own
-    # would show here; the build of each factor group's vector checks its
-    # own kappa
+    # and construction one per vector and one more per straightened vector,
+    # whose E*_g checks its own, so a kappa_i call of the solve's own would
+    # show here; the build of each factor group's vector checks its own kappa
     real = shuffle.product_coefficients
     real_is_real = basis._is_real_i
 
@@ -337,7 +357,7 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
 
     monkeypatch.setattr(shuffle, "product_coefficients", counting)
     monkeypatch.setattr(basis, "_is_real_i", lambda table, elt: solves.append(elt) or real_is_real(table, elt))
-    for datum, counts in ((B2, (29, 38, 78)), (G2, (30, 45, 89))):
+    for datum, counts in ((B2, (29, 38, 107)), (G2, (30, 45, 119))):
         squares, rows, kappas, solves = [], [], [], []
         table = basis.GoodLyndonTable(datum)
         monkeypatch.setattr(table, "_kappa_i", lambda f, real_kappa=table._kappa_i: kappas.append(f) or real_kappa(f))
@@ -465,8 +485,8 @@ def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):
     # left unbuilt; with the dual root vector of w[2] doubled, the build of
     # E*_{w[2]} itself finds the coefficient 2 kappa at its own good word
     table, elt = _b2_21()
-    root, kappa = table._dual_root_i((2,))
-    monkeypatch.setitem(table._dual_root_cache, (2,), (root.scaled(2), kappa))
+    r, root, kappa, d = table._root_i((2,))
+    monkeypatch.setitem(table._roots, (2,), (r, root.scaled(2), kappa, d))
     with pytest.raises(StraighteningFailure, match=r"wrong leading term .* weight 0,1 good word w\[2\]\]"):
         basis._is_real_i(table, elt)
 

@@ -37,18 +37,18 @@ def test_kernel_agrees_with_reference(label, max_height, order):
         nui = table._nu_in(nu)
         vectors = table._dual_canonical_weight_i(nui)
         reference = oracle.dual_canonical_weight(table, nui)
-        assert [(g, e.weight, e.terms, k) for g, e, k, _ in vectors] == [
+        assert [(g, e.weight, e.terms, e.terms[g]) for g, e, _ in vectors] == [
             (g, e.weight, e.terms, k) for g, e, k in reference
         ], nu
         for g, elt, *_ in vectors:
-            pbw, _ = table._dual_pbw_i(g, table._factors_i(g))
+            pbw = table._dual_pbw_i(g, table._factors_i(g))
             for f in (elt, pbw):
                 assert table._expand_i(f) == oracle.expand(table, f), (nu, g)
 
 
 def _outcome(build):
     try:
-        return [(g, e.terms, k) for g, e, k, *_ in build()]
+        return [(g, e.terms, e.terms[g]) for g, e, *_ in build()]
     except laurent.TheoryViolation as exc:
         return type(exc)
 
@@ -65,12 +65,12 @@ def test_kernel_agrees_with_reference_on_perturbed_input(label, max_height):
         real = table._dual_pbw_i
 
         def perturbed(wi, factors):
-            elt, kappa = real(wi, factors)
+            elt = real(wi, factors)
             terms = {
                 w: c if table._factors_i(w) is not None else c + c.bar()
                 for w, c in elt.terms.items()
             }
-            return ShuffleElt(elt.datum, elt.weight, terms), kappa
+            return ShuffleElt(elt.datum, elt.weight, terms)
 
         table._dual_pbw_i = perturbed
         assert _outcome(lambda: table._dual_canonical_weight_i(nu)) == _outcome(
@@ -183,10 +183,8 @@ def _broken_table(monkeypatch, alter):
     real = table._dual_pbw_i
 
     def broken(wi, factors):
-        elt, kappa = real(wi, factors)
-        if wi == table._w_in(target):
-            return alter(table, elt), kappa
-        return elt, kappa
+        elt = real(wi, factors)
+        return alter(table, elt) if wi == table._w_in(target) else elt
 
     monkeypatch.setattr(table, "_dual_pbw_i", broken)
     return table, target
@@ -241,16 +239,14 @@ def _fields(message, *fields):
 
 def test_inexact_correction_names_datum_order_weight_good_word_and_pivot(monkeypatch):
     # doubling the smallest vector and its kappa keeps it a valid pivot, but
-    # the correction at the next good word then divides an odd difference by 2
+    # the correction at the next good word then divides an odd difference by
+    # 2; the smallest good word is the good Lyndon word w[2,3,1], so its
+    # dual root vector and kappa are doubled
     table = basis.GoodLyndonTable(cartan.parse("A3"), (2, 1, 3))
     pivot, good = (g.word for g in table.good_words_of_weight((1, 1, 1))[:2])
-    real = table._dual_pbw_i
-
-    def doubled(wi, factors=None):
-        elt, kappa = real(wi, factors)
-        return (elt.scaled(2), kappa * 2) if wi == table._w_in(pivot) else (elt, kappa)
-
-    monkeypatch.setattr(table, "_dual_pbw_i", doubled)
+    assert table.good_word(pivot).factors == ((pivot, 1),)
+    r, root, kappa, d = table._root_i(table._w_in(pivot))
+    monkeypatch.setitem(table._roots, table._w_in(pivot), (r, root.scaled(2), kappa * 2, d))
     with pytest.raises(laurent.InexactDivision) as info:
         table.dual_canonical_weight((1, 1, 1))
     assert type(info.value) is laurent.InexactDivision
@@ -277,8 +273,13 @@ def test_inexact_correction_names_datum_order_weight_good_word_and_pivot(monkeyp
 def test_failed_root_normalization_names_datum_order_weight_and_good_word(monkeypatch, alter, error):
     table = basis.GoodLyndonTable(cartan.parse("B2"), (2, 1))
     target = table._w_in((2, 1, 1))
-    real = table._r_i
-    monkeypatch.setattr(table, "_r_i", lambda l: alter(real(l)) if l == target else real(l))
+    real = shuffle.shuffle_bracket
+
+    def bracket(f, g):
+        out = real(f, g)
+        return alter(out) if shuffle.max_word(out) == target else out
+
+    monkeypatch.setattr(shuffle, "shuffle_bracket", bracket)
     with pytest.raises(error) as info:
         table.dual_canonical_weight((2, 1))
     assert type(info.value) is error and type(info.value.__cause__) is error

@@ -54,7 +54,7 @@ def test_each_vector_names_the_smaller_word_of_its_reversal_pair_as_origin(label
     # g's verdict there
     table = basis.GoodLyndonTable(cartan.parse(label), order)
     for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
-        for g, elt, _, origin in table._dual_canonical_weight_i(table._nu_in(nu)):
+        for g, elt, origin in table._dual_canonical_weight_i(table._nu_in(nu)):
             assert origin == min(g, shuffle.max_word(shuffle.tau(elt))), (nu, g)
 
 
@@ -100,13 +100,13 @@ def test_positivity_scans_build_one_dual_pbw_vector_per_reversal_pair(monkeypatc
 
 
 def _spoilt(table, g, alter):
-    """Replace the table's dual PBW vector and kappa at the internal good
-    word g by `alter(vector, kappa)`."""
+    """Replace the table's dual PBW vector at the internal good word g by
+    `alter(vector)`."""
     real = table._dual_pbw_i
 
     def spoilt(wi, factors=None):
-        elt, kappa = real(wi, factors)
-        return alter(elt, kappa) if wi == g else (elt, kappa)
+        elt = real(wi, factors)
+        return alter(elt) if wi == g else elt
 
     table._dual_pbw_i = spoilt
 
@@ -124,9 +124,11 @@ def _located(message, table, nu, g):
 
 def test_a_reversed_image_whose_coefficient_is_not_kappa_raises():
     # doubling E*_{1,2} and its kappa straightens to 2 w[1,2], whose
-    # reversal reaches 2,1 with coefficient 2, not kappa = 1
+    # reversal reaches 2,1 with coefficient 2, not kappa = 1; w[1,2] is a
+    # good Lyndon word, so its dual root vector and kappa are doubled
     table = basis.GoodLyndonTable(cartan.parse("A2"))
-    _spoilt(table, (1, 2), lambda elt, kappa: (elt.scaled(2), kappa * 2))
+    r, root, kappa, d = table._root_i((1, 2))
+    table._roots[(1, 2)] = (r, root.scaled(2), kappa * 2, d)
     with pytest.raises(StraighteningFailure, match="coefficient is not kappa") as info:
         table._dual_canonical_weight_i((1, 1))
     _located(str(info.value), table, (1, 1), (2, 1))
@@ -134,7 +136,7 @@ def test_a_reversed_image_whose_coefficient_is_not_kappa_raises():
 
 REVERSALS = [
     # b*_{2,3,1} + b*_{1,2,3} reverses onto 3,2,1, which b*_{1,2,3} holds
-    ("A3", (1, 1, 1), (2, 3, 1), lambda t: t._dual_pbw_i((1, 2, 3))[0], (2, 3, 1), (3, 2, 1)),
+    ("A3", (1, 1, 1), (2, 3, 1), lambda t: t._dual_pbw_i((1, 2, 3)), (2, 3, 1), (3, 2, 1)),
     # a word below 2,3,2,1,1 whose reversal 3,2,1,1,2 lies above the
     # partner of 2,3,2,1,1 and is not good
     (
@@ -162,7 +164,7 @@ REVERSALS = [
 def test_a_reversal_that_is_held_not_good_or_below_raises(label, nu, spoilt, extra, named, top):
     table = basis.GoodLyndonTable(cartan.parse(label))
     added = extra(table)
-    _spoilt(table, spoilt, lambda elt, kappa: (elt + added, kappa))
+    _spoilt(table, spoilt, lambda elt: elt + added)
     reached = re.escape(f"reversal has maximal word {shuffle.format_word(top)}")
     with pytest.raises(StraighteningFailure, match=reached) as info:
         table._dual_canonical_weight_i(nu)

@@ -82,8 +82,8 @@ def test_relabeled_weights_equal_a_fresh_construction(monkeypatch, label, max_he
     fresh = basis.GoodLyndonTable(datum)
     for nu, vectors in derived:
         want = fresh._dual_canonical_weight_i(nu)
-        assert [(g, {w: c.terms for w, c in elt.terms.items()}, kappa) for g, elt, kappa, _ in vectors] == [
-            (g, {w: c.terms for w, c in elt.terms.items()}, kappa) for g, elt, kappa, _ in want
+        assert [(g, {w: c.terms for w, c in elt.terms.items()}, elt.terms[g]) for g, elt, _ in vectors] == [
+            (g, {w: c.terms for w, c in elt.terms.items()}, elt.terms[g]) for g, elt, _ in want
         ], nu
         assert all(elt.weight == nu for _, elt, *_ in vectors)
 
@@ -258,12 +258,12 @@ def test_an_image_outside_u_is_reported_with_its_own_witness_under_optimization(
 SPOILT_CHECK = """
 import contextlib, io
 from qshuffle import basis, cli, shuffle
-from qshuffle.shuffle import MembershipResult
+from qshuffle.shuffle import MembershipResult, MembershipWitness
 member, expand = shuffle.serre_membership, basis.GoodLyndonTable._expand_i
 
 def spoilt(elt):
     if (elt.weight, shuffle.max_word(elt)) == {source}:
-        return MembershipResult(False, None)
+        return MembershipResult(False, MembershipWitness(1, 2, (), (), "spoilt"))
     return member(elt)
 
 def unexpandable(table, elt):
@@ -348,6 +348,6 @@ def test_the_scope_holds_the_last_weight_also_when_it_is_relabeled(monkeypatch):
     assert (4, 0, 0) not in built and (0, 0, 4) in built
     assert table._pbw_memo_weight == (4, 0, 0) and table._canonical_memo is captured[-1]
     fresh = basis.GoodLyndonTable(cartan.parse("A3"))._dual_canonical_weight_i((4, 0, 0))
-    assert [(g, elt.weight, elt.terms, kappa) for g, elt, kappa, _ in table._canonical_memo] == [
-        (g, elt.weight, elt.terms, kappa) for g, elt, kappa, _ in fresh
+    assert [(g, elt.weight, elt.terms, elt.terms[g]) for g, elt, _ in table._canonical_memo] == [
+        (g, elt.weight, elt.terms, elt.terms[g]) for g, elt, _ in fresh
     ]

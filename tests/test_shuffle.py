@@ -123,6 +123,19 @@ def test_twisted_commutativity():
         assert qshuffle(w, x) == conjugated(qshuffle(conjugated(x), conjugated(w))).scaled(monomial(-e))
 
 
+@pytest.mark.parametrize("letter", [0, -1, 3])
+def test_a_letter_outside_the_alphabet_is_refused(letter):
+    # a letter <= 0 wrapped into the last coordinates, so w[0] passed for a
+    # word of weight (0, 1), and one above the rank overflowed them
+    message = rf"letter {letter} outside alphabet 1\.\.2"
+    with pytest.raises(ValueError, match=message):
+        cartan.word_weight(A2, (1, letter))
+    with pytest.raises(ValueError, match=message):
+        ShuffleElt(A2, (0, 1), {(letter,): ONE})
+    with pytest.raises(ValueError, match=message):
+        ShuffleElt.from_word(A2, (letter,))
+
+
 def test_concat_and_prepend():
     assert concat(W(A3, 1), W(A3, 2, 3)) == W(A3, 1, 2, 3)
     g = ShuffleElt(A3, (0, 1, 1), {(2, 3): ONE, (3, 2): monomial(1)})

@@ -120,3 +120,54 @@ def test_every_module_memo_is_named():
     # clear it; a new one needs a reason and a line in MODULE_MEMOS
     found = set().union(*(_module_memos(path) for path in SRC.glob("*.py")))
     assert found == MODULE_MEMOS
+
+
+# The memos of `GoodLyndonTable`, as attribute names: those kept for the
+# table's life, and the weight scope, which `_enter` resets with its weight.
+TABLE_MEMOS = {"_roots", "_kappa_cache"}
+WEIGHT_SCOPE = {"_pbw_memo_weight", "_pbw_memo", "_canonical_memo", "_square_goods", "_square_rows"}
+
+
+def _attribute_assignments(tree):
+    """(function name, attribute, value) of every assignment to an attribute
+    of `self` or `table`, one per target; a tuple of targets assigned from a
+    tuple pairs each target with its own value."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                pairs = []
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs += zip(target.elts, node.value.elts)
+                    else:
+                        pairs += [(t, node.value) for t in getattr(target, "elts", [target])]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                pairs = [(node.target, node.value)]
+            else:
+                continue
+            found += [
+                (fn.name, t.attr, value)
+                for t, value in pairs
+                if isinstance(t, ast.Attribute) and _name(t.value) in {"self", "table"}
+            ]
+    return found
+
+
+def test_every_table_memo_is_named():
+    # a memo of the table starts empty in __init__; one that `_enter` resets
+    # belongs to the weight scope and every other one lives as long as the
+    # table, and no method assigns an attribute that is not one of them, so
+    # a new memo needs a line in TABLE_MEMOS or WEIGHT_SCOPE
+    tree = ast.parse((SRC / "basis.py").read_text())
+    assigned = _attribute_assignments(tree)
+    empty = {
+        attr
+        for fn, attr, value in assigned
+        if fn == "__init__" and (_is_empty_container(value) or ast.unparse(value) == "None")
+    }
+    reset = {attr for fn, attr, _ in assigned if fn == "_enter"}
+    assert reset == WEIGHT_SCOPE and empty - reset == TABLE_MEMOS and reset <= empty
+    assert {attr for fn, attr, _ in assigned if fn != "__init__"} <= TABLE_MEMOS | WEIGHT_SCOPE
