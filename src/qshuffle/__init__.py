@@ -22,7 +22,7 @@ from .laurent import (
 from .shuffle import (
     DatumMismatch,
     HomogeneityError,
-    MembershipResult,
+    MembershipWitness,
     ShuffleElt,
     ZeroElement,
     bar_elt,

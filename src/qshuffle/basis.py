@@ -48,12 +48,18 @@ class GoodWord(Record, namedtuple("GoodWord", "word factors")):
         return format_word(self.word)
 
 
-class DualPBWVector(Record, namedtuple("DualPBWVector", "good_word elt kappa")):
+class DualPBWVector(Record, namedtuple("DualPBWVector", "good_word elt")):
     __slots__ = ()
 
+    @property
+    def kappa(self) -> LaurentPoly:
+        """The vector's coefficient at its own good word."""
+        return shuffle.coefficient(self.elt, self.good_word.word)
 
-class DualCanonicalVector(Record, namedtuple("DualCanonicalVector", "good_word elt kappa")):
+
+class DualCanonicalVector(Record, namedtuple("DualCanonicalVector", "good_word elt")):
     __slots__ = ()
+    kappa = DualPBWVector.kappa
 
 
 class GoodLyndonTable:
@@ -284,8 +290,7 @@ class GoodLyndonTable:
 
     def dual_root_vector(self, l: Word) -> DualPBWVector:
         li = self._lyndon_i(l)
-        _, elt, kappa, _ = self._root_i(li)
-        return DualPBWVector(self._good_out(li, ((li, 1),)), self._elt_out(elt), kappa)
+        return DualPBWVector(self._good_out(li, ((li, 1),)), self._elt_out(self._root_i(li)[1]))
 
     def _kappa_i(self, factors: Iterable[tuple[Word, int]]) -> LaurentPoly:
         """The product over the factor groups (l, a) of kappa_l^a [a]_{d_l}!,
@@ -364,8 +369,7 @@ class GoodLyndonTable:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
         wi, factors = self._good_i(g)
         self._enter(cartan.word_weight(self._idatum, wi))
-        elt = self._dual_pbw_i(wi, factors)
-        return DualPBWVector(self._good_out(wi, factors), self._elt_out(elt), elt.terms[wi])
+        return DualPBWVector(self._good_out(wi, factors), self._elt_out(self._dual_pbw_i(wi, factors)))
 
     # -- the dual canonical basis --------------------------------------------------------
 
@@ -469,7 +473,7 @@ class GoodLyndonTable:
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
         return tuple(
-            DualCanonicalVector(self._good_out(g, self._factors_i(g)), self._elt_out(elt), elt.terms[g])
+            DualCanonicalVector(self._good_out(g, self._factors_i(g)), self._elt_out(elt))
             for g, elt, _ in self._dual_canonical_weight_i(self._nu_in(tuple(nu)))
         )
 
@@ -479,7 +483,7 @@ class GoodLyndonTable:
         good = self._good_out(wi, factors)
         for h, elt, _ in self._dual_canonical_weight_i(cartan.word_weight(self._idatum, wi)):
             if h == wi:
-                return DualCanonicalVector(good, self._elt_out(elt), elt.terms[wi])
+                return DualCanonicalVector(good, self._elt_out(elt))
         raise laurent.TheoryViolation(
             f"no dual canonical vector for good word {good}; every good word indexes one {self._where(wi)}"
         )
@@ -604,7 +608,7 @@ class WeightEntry(Record, namedtuple("WeightEntry", "weight vectors violations e
     __slots__ = ()
 
 
-class ScanReport(Record, namedtuple("ScanReport", "check max_height entries elapsed")):
+class ScanReport(Record, namedtuple("ScanReport", "entries elapsed")):
     __slots__ = ()
 
     @property
@@ -651,18 +655,20 @@ def _reality_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict
 
 
 def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:
-    """Membership in U and the q Z[q] expansion over the dual PBW family:
-    construction raises on everything else a dual canonical vector must satisfy.
+    """The records of one weight's vectors outside U, each with its Serre
+    witness in the table's letters, and of expansion coefficients over the
+    dual PBW family off the diagonal and outside q Z[q]: construction raises
+    on everything else a dual canonical vector must satisfy.
 
     sigma maps the Serre relation at (i, j, z, t) to the one at (sigma i,
     sigma j, sigma z, sigma t), and tau to the one at (i, j, tau t, tau z),
     as [m choose k] = [m choose m-k], so an image is in U exactly when its
     origin is.  Every vector is expanded first, as the expansion depends on
     the order, and an expansion proves membership.  `serre_membership` runs
-    on an origin, which writes its verdict, on a vector with no expansion and
-    on an image of an origin outside U.  A vector it finds outside U is
-    reported with its own witness; one in U with no expansion or with its
-    origin outside U raises a located violation."""
+    on an origin, whose verdict is that it found no witness, on a vector
+    with no expansion and on an image of an origin outside U.  A vector it
+    finds outside U is reported with its own witness; one in U with no
+    expansion or with its origin outside U raises a located violation."""
     out = []
     for g, elt, origin in vectors:
         record = {"good_word": list(table._w_out(g))}
@@ -671,12 +677,11 @@ def _invariant_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: di
         except NotInU as exc:
             expansion, failure = None, exc
         if origin not in verdicts or expansion is None or not verdicts[origin]:
-            membership = shuffle.serre_membership(elt)
-            verdicts.setdefault(origin, membership.ok)
-            if not membership.ok:
+            witness = shuffle.serre_membership(elt)
+            verdicts.setdefault(origin, witness is None)
+            if witness is not None:
                 # an element outside U has no expansion over the dual PBW family
-                witness = str(table._witness_out(membership.witness))
-                out.append({**record, "kind": "not-in-subalgebra", "witness": witness})
+                out.append({**record, "kind": "not-in-subalgebra", "witness": str(table._witness_out(witness))})
                 continue
             if expansion is None or not verdicts[origin]:
                 if g == origin:  # its own verdict, stored above, is that it lies in U
@@ -702,7 +707,8 @@ _SCAN_CHECKS = {
 
 
 def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
-    """Run one check over every nonzero weight of height at most max_height.
+    """Run one check over every nonzero weight of height at most max_height:
+    the report holds one entry per weight, in scan order, and the time.
 
     The diagram automorphisms of the internal datum split the weights into
     orbits.  Only the first weight of each orbit, in scan order, is
@@ -737,4 +743,4 @@ def scan(table: GoodLyndonTable, max_height: int, check: str) -> ScanReport:
             vectors = table._dual_canonical_weight_i(nui, images)
         violations = tuple(run(table, vectors, verdicts))
         entries.append(WeightEntry(nu, len(vectors), violations, time.perf_counter() - w0))
-    return ScanReport(check, max_height, tuple(entries), time.perf_counter() - t0)
+    return ScanReport(tuple(entries), time.perf_counter() - t0)

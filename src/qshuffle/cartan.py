@@ -278,6 +278,8 @@ def kostant_partitions(datum: CartanDatum, nu: Weight) -> tuple[tuple[Weight, ..
     (height, coefficients) order, and the list of partitions is in the
     deterministic depth-first order of that root ordering.
     """
+    if len(nu) != datum.rank:
+        raise ValueError(f"weight needs {datum.rank} entries")
     if any(c < 0 for c in nu):
         raise ValueError("weights lie in the nonnegative cone")
     roots = positive_roots(datum)[::-1]

@@ -46,6 +46,8 @@ class ShuffleElt:
             raise HomogeneityError("weight length must equal the rank")
         clean: dict[Word, LaurentPoly] = {}
         for w, c in (terms or {}).items():
+            if not isinstance(c, LaurentPoly):
+                raise TypeError(f"coefficient of {format_word(w)} must be a LaurentPoly")
             if not c:
                 continue
             if cartan.word_weight(datum, w) != weight:
@@ -434,15 +436,6 @@ class MembershipWitness(Record, namedtuple("MembershipWitness", "i j left right 
         )
 
 
-class MembershipResult(Record, namedtuple("MembershipResult", "ok witness")):
-    """The verdict of `serre_membership`, with a failing relation when it is False."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 @lru_cache(maxsize=None)
 def _serre_weights(m: int, d: int) -> tuple[dict[int, int], ...]:
     """(-1)^k [m choose k]_d as raw exponent maps, k = 0..m; shared and never mutated."""
@@ -451,14 +444,14 @@ def _serre_weights(m: int, d: int) -> tuple[dict[int, int], ...]:
     )
 
 
-def serre_membership(f: ShuffleElt) -> MembershipResult:
-    """Test membership in the subalgebra generated by the letters.
+def serre_membership(f: ShuffleElt) -> MembershipWitness | None:
+    """Test membership in the subalgebra generated by the letters: None when
+    f lies in it, else the first failing relation, in sorted context order.
 
     For every pair i != j, with m = 1 - a_ij, and every context (z, t), the
     alternating sum of coefficients of z i^k j i^{m-k} t, weighted by
     [m choose k]_i, must vanish.  Contexts are harvested from the support, so
-    absent words contribute zero; the first failing relation, in sorted
-    context order, is reported as a witness.
+    absent words contribute zero.
 
     The harvest reads run lengths.  Since m >= 1, a word z i^k j i^{m-k} t
     has an i next to its j, so a position p holding j only needs the letters
@@ -494,5 +487,5 @@ def serre_membership(f: ShuffleElt) -> MembershipResult:
             if c is not None:
                 laurent._mul_add(total, weight, c.terms)
         if total:
-            return MembershipResult(False, MembershipWitness(i, j, z, t, laurent._raw(total)))
-    return MembershipResult(True, None)
+            return MembershipWitness(i, j, z, t, laurent._raw(total))
+    return None

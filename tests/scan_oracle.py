@@ -23,9 +23,9 @@ def _invariants(table, vectors):
     out = []
     for g, elt, *_ in vectors:
         record = {"good_word": list(table._w_out(g))}
-        membership = shuffle.serre_membership(elt)
-        if not membership.ok:
-            out.append({**record, "kind": "not-in-subalgebra", "witness": _witness(table, membership.witness)})
+        witness = shuffle.serre_membership(elt)
+        if witness is not None:
+            out.append({**record, "kind": "not-in-subalgebra", "witness": _witness(table, witness)})
             continue
         out.extend(
             {**record, "kind": "expansion-off-diagonal", "at": list(table._w_out(h)), "value": str(c)}

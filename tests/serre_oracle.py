@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from qshuffle import laurent
 from qshuffle.laurent import ZERO
-from qshuffle.shuffle import MembershipResult, MembershipWitness, ShuffleElt
+from qshuffle.shuffle import MembershipWitness, ShuffleElt
 from qshuffle.words import Word
 
 
-def serre_membership(f: ShuffleElt) -> MembershipResult:
+def serre_membership(f: ShuffleElt) -> MembershipWitness | None:
     datum = f.datum
     a = datum.cartan
     r = datum.rank
@@ -49,5 +49,5 @@ def serre_membership(f: ShuffleElt) -> MembershipResult:
             term = laurent.q_binom(m, k, d) * c
             total = total - term if k % 2 else total + term
         if total:
-            return MembershipResult(False, MembershipWitness(i, j, z, t, total))
-    return MembershipResult(True, None)
+            return MembershipWitness(i, j, z, t, total)
+    return None

@@ -203,7 +203,7 @@ def test_c09_structural_characterization(tables):
             for vec in t.dual_canonical_weight(nu):
                 g = vec.good_word.word
                 assert all(c.is_bar_symmetric() for c in vec.elt.terms.values()), g
-                assert serre_membership(vec.elt).ok, g
+                assert serre_membership(vec.elt) is None, g
                 expansion = t.expand_in_dual_pbw(vec.elt)
                 assert expansion.pop(g) == ONE, g
                 for h, c in expansion.items():
@@ -322,7 +322,7 @@ def test_c11_algebra_properties():
         f = ShuffleElt.from_word(datum, (letters[0],))
         for a in letters[1:]:
             f = qshuffle(f, ShuffleElt.from_word(datum, (a,)))
-        assert serre_membership(f).ok
+        assert serre_membership(f) is None
 
     from qshuffle.shuffle import bar_elt, e_prime, sigma, tau
 

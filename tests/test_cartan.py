@@ -151,6 +151,14 @@ def test_kostant_partitions_examples():
     assert len(kostant_partitions(g2, (3, 2))) == 7
 
 
+@pytest.mark.parametrize("nu", [(1,), (1, 0, 0)])
+def test_kostant_partitions_refuse_a_weight_of_another_rank(nu):
+    # a short weight packed a negative remainder, whose guard bits all stay
+    # set, so the stack grew without end; a long one lost its last entries
+    with pytest.raises(ValueError, match="^weight needs 2 entries$"):
+        kostant_partitions(build("A", 2), nu)
+
+
 def test_kostant_partitions_brute_force_oracle():
     # enumerate multiplicity vectors over the positive roots directly
     from itertools import product

@@ -1,7 +1,7 @@
 """The value records of the package (Cartan data, good words, membership
-results, shapes) and the type-label parser: equality and hashing by value
-within one class, their repr text, immutability, and every validation error
-with its message, also through `_replace` and `_make`."""
+witnesses, shapes, basis vectors) and the type-label parser: equality and
+hashing by value within one class, their repr text, immutability, and every
+validation error with its message, also through `_replace` and `_make`."""
 
 import warnings
 
@@ -18,7 +18,7 @@ from qshuffle.characters import (
     skew_tableau_character,
 )
 from qshuffle.laurent import ONE, monomial
-from qshuffle.shuffle import MembershipResult, MembershipWitness, ShuffleElt
+from qshuffle.shuffle import MembershipWitness, ShuffleElt
 
 B2 = cartan.parse("B2")
 WITNESS = MembershipWitness(1, 2, (1,), (), monomial(1, 2))
@@ -38,9 +38,9 @@ CASES = [
         GoodWord((2, 1, 1, 2), (((2,), 1), ((1, 1, 2), 2))),
     ),
     (
-        MembershipResult(False, WITNESS),
-        MembershipResult(False, MembershipWitness(1, 2, (1,), (), monomial(1, 2))),
-        MembershipResult(False, MembershipWitness(1, 2, (1,), (), monomial(1, 3))),
+        WITNESS,
+        MembershipWitness(1, 2, (1,), (), monomial(1, 2)),
+        MembershipWitness(1, 2, (1,), (), monomial(1, 3)),
     ),
     (SkewShape((3, 1)), SkewShape((3, 1), ()), SkewShape((3, 1), (1,))),
     (ShiftedSkewShape((3, 1)), ShiftedSkewShape((3, 1), ()), ShiftedSkewShape((3, 2))),
@@ -55,7 +55,7 @@ def test_records_compare_and_hash_by_value(record, same, other):
     assert len({record, same, other}) == 2
 
 
-FIELDS = {CartanDatum: "rank", GoodWord: "word", MembershipResult: "ok", SkewShape: "lam", ShiftedSkewShape: "mu"}
+FIELDS = {CartanDatum: "rank", GoodWord: "word", MembershipWitness: "total", SkewShape: "lam", ShiftedSkewShape: "mu"}
 
 
 @pytest.mark.parametrize("record, _same, _other", CASES, ids=lambda r: type(r).__name__)
@@ -78,8 +78,19 @@ def test_records_of_different_classes_differ_on_equal_fields():
     assert len({skew, shifted}) == 2 and len({skew: 0, shifted: 1}) == 2
     good = GoodWord((1,), (((1,), 1),))
     elt = ShuffleElt.from_word(B2, (1,))
-    assert DualPBWVector(good, elt, ONE) != DualCanonicalVector(good, elt, ONE)
-    assert DualPBWVector(good, elt, ONE) == DualPBWVector(good, elt, ONE)
+    assert DualPBWVector(good, elt) != DualCanonicalVector(good, elt)
+    assert DualPBWVector(good, elt) == DualPBWVector(good, elt)
+    assert len({DualPBWVector(good, elt), DualCanonicalVector(good, elt)}) == 2
+
+
+def test_basis_vectors_read_kappa_from_their_vector():
+    # kappa is no field: it is the vector's coefficient at its own good word
+    assert DualPBWVector._fields == DualCanonicalVector._fields == ("good_word", "elt")
+    good = GoodWord((1,), (((1,), 1),))
+    elt = ShuffleElt.from_word(B2, (1,), monomial(1, 2))
+    assert DualPBWVector(good, elt).kappa == DualCanonicalVector(good, elt).kappa == monomial(1, 2)
+    with pytest.raises(AttributeError):
+        DualPBWVector(good, elt).kappa = ONE
 
 
 def test_replace_and_make_validate():
@@ -101,18 +112,11 @@ def test_record_reprs():
     good = GoodLyndonTable(B2).good_word((2, 1, 1, 2))
     assert repr(good) == "GoodWord(word=(2, 1, 1, 2), factors=(((2,), 1), ((1, 1, 2), 1)))"
     assert str(good) == "w[2,1,1,2]"
-    assert repr(MembershipResult(True, None)) == "MembershipResult(ok=True, witness=None)"
-    assert repr(MembershipResult(False, WITNESS)) == (
-        f"MembershipResult(ok=False, witness=MembershipWitness(i=1, j=2, left=(1,), right=(), total={WITNESS.total!r}))"
-    )
+    assert repr(WITNESS) == f"MembershipWitness(i=1, j=2, left=(1,), right=(), total={WITNESS.total!r})"
     assert str(WITNESS) == f"relation i=1 j=2 z=w[1] t=w[] sums to {WITNESS.total}"
     assert repr(SkewShape((3, 1), (1,))) == "SkewShape(lam=(3, 1), mu=(1,))"
     assert repr(SkewShape((2,))) == "SkewShape(lam=(2,), mu=())"
     assert repr(ShiftedSkewShape((3, 1))) == "ShiftedSkewShape(lam=(3, 1), mu=())"
-
-
-def test_membership_result_truth_is_its_verdict():
-    assert MembershipResult(True, None) and not MembershipResult(False, WITNESS)
 
 
 @pytest.mark.parametrize(
