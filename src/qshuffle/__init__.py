@@ -51,12 +51,18 @@ from .basis import (
     is_real,
     scan,
 )
-from .characters import (
-    ShapeConstraintViolated,
-    ShiftedSkewShape,
-    SkewShape,
-    shifted_tableau_character,
-    skew_tableau_character,
-)
 
 __version__ = "0.1.0"
+
+# `characters` loads on first use of it or of one of these names: a scan never runs it.
+_CHARACTER_NAMES = {
+    "ShapeConstraintViolated", "ShiftedSkewShape", "SkewShape", "shifted_tableau_character", "skew_tableau_character"
+}
+
+
+def __getattr__(name: str):
+    if name == "characters" or name in _CHARACTER_NAMES:
+        import qshuffle.characters as characters  # `from . import` would ask this hook for it again
+
+        return characters if name == "characters" else getattr(characters, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,8 +11,6 @@ simultaneous relabeling of letters and Cartan data.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
 from itertools import groupby
 
 from . import cartan, laurent, shuffle, words
@@ -20,6 +18,10 @@ from .cartan import CartanDatum, Record, Weight
 from .laurent import ONE, ZERO, LaurentPoly
 from .shuffle import ShuffleElt
 from .words import Word, format_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Iterable, Sequence
 
 
 class NotGoodLyndon(ValueError):
@@ -39,7 +41,7 @@ class StraighteningFailure(laurent.TheoryViolation):
     """The correction step of the straightening loop could not proceed."""
 
 
-class GoodWord(Record, namedtuple("GoodWord", "word factors")):
+class GoodWord(Record, fields="word factors"):
     """A good word together with its non-increasing good-Lyndon factorization."""
 
     __slots__ = ()
@@ -48,7 +50,7 @@ class GoodWord(Record, namedtuple("GoodWord", "word factors")):
         return format_word(self.word)
 
 
-class DualPBWVector(Record, namedtuple("DualPBWVector", "good_word elt")):
+class DualPBWVector(Record, fields="good_word elt"):
     __slots__ = ()
 
     @property
@@ -57,7 +59,7 @@ class DualPBWVector(Record, namedtuple("DualPBWVector", "good_word elt")):
         return shuffle.coefficient(self.elt, self.good_word.word)
 
 
-class DualCanonicalVector(Record, namedtuple("DualCanonicalVector", "good_word elt")):
+class DualCanonicalVector(Record, fields="good_word elt"):
     __slots__ = ()
     kappa = DualPBWVector.kappa
 
@@ -604,11 +606,11 @@ def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPo
     return None
 
 
-class WeightEntry(Record, namedtuple("WeightEntry", "weight vectors violations elapsed")):
+class WeightEntry(Record, fields="weight vectors violations elapsed"):
     __slots__ = ()
 
 
-class ScanReport(Record, namedtuple("ScanReport", "entries elapsed")):
+class ScanReport(Record, fields="entries elapsed"):
     __slots__ = ()
 
     @property
@@ -626,7 +628,8 @@ class ScanReport(Record, namedtuple("ScanReport", "entries elapsed")):
 # The first vector of each origin, the origin itself, writes its verdict and
 # every other vector reads it.  The reversal and the diagram automorphisms
 # keep both, so an image's verdict is its origin's.
-Vectors = Sequence[tuple[Word, ShuffleElt, Word]]
+if TYPE_CHECKING:
+    Vectors = Sequence[tuple[Word, ShuffleElt, Word]]
 
 
 def _positivity_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict[Word, bool]) -> list[dict]:

@@ -18,12 +18,13 @@ Weights are plain coefficient tuples over the simple roots.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, permutations
 
 from .laurent import TheoryViolation
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Iterable, Iterator, Sequence
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -54,13 +55,39 @@ _RANK_BOUNDS = {
 }
 
 
-class Record:
-    """Mixed in before a namedtuple base: a record equals only records of its
-    own class, never a plain tuple, and hashes by its fields; `_make` and
-    `_replace` build through the class, so its validation runs."""
+class Record(tuple):
+    """An immutable record: a tuple whose class names its fields, as in
+    `class GoodWord(Record, fields="word factors")`.
+
+    A record iterates, indexes, orders and hashes as the tuple of its fields
+    and reads each by name, but equals only records of its own class, never
+    a plain tuple.  `_make` and `_replace` build through the class, so its
+    validation runs."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     __hash__ = tuple.__hash__
+
+    def __init_subclass__(cls, fields: str | None = None):
+        super().__init_subclass__()
+        if fields is not None:
+            cls._fields = cls.__match_args__ = tuple(fields.split())
+            for k, name in enumerate(cls._fields):
+                setattr(cls, name, property(lambda self, k=k: self[k]))
+
+    def __new__(cls, *values, **named):
+        if named:
+            values += tuple(named.pop(name) for name in cls._fields[len(values) :] if name in named)
+        if named or len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        return tuple.__new__(cls, values)
+
+    def __getnewargs__(self) -> tuple:
+        """The fields, from which copy and pickle rebuild the record."""
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self))})"
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -72,8 +99,14 @@ class Record:
     def _make(cls, fields: Iterable):
         return cls(*fields)
 
+    def _replace(self, **changes):
+        record = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
 
-class CartanDatum(Record, namedtuple("CartanDatum", "family rank cartan d bilinear")):
+
+class CartanDatum(Record, fields="family rank cartan d bilinear"):
     """A finite-type Cartan matrix with its symmetrizers and bilinear form."""
 
     __slots__ = ()
@@ -248,13 +281,18 @@ def parse_weight(text: str, rank: int) -> Weight:
 # -- positive roots ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+_POSITIVE_ROOTS: dict[CartanDatum, tuple[Weight, ...]] = {}
+
+
 def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
     """All positive roots, sorted by (height, coeffs): the closure of the simple
     roots under the reflections s_i(beta) = beta - <beta, a_i^v> a_i that raise
     them.  s_i permutes the positive roots other than a_i and lowers every
     non-simple one with <beta, a_i^v> > 0, so the closure is all of them.  A
-    closure that outgrows the family's count, as off finite type, raises."""
+    closure that outgrows the family's count, as off finite type, raises.
+    Each datum's roots are computed once per process."""
+    if (out := _POSITIVE_ROOTS.get(datum)) is not None:
+        return out
     expected = _ROOT_COUNTS[datum.family](datum.rank)
     roots = {simple_root(datum, i) for i in range(1, datum.rank + 1)}
     todo = list(roots)
@@ -268,7 +306,8 @@ def positive_roots(datum: CartanDatum) -> tuple[Weight, ...]:
             break
     if len(roots) != expected:
         raise TheoryViolation(f"root closure for {datum} found {len(roots)} roots, expected {expected}")
-    return tuple(sorted(roots, key=lambda w: (height(w), w)))
+    _POSITIVE_ROOTS[datum] = out = tuple(sorted(roots, key=lambda w: (height(w), w)))
+    return out
 
 
 def kostant_partitions(datum: CartanDatum, nu: Weight) -> tuple[tuple[Weight, ...], ...]:

@@ -8,14 +8,15 @@ so they can be compared against computed dual canonical vectors.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterator
-
 from . import cartan
 from .cartan import CartanDatum, Record
 from .laurent import ONE
 from .shuffle import ShuffleElt
 from .words import Word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Iterator
 
 
 class ShapeConstraintViolated(ValueError):
@@ -27,7 +28,7 @@ class ShapeConstraintViolated(ValueError):
 Cell = tuple[int, int]
 
 
-class SkewShape(Record, namedtuple("SkewShape", "lam mu")):
+class SkewShape(Record, fields="lam mu"):
     """A skew Young diagram lam/mu; cell (i, j) has content j - i."""
 
     __slots__ = ()
@@ -102,7 +103,7 @@ def standard_tableaux(shape: SkewShape) -> Iterator[tuple[Cell, ...]]:
 # -- character sums ------------------------------------------------------------------
 
 
-class TableauCharacter(Record, namedtuple("TableauCharacter", "good_word element")):
+class TableauCharacter(Record, fields="good_word element"):
     """A tableau character sum: the indexing good word and the full element."""
 
     __slots__ = ()

@@ -21,18 +21,26 @@ broken invariant), 141 stdout closed by its reader (128 + SIGPIPE).
 
 from __future__ import annotations
 
-import os
 import sys
-from collections.abc import Sequence
-from types import SimpleNamespace
 
-from . import basis, cartan, characters
+from . import basis, cartan
 from .laurent import TheoryViolation
 from .words import format_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Sequence
 
 
 class UsageError(Exception):
     pass
+
+
+class _Args:
+    """A parsed command line: its command, TYPE and one attribute per option."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
 
 
 # The options each command takes besides TYPE, as name -> (kind, required,
@@ -130,7 +138,7 @@ def _usage(command: str | None) -> str:
     return "\n".join([*head, *(f"  {name:<{width}}  {text}" for name, text in rows), *tail])
 
 
-def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+def _parse(argv: Sequence[str]) -> _Args | None:
     """The command line's command, TYPE and options, or None when it asked
     for help, which is then printed."""
     if not argv:
@@ -186,10 +194,10 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     if one_of and len(given.intersection(one_of)) != 1:
         raise UsageError(f"exactly one of the arguments {' '.join(one_of)} is required")
     names = {name[2:].replace("-", "_"): value for name, value in values.items()}
-    return SimpleNamespace(command=command, type=rest[type_at], **names)
+    return _Args(command=command, type=rest[type_at], **names)
 
 
-def _table(args: SimpleNamespace) -> basis.GoodLyndonTable:
+def _table(args: _Args) -> basis.GoodLyndonTable:
     try:
         datum = cartan.parse(args.type)
         order = tuple(int(p) for p in args.order.split(",")) if args.order else None
@@ -198,14 +206,14 @@ def _table(args: SimpleNamespace) -> basis.GoodLyndonTable:
         raise UsageError(str(exc)) from exc
 
 
-def _header(args: SimpleNamespace, table: basis.GoodLyndonTable, **extra: str) -> str:
+def _header(args: _Args, table: basis.GoodLyndonTable, **extra: str) -> str:
     order = args.order or ",".join(map(str, table.order))
     parts = [args.command, args.type, f"order={order}"]
     parts.extend(f"{k}={v}" for k, v in extra.items())
     return " ".join(parts)
 
 
-def _meta(args: SimpleNamespace, table: basis.GoodLyndonTable, **extra) -> dict:
+def _meta(args: _Args, table: basis.GoodLyndonTable, **extra) -> dict:
     return {"command": args.command, "type": args.type, "order": list(table.order), **extra}
 
 
@@ -328,6 +336,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_character(args) -> int:
+    from . import characters  # only this command builds tableau characters
+
     table = _table(args)
     datum = table.datum
     try:
@@ -395,6 +405,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader went away, as `| head` does; point stdout at the null
         # device so that flushing it at exit raises nothing either
+        import os
+
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (OSError, ValueError):

@@ -25,8 +25,11 @@ P = 0; the caller fixes W from a bound on the coefficients before it packs.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from math import isqrt
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Mapping
 
 
 class TheoryViolation(ArithmeticError):

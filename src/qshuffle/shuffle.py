@@ -9,14 +9,14 @@ membership test for the subalgebra generated by the letters.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import lru_cache
-
 from . import cartan, laurent
 from .cartan import CartanDatum, Record, Weight
 from .laurent import ONE, ZERO, LaurentPoly
 from .words import Word, format_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 
 class DatumMismatch(ValueError):
@@ -424,7 +424,7 @@ def specialize_q1(f: ShuffleElt) -> dict[Word, int]:
 # -- membership in the letter-generated subalgebra --------------------------------
 
 
-class MembershipWitness(Record, namedtuple("MembershipWitness", "i j left right total")):
+class MembershipWitness(Record, fields="i j left right total"):
     """One failing linear relation: the context (i, j, z, t) and its value."""
 
     __slots__ = ()
@@ -436,12 +436,16 @@ class MembershipWitness(Record, namedtuple("MembershipWitness", "i j left right 
         )
 
 
-@lru_cache(maxsize=None)
+_SERRE_WEIGHTS: dict[tuple[int, int], tuple[dict[int, int], ...]] = {}
+
+
 def _serre_weights(m: int, d: int) -> tuple[dict[int, int], ...]:
     """(-1)^k [m choose k]_d as raw exponent maps, k = 0..m; shared and never mutated."""
-    return tuple(
-        {e: -x if k % 2 else x for e, x in laurent.q_binom(m, k, d).terms.items()} for k in range(m + 1)
-    )
+    if (m, d) not in _SERRE_WEIGHTS:
+        _SERRE_WEIGHTS[m, d] = tuple(
+            {e: -x if k % 2 else x for e, x in laurent.q_binom(m, k, d).terms.items()} for k in range(m + 1)
+        )
+    return _SERRE_WEIGHTS[m, d]
 
 
 def serre_membership(f: ShuffleElt) -> MembershipWitness | None:

@@ -7,9 +7,11 @@ the lexicographic order in which a proper prefix is smaller.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .laurent import TheoryViolation
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a running process never loads collections
+    from collections.abc import Sequence
 
 Word = tuple[int, ...]
 

@@ -1,19 +1,31 @@
 """The value records of the package (Cartan data, good words, membership
 witnesses, shapes, basis vectors) and the type-label parser: equality and
 hashing by value within one class, their repr text, immutability, and every
-validation error with its message, also through `_replace` and `_make`."""
+validation error with its message, also through `_replace` and `_make`;
+and, being tuples, how they unpack, index, order, copy and pickle."""
 
+import copy
+import pickle
 import warnings
 
 import pytest
 
 from qshuffle import cartan
-from qshuffle.basis import DualCanonicalVector, DualPBWVector, GoodLyndonTable, GoodWord
+from qshuffle.basis import (
+    DualCanonicalVector,
+    DualPBWVector,
+    GoodLyndonTable,
+    GoodWord,
+    ScanReport,
+    WeightEntry,
+    scan,
+)
 from qshuffle.cartan import CartanDatum, UnsupportedRank
 from qshuffle.characters import (
     ShapeConstraintViolated,
     ShiftedSkewShape,
     SkewShape,
+    TableauCharacter,
     shifted_tableau_character,
     skew_tableau_character,
 )
@@ -91,6 +103,58 @@ def test_basis_vectors_read_kappa_from_their_vector():
     assert DualPBWVector(good, elt).kappa == DualCanonicalVector(good, elt).kappa == monomial(1, 2)
     with pytest.raises(AttributeError):
         DualPBWVector(good, elt).kappa = ONE
+
+
+RECORD_FIELDS = {
+    CartanDatum: ("family", "rank", "cartan", "d", "bilinear"),
+    GoodWord: ("word", "factors"),
+    DualPBWVector: ("good_word", "elt"),
+    DualCanonicalVector: ("good_word", "elt"),
+    WeightEntry: ("weight", "vectors", "violations", "elapsed"),
+    ScanReport: ("entries", "elapsed"),
+    MembershipWitness: ("i", "j", "left", "right", "total"),
+    SkewShape: ("lam", "mu"),
+    ShiftedSkewShape: ("lam", "mu"),
+    TableauCharacter: ("good_word", "element"),
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_are_tuples_of_their_named_fields(cls):
+    assert issubclass(cls, tuple) and cls._fields == RECORD_FIELDS[cls]
+
+
+def test_records_unpack_index_and_order_as_tuples():
+    table = GoodLyndonTable(B2)
+    good = table.good_word((2, 1, 1, 2))
+    word, factors = good
+    assert (word, factors) == (good.word, good.factors) == (good[0], good[1]) == tuple(good)
+    assert good[-1] is good.factors and good[:1] == ((2, 1, 1, 2),) and len(good) == 2
+    goods = table.good_words_of_weight((2, 2))
+    assert len(goods) > 1 and sorted(goods[::-1]) == sorted(goods, key=tuple) == sorted(goods, key=lambda g: g.word)
+    shapes = [SkewShape((3, 1)), SkewShape((2, 1), (1,)), SkewShape((2, 1))]
+    assert sorted(shapes) == [SkewShape((2, 1)), SkewShape((2, 1), (1,)), SkewShape((3, 1))]
+    assert SkewShape((2, 1)) < SkewShape((3,)) and max(shapes) == SkewShape((3, 1))
+    report = scan(table, 2, "positivity")
+    entries, elapsed = report
+    assert (entries, elapsed) == (report.entries, report.elapsed)
+    weight, vectors, violations, _ = entries[0]
+    assert (weight, vectors, violations) == (entries[0].weight, 1, ())
+    family, rank, *_ = B2
+    assert (family, rank) == ("B", 2) and B2[1:2] == (2,)
+
+
+def test_records_build_by_keyword_and_survive_copy_and_pickle():
+    good = GoodWord((1,), (((1,), 1),))
+    assert GoodWord(word=(1,), factors=(((1,), 1),)) == GoodWord((1,), factors=(((1,), 1),)) == good
+    for values, named in [(((1,),), {}), (((1,), (), ()), {}), (((1,), ()), {"word": (1,)}), (((1,),), {"factor": ()})]:
+        with pytest.raises(TypeError, match="^GoodWord takes the fields word, factors$"):
+            GoodWord(*values, **named)
+    with pytest.raises(ValueError, match="^Got unexpected field names: \\['wrd'\\]$"):
+        good._replace(wrd=(2,))
+    for record in [B2, good, WITNESS, SkewShape((3, 1), (1,)), ShiftedSkewShape((3, 1))]:
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert twin == record and type(twin) is type(record)
 
 
 def test_replace_and_make_validate():

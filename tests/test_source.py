@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qshuffle"
 
 
@@ -57,27 +59,60 @@ def _modules_loaded_by(code):
 # what its help formatter and messages load when a parser is built and run.
 PARSER_MODULES = {"argparse", "re", "enum", "gettext", "warnings"}
 PARSER_RUN_MODULES = PARSER_MODULES | {"shutil", "locale", "bz2", "lzma"}
+# What namedtuple records, lru_cache memos, abstract-type annotations and
+# SimpleNamespace brought, and the one module no scan runs.
+RECORD_MODULES = {"collections", "collections.abc", "functools", "types", "operator", "reprlib", "keyword"}
+SCAN_FREE = RECORD_MODULES | {"qshuffle.characters"}
+SCAN = "from qshuffle.cli import main; main(['scan', 'A2', '--max-height', '2'])"
 
 
 def test_import_budget():
     # every process pays for its imports before its first weight; the package
     # needs none of these, and the CLI loads json only to render JSON
     assert not _modules_loaded_by("import qshuffle") & {
-        "dataclasses", "typing", "inspect", "re", "warnings", "json", "argparse"
+        "dataclasses", "typing", "inspect", "re", "warnings", "json", "argparse", *SCAN_FREE
     }
-    assert not _modules_loaded_by("import qshuffle.cli") & {"dataclasses", "typing", "inspect", "json", *PARSER_MODULES}
+    assert not _modules_loaded_by("import qshuffle.cli") & {
+        "dataclasses", "typing", "inspect", "json", *PARSER_MODULES, *SCAN_FREE
+    }
 
 
 def test_a_scan_process_loads_no_parser_modules():
-    loaded = _modules_loaded_by("from qshuffle.cli import main; main(['scan', 'A2', '--max-height', '2'])")
+    loaded = _modules_loaded_by(SCAN)
     assert "qshuffle.cli" in loaded
-    assert not loaded & (PARSER_RUN_MODULES | {"json"})
+    assert not loaded & (PARSER_RUN_MODULES | SCAN_FREE | {"json", "os"})
+
+
+CHARACTER_NAMES = [
+    "ShapeConstraintViolated", "ShiftedSkewShape", "SkewShape", "shifted_tableau_character", "skew_tableau_character"
+]
+
+
+def test_character_names_load_on_demand():
+    import qshuffle
+    from qshuffle import characters
+
+    for name in CHARACTER_NAMES:
+        assert getattr(qshuffle, name) is getattr(characters, name)
+    assert qshuffle.characters is characters
+    assert not hasattr(qshuffle, "no_such_name")
+    with pytest.raises(AttributeError, match="^module 'qshuffle' has no attribute 'no_such_name'$"):
+        qshuffle.no_such_name
+    # a fresh process that asks for one name loads the module then, not before
+    assert "qshuffle.characters" in _modules_loaded_by(f"from qshuffle import {CHARACTER_NAMES[0]}")
+    assert "qshuffle.characters" in _modules_loaded_by("import qshuffle; qshuffle.characters")
+
+
+def test_a_character_process_loads_characters():
+    loaded = _modules_loaded_by("from qshuffle.cli import main; main(['character', 'B2', '--shifted', '2,1'])")
+    assert "qshuffle.characters" in loaded
+    assert not loaded & RECORD_MODULES
 
 
 # The module-level memos the package keeps, as `module.name`.  Every other
 # per-weight or per-scan memo belongs to an object with a visible scope, such
 # as the weight scope of `GoodLyndonTable`.
-MODULE_MEMOS = {"shuffle._CACHE", "cartan.positive_roots", "shuffle._serre_weights"}
+MODULE_MEMOS = {"shuffle._CACHE", "cartan._POSITIVE_ROOTS", "shuffle._SERRE_WEIGHTS"}
 CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
 
 
