@@ -58,6 +58,12 @@ __version__ = "0.1.0"
 _CHARACTER_NAMES = {
     "ShapeConstraintViolated", "ShiftedSkewShape", "SkewShape", "shifted_tableau_character", "skew_tableau_character"
 }
+# Every public name bound above, the submodules among them, and the lazy ones.
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")), "characters", *_CHARACTER_NAMES})
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def __getattr__(name: str):

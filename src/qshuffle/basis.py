@@ -86,17 +86,17 @@ class GoodLyndonTable:
         # d_l) and each factor group's kappa value.
         self._roots: dict[Word, tuple[ShuffleElt, ShuffleElt, LaurentPoly, int]] = {}
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
-        # One weight scope: the dual PBW vectors, with those of their factor
-        # groups l^j and of the groups of the good words of twice the weight,
-        # the dual canonical vectors once straightened and the good words of
-        # twice the weight with the reality solve's rows once asked; entering
-        # another weight clears them all.  A vector's kappa is its coefficient
-        # at its own good word, checked against `_kappa_i` before it is held.
+        # One weight scope, which only the table writes and entering another
+        # weight clears: the dual PBW vectors, with those of their factor groups
+        # l^j and of the groups of the good words of twice the weight, and the
+        # reality workspace, the good words of twice the weight, descending,
+        # with the solve's rows.  A vector's kappa is its coefficient at its own
+        # good word, checked against `_kappa_i` before it is held.
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, ShuffleElt] = {}
-        self._canonical_memo: tuple[tuple[Word, ShuffleElt, Word], ...] | None = None
-        self._square_goods: list[tuple[Word, tuple[tuple[Word, int], ...]]] | None = None
-        self._square_rows: dict[Word, dict[Word, dict[int, int]]] = {}
+        self._reality_workspace: (
+            tuple[list[tuple[Word, tuple[tuple[Word, int], ...]]], dict[Word, dict[Word, dict[int, int]]]] | None
+        ) = None
 
     # -- letter/weight/element translation -------------------------------------
 
@@ -317,8 +317,7 @@ class GoodLyndonTable:
     def _enter(self, nui: Weight) -> None:
         """Make nui the current weight of the scope, dropping the old one's state."""
         if nui != self._pbw_memo_weight:
-            self._pbw_memo_weight, self._pbw_memo, self._square_rows = nui, {}, {}
-            self._canonical_memo = self._square_goods = None
+            self._pbw_memo_weight, self._pbw_memo, self._reality_workspace = nui, {}, None
 
     def _dual_pbw_i(self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None) -> ShuffleElt:
         """The one route to a dual PBW vector, memoised in the weight scope
@@ -353,20 +352,6 @@ class GoodLyndonTable:
         """The vectors E*_{l^a} of a good word's factor groups, smallest first."""
         return [self._dual_pbw_i(l * a, ((l, a),)) for l, a in reversed(factors)]
 
-    def _square_row(self, i: int) -> dict[Word, dict[int, int]]:
-        """The raw coefficients of E*_h at the good words <= h, h =
-        _square_goods[i], extracted once in the weight scope from the product
-        of the scope's vectors E*_{l^a} of h's factor groups; the one at h,
-        kappa_h, must be `_kappa_i` of h's factors."""
-        h, factors = self._square_goods[i]
-        row = self._square_rows.get(h)
-        if row is None:
-            row = shuffle.product_coefficients(self._group_vectors(factors), (p for p, _ in self._square_goods[i:]))
-            if row.get(h) != self._kappa_i(factors).terms:
-                raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(h)}")
-            self._square_rows[h] = row
-        return row
-
     def dual_pbw(self, g: Word | GoodWord) -> DualPBWVector:
         """The normalized shuffle product of dual root vectors, smallest factor first."""
         wi, factors = self._good_i(g)
@@ -378,10 +363,11 @@ class GoodLyndonTable:
     def _dual_canonical_weight_i(
         self, nui: Weight, images: Iterable[tuple[Word, ShuffleElt]] | None = None
     ) -> tuple[tuple[Word, ShuffleElt, Word], ...]:
-        """The dual canonical vectors of nui, ascending by good word, built
-        once while nui is the scope's weight, each as (g, b*_g, origin): the
-        good word of the vector that b*_g is an image of.  kappa_g is b*_g's
-        coefficient at g.
+        """The dual canonical vectors of nui, ascending by good word, each as
+        (g, b*_g, origin): the good word of the vector that b*_g is an image
+        of.  kappa_g is b*_g's coefficient at g.  The tuple is returned, not
+        held: the call enters nui, and a repeat call at the scope's weight
+        builds no E*_g again, only the straightening pass over them.
 
         Two symmetries map the dual canonical basis onto itself, keeping every
         coefficient but not the lexicographic order, so each image of a dual
@@ -405,8 +391,6 @@ class GoodLyndonTable:
         still held at the end, such as one at a word that is not good, all
         break the theory and raise."""
         self._enter(nui)
-        if self._canonical_memo is not None:
-            return self._canonical_memo
         goods = self._good_words_i(nui)
         done: dict[Word, tuple[ShuffleElt, Word]] = {}
         held: dict[Word, tuple[Word, ShuffleElt]] = {}
@@ -469,8 +453,7 @@ class GoodLyndonTable:
             held[h] = g, reversal
         if held:
             raise StraighteningFailure(f"an image was never reached {self._where(min(held))}")
-        self._canonical_memo = tuple((g, *done[g]) for g, _ in goods)
-        return self._canonical_memo
+        return tuple((g, *done[g]) for g, _ in goods)
 
     def dual_canonical_weight(self, nu: Weight) -> tuple[DualCanonicalVector, ...]:
         """All dual canonical vectors of one weight, ascending by good word."""
@@ -517,6 +500,69 @@ class GoodLyndonTable:
         maximal word; raises NotInU when the maximal word is not good."""
         return {self._w_out(w): c for w, c in self._expand_i(self._elt_in(f)).items()}
 
+    # -- reality ----------------------------------------------------------------------------
+
+    def _is_real_i(self, elt: ShuffleElt) -> tuple[Word, LaurentPoly] | None:
+        """`is_real` on an element in internal coordinates, building nothing at
+        the square's weight 2nu: None when elt is real, else the witness (h, c_h),
+        the first good word h of 2nu below the top, from top down, whose
+        coefficient c_h in the dual PBW expansion of q^{-k} times the square
+        lies outside q Z[q].  The maximal word g of elt fixes the square's top
+        word: the good word whose Lyndon factors are g's with every
+        multiplicity doubled, with coefficient q^k kappa_top.  With N = (nu, nu),
+        v * u = q^{-N} bar(u * v) for words u, v of weight nu, bar acting on
+        the coefficients only, so q^{N/2} times the square of elt, whose
+        coefficients are bar-symmetric, is bar-symmetric too, and k = -N/2.
+        The unit squares to itself and is real.  The square lies in U, where an
+        element is fixed by its coefficients at the good words of its weight,
+        and by uniqueness an element with bar-symmetric coefficients in
+        E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
+        check solves the dual PBW expansion of q^{-k} times the square on its
+        coefficients at the good words of 2nu, from top down, dividing by each
+        row's kappa_h at h and subtracting the row.  It enters nu, whose
+        reality workspace holds the good words of 2nu, descending, and each
+        row: E*_h at the good words <= h, extracted once per weight from the
+        product of the scope's vectors E*_{l^a} of h's factor groups.  A good
+        word above top in the square, a top coefficient other than q^k
+        kappa_top or a row whose kappa_h is not `_kappa_i` of h's factors
+        breaks the theory and raises."""
+        self._enter(elt.weight)
+        if self._reality_workspace is None:
+            self._reality_workspace = self._good_words_i(cartan.add(elt.weight, elt.weight))[::-1], {}
+        goods, rows = self._reality_workspace
+        g = shuffle.max_word(elt)
+        factors = self._factors_i(g)
+        if factors is None:
+            raise laurent.TheoryViolation(f"maximal word is not good {self._where(g)}")
+        if not factors:  # the unit squares to itself
+            return None
+        top = tuple(x for l, a in factors for _ in range(2 * a) for x in l)
+        k = -(cartan.bilinear_form(self._idatum, elt.weight, elt.weight) // 2)
+        square = shuffle.product_coefficients((elt, elt), (h for h, _ in goods))
+        above = [h for h in square if h > top]
+        if above:
+            raise laurent.TheoryViolation(f"square has a good word above its top {self._where(top, max(above))}")
+        residual = {h: laurent._scaled(c, -k, 1) for h, c in square.items()}
+        for i, (h, h_factors) in enumerate(goods):
+            if h != top and not residual.get(h):
+                continue
+            row = rows.get(h)
+            if row is None:
+                row = shuffle.product_coefficients(self._group_vectors(h_factors), (p for p, _ in goods[i:]))
+                if row.get(h) != self._kappa_i(h_factors).terms:
+                    raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(h)}")
+                rows[h] = row
+            if h == top and residual.get(h) != row[h]:
+                raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {self._where(top)}")
+            try:
+                c = laurent.exact_div(laurent._raw(residual[h]), laurent._raw(row[h]))
+            except laurent.InexactDivision as exc:
+                raise laurent.InexactDivision(f"{exc} {self._where(top, h)}") from exc
+            if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
+                return h, c
+            shuffle._scaled_into(residual, row.items(), laurent._scaled(c.terms, 0, -1))
+        return None
+
 
 def _grouped(lyndons: Sequence[Word]) -> tuple[tuple[Word, int], ...]:
     """Runs of equal words in a non-increasing Lyndon factorization, with multiplicities."""
@@ -547,63 +593,7 @@ def is_real(table: GoodLyndonTable, vec: DualCanonicalVector) -> bool:
     """True when the shuffle square of vec is a power of q times another
     dual canonical vector.  vec must be a dual canonical vector of this
     table, so that its square lies in U."""
-    return _is_real_i(table, table._elt_in(vec.elt)) is None
-
-
-def _is_real_i(table: GoodLyndonTable, elt: ShuffleElt) -> tuple[Word, LaurentPoly] | None:
-    """`is_real` on an element in internal coordinates, building nothing at
-    the square's weight 2nu: None when elt is real, else the witness (h, c_h),
-    the first good word h of 2nu below the top, from top down, whose
-    coefficient c_h in the dual PBW expansion of q^{-k} times the square
-    lies outside q Z[q].  It enters elt's weight nu, whose scope holds the
-    good words of 2nu from the first question at nu on.  The maximal word g
-    of elt fixes the square's top word: the good word whose Lyndon factors
-    are g's with every multiplicity doubled, with coefficient q^k kappa_top.
-    With N = (nu, nu), v * u = q^{-N} bar(u * v) for words u, v of weight nu,
-    bar acting on the coefficients only, so q^{N/2} times the square of elt,
-    whose coefficients are bar-symmetric, is bar-symmetric too, and
-    k = -N/2.  The unit squares to itself and is real.  The square lies in
-    U, where an element is fixed by its coefficients at the good words of
-    its weight, and by uniqueness an element with bar-symmetric coefficients
-    in E*_top + sum q Z[q] E*_h is the dual canonical vector at top.  So the
-    check extracts the square's coefficients at the good words of 2nu and
-    solves the dual PBW expansion of q^{-k} times the square on them from
-    top down.  Each step reads its row E*_h from the scope (`_square_row`,
-    one extraction per weight), divides by the row's kappa_h at h and
-    subtracts the row.  A nonzero coefficient at a good word above top, a
-    top coefficient other than q^k kappa_top or an E*_h with leading
-    coefficient other than kappa_h breaks the theory and raises."""
-    table._enter(elt.weight)
-    if table._square_goods is None:
-        table._square_goods = table._good_words_i(cartan.add(elt.weight, elt.weight))[::-1]
-    goods = table._square_goods
-    g = shuffle.max_word(elt)
-    factors = table._factors_i(g)
-    if factors is None:
-        raise laurent.TheoryViolation(f"maximal word is not good {table._where(g)}")
-    if not factors:  # the unit squares to itself
-        return None
-    top = tuple(x for l, a in factors for _ in range(2 * a) for x in l)
-    k = -(cartan.bilinear_form(table._idatum, elt.weight, elt.weight) // 2)
-    square = shuffle.product_coefficients((elt, elt), (h for h, _ in goods))
-    above = [h for h in square if h > top]
-    if above:
-        raise laurent.TheoryViolation(f"square has a good word above its top {table._where(top, max(above))}")
-    residual = {h: laurent._scaled(c, -k, 1) for h, c in square.items()}
-    for i, (h, _) in enumerate(goods):
-        if h != top and not residual.get(h):
-            continue
-        row = table._square_row(i)
-        if h == top and residual.get(h) != row[h]:
-            raise laurent.TheoryViolation(f"top coefficient of the square is not q^{k} kappa {table._where(top)}")
-        try:
-            c = laurent.exact_div(laurent._raw(residual[h]), laurent._raw(row[h]))
-        except laurent.InexactDivision as exc:
-            raise laurent.InexactDivision(f"{exc} {table._where(top, h)}") from exc
-        if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
-            return h, c
-        shuffle._scaled_into(residual, row.items(), laurent._scaled(c.terms, 0, -1))
-    return None
+    return table._is_real_i(table._elt_in(vec.elt)) is None
 
 
 class WeightEntry(Record, fields="weight vectors violations elapsed"):
@@ -645,13 +635,14 @@ def _reality_violations(table: GoodLyndonTable, vectors: Vectors, verdicts: dict
     """The imaginary vectors of one weight.  The reversal tau and the
     diagram automorphisms sigma map the dual canonical basis onto itself and
     respect squares, tau(b)^2 = tau(b^2) and sigma(b)^2 = sigma(b^2), so an
-    image is real exactly when its origin is.  `_is_real_i` decides the first
-    vector of each origin, which in scan order is the origin itself, into the
-    scan-wide `verdicts`, and every other vector reads its verdict there."""
+    image is real exactly when its origin is.  `table._is_real_i` decides
+    the first vector of each origin, which in scan order is the origin
+    itself, into the scan-wide `verdicts`, and every other vector reads its
+    verdict there."""
     out = []
     for g, elt, origin in vectors:
         if origin not in verdicts:
-            verdicts[origin] = _is_real_i(table, elt) is None
+            verdicts[origin] = table._is_real_i(elt) is None
         if not verdicts[origin]:
             out.append({"good_word": list(table._w_out(g)), "kind": "imaginary"})
     return out

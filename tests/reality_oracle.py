@@ -1,11 +1,12 @@
 """Reference version of the reality check.
 
-This is the full-vector comparison that `basis._is_real_i` replaced: build
-the square, straighten the whole weight 2nu of the square, and compare the
-square with a power of q times the straightened vector at its maximal word.
-`_is_real_i` builds nothing at 2nu: it enters nu and extracts the square's
-coefficients and those of the dual PBW vectors it needs at the good words of
-2nu only, holding those rows in the table's scope at nu.
+This is the full-vector comparison that `GoodLyndonTable._is_real_i`
+replaced: build the square, straighten the whole weight 2nu of the square,
+and compare the square with a power of q times the straightened vector at
+its maximal word.  `_is_real_i` builds nothing at 2nu: it enters nu and
+extracts the square's coefficients and those of the dual PBW vectors it
+needs at the good words of 2nu only, holding those rows in the reality
+workspace of the table's scope at nu.
 This reference shares none of that route, and is kept only so tests can
 require the two to agree; it enters the square's weight in the table's scope
 like any straightening, which drops those rows.

@@ -1,6 +1,6 @@
 """Reference for `basis.scan`: every weight straightened on its own table
 scope, with no diagram automorphism used, and reality and membership in U
-decided on every vector itself, by `basis._is_real_i` and
+decided on every vector itself, by `GoodLyndonTable._is_real_i` and
 `shuffle.serre_membership`, with no verdict carried from another vector;
 every vector in U is expanded by `_expand_i`, and a Serre witness is written
 in the table's letters.  The scan's records must equal these weight by
@@ -43,7 +43,7 @@ def _violations(table, vectors, check):
     return tuple(
         {"good_word": list(table._w_out(g)), "kind": "imaginary"}
         for g, elt, *_ in vectors
-        if basis._is_real_i(table, elt) is not None
+        if table._is_real_i(elt) is not None
     )
 
 

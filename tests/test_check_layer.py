@@ -2,7 +2,7 @@
 reference harvest in `serre_oracle`, the good-word reality solve against the
 full-vector comparison in `reality_oracle` and the guards it raises on, and
 the one-weight scope that the checks share: dual PBW vectors, those of
-their factor groups, dual canonical vectors and the good words and rows of
+their factor groups and the reality workspace, the good words and rows of
 the reality solve."""
 
 from functools import reduce
@@ -134,7 +134,7 @@ def _count_builds(monkeypatch, table):
     is not in the one-weight memo yet.  Returns the builds asked for from
     outside the route and, apart, the builds of factor groups l^j that a
     build or a reality row asks for inside it."""
-    real_pbw, real_row = table._dual_pbw_i, table._square_row
+    real_pbw, real_groups = table._dual_pbw_i, table._group_vectors
     built, groups = [], []
     depth = 0
 
@@ -155,7 +155,7 @@ def _count_builds(monkeypatch, table):
         return nested(real_pbw)(wi, factors)
 
     monkeypatch.setattr(table, "_dual_pbw_i", counting)
-    monkeypatch.setattr(table, "_square_row", nested(real_row))
+    monkeypatch.setattr(table, "_group_vectors", nested(real_groups))
     return built, groups
 
 
@@ -241,20 +241,24 @@ def test_expansion_memo_holds_one_weight_only():
     # beside the vectors of (1, 2), the memo holds only their factor groups
     assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} > {(1, 2)}
     assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, elt in table._pbw_memo.items())
-    # the dual canonical vectors share the memo's scope
-    assert [g for g, *_ in table._canonical_memo] == [g for g, _ in table._good_words_i((1, 2))]
+    # the dual canonical vectors share the memo's scope: straightening
+    # (1, 2) again builds no vector
+    held = set(table._pbw_memo)
+    assert [g for g, *_ in table._dual_canonical_weight_i((1, 2))] == [g for g, _ in table._good_words_i((1, 2))]
+    assert set(table._pbw_memo) == held
     assert _held_weights(table) == {(1, 2)}
     assert _groups_fit(table, (1, 2))
     # no reality question was asked at (1, 2)
-    assert table._square_goods is None and table._square_rows == {}
+    assert table._reality_workspace is None
 
 
 def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     # the reality check extracts what it reads at the weight 2nu of each
     # square, so a scan enters only the weights it reports, up to height 5,
-    # and keeps the last one with its straightened vectors, the factor group
-    # vectors of nu and 2nu, and the good words of 2nu with the rows extracted there,
-    # each with kappa_h as its coefficient at h
+    # and keeps the last one with the dual PBW vectors it straightened, the
+    # factor group vectors of nu and 2nu, and the reality workspace: the good
+    # words of 2nu with the rows extracted there, each with kappa_h as its
+    # coefficient at h
     table = basis.GoodLyndonTable(B2)
     real = table._enter
     entered = []
@@ -265,43 +269,58 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert max(cartan.height(nu) for nu in entered) == 5
     last = report.entries[-1].weight
     assert cartan.height(last) == 5 and table._pbw_memo_weight == last
-    assert [g for g, *_ in table._canonical_memo] == [g for g, _ in table._good_words_i(last)]
+    held = set(table._pbw_memo)
+    assert [g for g, *_ in table._dual_canonical_weight_i(last)] == [g for g, _ in table._good_words_i(last)]
+    assert set(table._pbw_memo) == held
     assert _held_weights(table) == {last}
     assert _groups_fit(table, last, cartan.add(last, last))
-    assert table._square_goods == table._good_words_i(cartan.add(last, last))[::-1]
-    assert table._square_rows
-    factors = dict(table._square_goods)
-    for h, row in table._square_rows.items():
+    goods, rows = table._reality_workspace
+    assert goods == table._good_words_i(cartan.add(last, last))[::-1]
+    assert rows
+    factors = dict(goods)
+    for h, row in rows.items():
         assert row[h] == table._kappa_i(factors[h]).terms
         assert all(p <= h for p in row)
 
 
 def test_entering_another_weight_drops_the_powers_and_the_workspace():
     table, elt = _b2_21()
-    assert basis._is_real_i(table, elt) is None
-    assert _other_weights(table) and table._square_goods and table._square_rows
+    assert table._is_real_i(elt) is None
+    goods, rows = table._reality_workspace
+    assert _other_weights(table) and goods and rows
     table._enter((1, 2))
     assert table._pbw_memo_weight == (1, 2)
     assert table._pbw_memo == {}
-    assert table._canonical_memo is None and table._square_goods is None and table._square_rows == {}
+    assert table._reality_workspace is None
 
 
-def test_reality_scan_straightens_each_weight_once(monkeypatch):
-    # only the 20 scanned weights: the 15 square weights above height 5 and
-    # the 5 that the scan also reaches are never straightened for a check
-    table = basis.GoodLyndonTable(B2)
+@pytest.mark.parametrize(
+    "label, check, seeded_count",
+    [("B2", "positivity", 0), ("B2", "reality", 0), ("B2", "invariants", 0), ("A3", "positivity", 22)],
+)
+def test_scan_straightens_each_weight_once(monkeypatch, label, check, seeded_count):
+    # every call without images runs the straightening pass, and a scan runs
+    # it once for each scanned weight that is the first of its sigma-orbit
+    # and never for a weight seeded with the images of an earlier one.  B2
+    # has no automorphism, so that is each of its 20 scanned weights once:
+    # the reality check straightens none of the 15 square weights above
+    # height 5, nor again the 5 that the scan also reaches
+    table = basis.GoodLyndonTable(cartan.parse(label))
     real = table._dual_canonical_weight_i
-    straightened = []
+    straightened, seeded = [], []
 
     def counting(nui, images=None):
-        if images is None and (table._canonical_memo is None or table._pbw_memo_weight != nui):
-            straightened.append(nui)
+        (straightened if images is None else seeded).append(nui)
         return real(nui, images)
 
     monkeypatch.setattr(table, "_dual_canonical_weight_i", counting)
-    report = basis.scan(table, 5, "reality")
-    assert len(report.entries) == 20
-    assert sorted(straightened) == sorted(entry.weight for entry in report.entries)
+    report = basis.scan(table, 5, check)
+    weights = [entry.weight for entry in report.entries]
+    assert len(weights) == (20 if label == "B2" else 55)
+    assert len(set(straightened)) == len(straightened) and len(seeded) == seeded_count
+    assert sorted(straightened + seeded) == sorted(weights)
+    sigmas = [(0, *s) for s in cartan.automorphisms(table._idatum)]
+    assert all(any(basis._moved(s, mu) in straightened for s in sigmas) for mu in seeded)
 
 
 # -- reality from coefficients extracted at the good words of the square's weight ------
@@ -326,7 +345,7 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
         for nu in cartan.weights_up_to_height(table.datum.rank, max_height)
     ]
     shared = [[v["good_word"] for v in basis._reality_violations(table, vectors, {})] for vectors in weights]
-    alone = [[basis._is_real_i(table, elt) is None for _, elt, *_ in vectors] for vectors in weights]
+    alone = [[table._is_real_i(elt) is None for _, elt, *_ in vectors] for vectors in weights]
     reference = [[reality_oracle.is_real(table, elt) for _, elt, *_ in vectors] for vectors in weights]
     assert alone == reference
     assert shared == [
@@ -345,7 +364,7 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
     # whose E*_g checks its own, so a kappa_i call of the solve's own would
     # show here; the build of each factor group's vector checks its own kappa
     real = shuffle.product_coefficients
-    real_is_real = basis._is_real_i
+    real_is_real = basis.GoodLyndonTable._is_real_i
 
     def counting(factors, targets):
         targets = list(targets)
@@ -356,7 +375,9 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
         return real(factors, targets)
 
     monkeypatch.setattr(shuffle, "product_coefficients", counting)
-    monkeypatch.setattr(basis, "_is_real_i", lambda table, elt: solves.append(elt) or real_is_real(table, elt))
+    monkeypatch.setattr(
+        basis.GoodLyndonTable, "_is_real_i", lambda table, elt: solves.append(elt) or real_is_real(table, elt)
+    )
     for datum, counts in ((B2, (29, 38, 107)), (G2, (30, 45, 119))):
         squares, rows, kappas, solves = [], [], [], []
         table = basis.GoodLyndonTable(datum)
@@ -406,7 +427,7 @@ def test_inexact_division_in_the_reality_solve_names_where(monkeypatch):
     assert table.kappa((2, 1, 1, 2)) == LaurentPoly({1: 1, -1: 1})
     _spoil_square(monkeypatch, (2, 1, 1, 2), lambda c: c + ONE)
     with pytest.raises(InexactDivision, match=r"weight 2,2 good word w\[2,2,1,1\] pivot w\[2,1,1,2\]\]") as exc:
-        basis._is_real_i(table, elt)
+        table._is_real_i(elt)
     assert isinstance(exc.value.__cause__, InexactDivision)
 
 
@@ -417,7 +438,7 @@ def test_a_wrong_top_coefficient_of_the_square_raises(monkeypatch):
     table, elt = _b2_21()
     _spoil_square(monkeypatch, (2, 2, 1, 1), lambda c: c * 3)
     with pytest.raises(TheoryViolation, match=r"top coefficient .* weight 2,2 good word w\[2,2,1,1\]\]"):
-        basis._is_real_i(table, elt)
+        table._is_real_i(elt)
 
 
 def test_a_good_word_above_the_top_of_the_square_raises(monkeypatch):
@@ -428,7 +449,7 @@ def test_a_good_word_above_the_top_of_the_square_raises(monkeypatch):
     monkeypatch.setattr(table, "_factors_i", lambda w: real((1, 2) if w == (2, 1) else w))
     where = r"weight 2,2 good word w\[1,2,1,2\] pivot w\[2,2,1,1\]\]"
     with pytest.raises(TheoryViolation, match=r"above its top .* " + where):
-        basis._is_real_i(table, elt)
+        table._is_real_i(elt)
 
 
 @pytest.mark.parametrize("order", [None, (2, 1)])
@@ -439,7 +460,7 @@ def test_is_real_enters_the_weight_of_its_vector(order):
     vectors = table.dual_canonical_weight((2, 2))
     assert [basis.is_real(table, vec) for vec in table.dual_canonical_weight((2, 1))].count(False) == 1
     verdicts = [basis.is_real(table, vec) for vec in vectors]
-    assert table._pbw_memo_weight == (2, 2) and table._square_goods == table._good_words_i((4, 4))[::-1]
+    assert table._pbw_memo_weight == (2, 2) and table._reality_workspace[0] == table._good_words_i((4, 4))[::-1]
     fresh = basis.GoodLyndonTable(G2, order)
     assert verdicts == [basis.is_real(fresh, vec) for vec in fresh.dual_canonical_weight((2, 2))]
     assert verdicts.count(False) == 1
@@ -467,7 +488,7 @@ def test_the_solve_names_the_d4_witness():
     nu = (1, 1, 2, 1)
     (elt,) = [elt for g, elt, *_ in table._dual_canonical_weight_i(nu) if g == (3, 4, 2, 1, 3)]
     assert cartan.bilinear_form(table.datum, nu, nu) == 2
-    assert basis._is_real_i(table, elt) == ((3, 4, 2, 3, 1, 3, 4, 2, 1, 3), LaurentPoly({0: 1, 6: -1}))
+    assert table._is_real_i(elt) == ((3, 4, 2, 3, 1, 3, 4, 2, 1, 3), LaurentPoly({0: 1, 6: -1}))
 
 
 def test_a_vector_whose_maximal_word_is_not_good_raises():
@@ -476,7 +497,7 @@ def test_a_vector_whose_maximal_word_is_not_good_raises():
     table = basis.GoodLyndonTable(B2)
     elt = ShuffleElt.from_word(table._idatum, (1, 2, 2))
     with pytest.raises(TheoryViolation, match=r"maximal word is not good \[B2 order 1,2 weight 1,2 word w\[1,2,2\]\]"):
-        basis._is_real_i(table, elt)
+        table._is_real_i(elt)
 
 
 def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):
@@ -488,7 +509,7 @@ def test_a_dual_pbw_vector_with_a_wrong_leading_coefficient_raises(monkeypatch):
     r, root, kappa, d = table._root_i((2,))
     monkeypatch.setitem(table._roots, (2,), (r, root.scaled(2), kappa, d))
     with pytest.raises(StraighteningFailure, match=r"wrong leading term .* weight 0,1 good word w\[2\]\]"):
-        basis._is_real_i(table, elt)
+        table._is_real_i(elt)
 
 
 def test_a_row_with_a_wrong_leading_coefficient_raises(monkeypatch):
@@ -506,7 +527,7 @@ def test_a_row_with_a_wrong_leading_coefficient_raises(monkeypatch):
 
     monkeypatch.setattr(shuffle, "product_coefficients", spoiled)
     with pytest.raises(StraighteningFailure, match=r"wrong leading term .* weight 2,2 good word w\[2,2,1,1\]\]"):
-        basis._is_real_i(table, elt)
+        table._is_real_i(elt)
 
 
 def test_positivity_scan_enumerates_good_words_once_per_weight(monkeypatch):

@@ -100,9 +100,9 @@ def test_relabeled_weights_equal_a_fresh_construction(monkeypatch, label, max_he
     ],
 )
 def test_reality_solves_one_vector_per_origin(monkeypatch, label, max_height, order, solves, carried):
-    real = basis._is_real_i
+    real = basis.GoodLyndonTable._is_real_i
     solved = []
-    monkeypatch.setattr(basis, "_is_real_i", lambda table, elt: solved.append(elt) or real(table, elt))
+    monkeypatch.setattr(basis.GoodLyndonTable, "_is_real_i", lambda table, elt: solved.append(elt) or real(table, elt))
     report = basis.scan(basis.GoodLyndonTable(cartan.parse(label), order), max_height, "reality")
     assert (len(solved), report.total_vectors - len(solved)) == (solves, carried)
 
@@ -186,7 +186,7 @@ def test_a_letter_map_that_breaks_the_datum_raises_a_located_violation_under_opt
 SPOILT_SOURCE = """
 from qshuffle import basis, cartan, shuffle
 from qshuffle.laurent import ONE
-real = basis._is_real_i
+real = basis.GoodLyndonTable._is_real_i
 solved = []
 
 def spoilt(table, elt):
@@ -195,7 +195,7 @@ def spoilt(table, elt):
         return (3, 3, 4, 4), ONE
     return real(table, elt)
 
-basis._is_real_i = spoilt
+basis.GoodLyndonTable._is_real_i = spoilt
 report = basis.scan(basis.GoodLyndonTable(cartan.parse("D4")), 3, "reality")
 for e in report.entries:
     for v in e.violations:
@@ -346,8 +346,8 @@ def test_the_scope_holds_the_last_weight_also_when_it_is_relabeled(monkeypatch):
     table = basis.GoodLyndonTable(cartan.parse("A3"))
     _, captured, built = _scan_capturing(monkeypatch, table, 4)
     assert (4, 0, 0) not in built and (0, 0, 4) in built
-    assert table._pbw_memo_weight == (4, 0, 0) and table._canonical_memo is captured[-1]
+    assert table._pbw_memo_weight == (4, 0, 0)
     fresh = basis.GoodLyndonTable(cartan.parse("A3"))._dual_canonical_weight_i((4, 0, 0))
-    assert [(g, elt.weight, elt.terms, elt.terms[g]) for g, elt, _ in table._canonical_memo] == [
+    assert [(g, elt.weight, elt.terms, elt.terms[g]) for g, elt, _ in captured[-1]] == [
         (g, elt.weight, elt.terms, elt.terms[g]) for g, elt, _ in fresh
     ]

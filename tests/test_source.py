@@ -103,6 +103,35 @@ def test_character_names_load_on_demand():
     assert "qshuffle.characters" in _modules_loaded_by("import qshuffle; qshuffle.characters")
 
 
+# What `from qshuffle import *` binds: the public names of the package,
+# its submodules and the names that load `characters` on demand.
+PUBLIC_NAMES = [
+    "CartanDatum", "DatumMismatch", "DualCanonicalVector", "DualPBWVector", "GoodLyndonTable", "GoodWord",
+    "HomogeneityError", "InexactDivision", "LaurentPoly", "MembershipWitness", "NotAPerfectSquare", "NotGoodLyndon",
+    "NotGoodWord", "NotInU", "ShapeConstraintViolated", "ShiftedSkewShape", "ShuffleElt", "SkewShape",
+    "StraighteningFailure", "TheoryViolation", "UnsupportedRank", "ZeroElement", "bar_elt", "basis", "build",
+    "cartan", "characters", "coefficient", "concat", "e_prime", "e_prime_dag", "exact_div", "is_real",
+    "kostant_partitions", "laurent", "max_word", "parse", "positive_roots", "prepend_letter", "q_binom",
+    "q_factorial", "q_int", "qshuffle", "scan", "serre_membership", "shifted_tableau_character", "shuffle",
+    "shuffle_bracket", "sigma", "skew_tableau_character", "specialize_q1", "sqrt_exact", "tau", "words",
+]
+
+
+def test_star_import_and_dir_list_every_public_name():
+    # in a fresh process, `dir` lists the names that load `characters`
+    # without loading it, and the star import binds every public name
+    script = (
+        "import sys, qshuffle; print(*dir(qshuffle)); print('qshuffle.characters' in sys.modules); "
+        "ns = {}; exec('from qshuffle import *', ns); print(*sorted(set(ns) - {'__builtins__'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True)
+    listed, loaded, bound = done.stdout.splitlines()
+    assert len(PUBLIC_NAMES) == 54 and bound.split() == PUBLIC_NAMES
+    assert listed.split() == sorted(listed.split()) and loaded == "False"
+    assert [name for name in listed.split() if not name.startswith("_")] == PUBLIC_NAMES
+
+
 def test_a_character_process_loads_characters():
     loaded = _modules_loaded_by("from qshuffle.cli import main; main(['character', 'B2', '--shifted', '2,1'])")
     assert "qshuffle.characters" in loaded
@@ -160,13 +189,13 @@ def test_every_module_memo_is_named():
 # The memos of `GoodLyndonTable`, as attribute names: those kept for the
 # table's life, and the weight scope, which `_enter` resets with its weight.
 TABLE_MEMOS = {"_roots", "_kappa_cache"}
-WEIGHT_SCOPE = {"_pbw_memo_weight", "_pbw_memo", "_canonical_memo", "_square_goods", "_square_rows"}
+WEIGHT_SCOPE = {"_pbw_memo_weight", "_pbw_memo", "_reality_workspace"}
 
 
 def _attribute_assignments(tree):
     """(function name, attribute, value) of every assignment to an attribute
-    of `self` or `table`, one per target; a tuple of targets assigned from a
-    tuple pairs each target with its own value."""
+    of `self`, one per target; a tuple of targets assigned from a tuple pairs
+    each target with its own value."""
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -186,7 +215,7 @@ def _attribute_assignments(tree):
             found += [
                 (fn.name, t.attr, value)
                 for t, value in pairs
-                if isinstance(t, ast.Attribute) and _name(t.value) in {"self", "table"}
+                if isinstance(t, ast.Attribute) and _name(t.value) == "self"
             ]
     return found
 
@@ -206,3 +235,44 @@ def test_every_table_memo_is_named():
     reset = {attr for fn, attr, _ in assigned if fn == "_enter"}
     assert reset == WEIGHT_SCOPE and empty - reset == TABLE_MEMOS and reset <= empty
     assert {attr for fn, attr, _ in assigned if fn != "__init__"} <= TABLE_MEMOS | WEIGHT_SCOPE
+
+
+def _writes_outside(tree, owner):
+    """`function:line` of every write to an attribute, or into a container
+    held by one, and of every `setattr` call, in a function outside the
+    class `owner`."""
+    methods = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == owner for n in ast.walk(c)}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(fn) in methods:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            for target in targets:
+                for t in ast.walk(target) if isinstance(target, (ast.Tuple, ast.List)) else [target]:
+                    while isinstance(t, ast.Subscript):
+                        t = t.value
+                    if isinstance(t, ast.Attribute):
+                        found.append(f"{fn.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and _name(node.func) in {"setattr", "__setattr__"}:
+                found.append(f"{fn.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_table_writes_its_attributes():
+    # the checks and the scan read the table's scope and call its methods,
+    # so the memos have one writer and `_enter` resets all of them
+    assert not _writes_outside(ast.parse((SRC / "basis.py").read_text()), "GoodLyndonTable")
+    spoilt = """
+def is_real(table, vec):
+    table._reality_workspace = None
+    setattr(table, "_pbw_memo", {})
+    table._pbw_memo[()] = vec
+    (table.x, y), z = vec
+"""
+    assert sorted(_writes_outside(ast.parse(spoilt), "GoodLyndonTable")) == [f"is_real:{n}" for n in range(3, 7)]
