@@ -430,7 +430,7 @@ class GoodLyndonTable:
                 gamma = delta.positive_part()
                 if not gamma:
                     raise StraighteningFailure(f"empty correction {self._where(g, p)}")
-                shuffle._scaled_into(acc, shuffle._maps(b_pivot), laurent._scaled(gamma.terms, 0, -1))
+                shuffle._scaled_into(acc, shuffle._maps(b_pivot), (-gamma).terms)
             elt = shuffle._from_maps(self._idatum, pbw.weight, acc)
             bad = [w for w, c in elt.terms.items() if not c.is_bar_symmetric()]
             if bad:
@@ -492,7 +492,7 @@ class GoodLyndonTable:
             except laurent.InexactDivision as exc:
                 raise NotInU(f"leading coefficient at {format_word(self._w_out(w))} not divisible") from exc
             out[w] = c
-            shuffle._scaled_into(residual, shuffle._maps(elt), laurent._scaled(c.terms, 0, -1))
+            shuffle._scaled_into(residual, shuffle._maps(elt), (-c).terms)
         return out
 
     def expand_in_dual_pbw(self, f: ShuffleElt) -> dict[Word, LaurentPoly]:
@@ -542,7 +542,7 @@ class GoodLyndonTable:
         above = [h for h in square if h > top]
         if above:
             raise laurent.TheoryViolation(f"square has a good word above its top {self._where(top, max(above))}")
-        residual = {h: laurent._scaled(c, -k, 1) for h, c in square.items()}
+        residual = {h: {e - k: x for e, x in c.items()} for h, c in square.items()}
         for i, (h, h_factors) in enumerate(goods):
             if h != top and not residual.get(h):
                 continue
@@ -560,7 +560,7 @@ class GoodLyndonTable:
                 raise laurent.InexactDivision(f"{exc} {self._where(top, h)}") from exc
             if h != top and c.valuation() < 1:  # at top c is 1 by the guard above
                 return h, c
-            shuffle._scaled_into(residual, row.items(), laurent._scaled(c.terms, 0, -1))
+            shuffle._scaled_into(residual, row.items(), (-c).terms)
         return None
 
 

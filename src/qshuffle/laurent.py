@@ -7,11 +7,10 @@ square roots.  Division and square roots fail loudly (`InexactDivision`,
 `NotAPerfectSquare`) instead of ever falling back to rational arithmetic:
 inexactness always means a bug or a violated structural assumption upstream.
 
-This module owns raw exponent-map arithmetic: `_add_into` and `_mul_add` are
-the only loops that accumulate into an exponent -> coefficient map, and
-`_scaled` gives a one-term product its fresh map.  The ring operations here
-and the shuffle kernel, which keeps its coefficients as raw maps, all go
-through them.
+This module owns raw exponent-map arithmetic: `_mul_add` is the only loop
+that accumulates into an exponent -> coefficient map.  The ring operations
+here and the shuffle kernel, which keeps its coefficients as raw maps, all go
+through it; adding c * q^k * p is `_mul_add` with the one-term map {k: c}.
 
 It also owns the packed form that `shuffle.product_coefficients` deals in
 (Kronecker substitution).  A pair (V, e0) stands for q^e0 times the
@@ -109,12 +108,12 @@ class LaurentPoly:
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        _mul_add(out, {0: 1}, other.terms)
         return _raw(out)
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
-        _add_into(out, other.terms, 0, -1)
+        _mul_add(out, {0: -1}, other.terms)
         return _raw(out)
 
     def __neg__(self) -> LaurentPoly:
@@ -191,23 +190,7 @@ def _raw(terms: dict[int, int]) -> LaurentPoly:
 
 
 # Raw exponent maps: acc is owned by the caller and stays normalized (no zero
-# coefficient); the operands are only read and must be normalized, with c != 0.
-
-
-def _scaled(p: Mapping[int, int], k: int, c: int) -> dict[int, int]:
-    """A fresh map of c * q^k * p."""
-    return {e + k: c * x for e, x in p.items()}
-
-
-def _add_into(acc: dict[int, int], p: Mapping[int, int], k: int = 0, c: int = 1) -> None:
-    """acc += c * q^k * p on raw exponent maps."""
-    for e, x in p.items():
-        e += k
-        s = acc.get(e, 0) + c * x
-        if s:
-            acc[e] = s
-        else:
-            del acc[e]
+# coefficient); the operands are only read and must be normalized.
 
 
 def _mul_add(acc: dict[int, int], p: Mapping[int, int], q: Mapping[int, int]) -> None:
@@ -302,7 +285,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         if r:
             raise InexactDivision(f"({p}) is not divisible by ({d})")
         out[qe] = qc
-        _add_into(rem, d.terms, qe, -qc)
+        _mul_add(rem, {qe: -qc}, d.terms)
     return _raw(out)
 
 

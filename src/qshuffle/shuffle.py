@@ -3,8 +3,9 @@ polynomial coefficients, the q-shuffle product, concatenation, letter-deletion
 operators, the reversal / bar / composite twists, and the linear-relation
 membership test for the subalgebra generated by the letters.
 
-`_scaled_into` is the one loop that accumulates into elements; `_maps` and
-`_from_maps` convert between an element and its raw word -> exponent maps.
+`_scaled_into` is the one loop that accumulates into elements, each word's
+map through `laurent._mul_add`; `_maps` and `_from_maps` convert between an
+element and its raw word -> exponent maps.
 """
 
 from __future__ import annotations
@@ -180,26 +181,14 @@ def _scaled_into(
 ) -> None:
     """acc += scale * product on raw {word: {exponent: coeff}} maps.
 
-    Words that cancel are deleted.  With a one-term scale c * q^k, a word
-    that acc does not hold yet takes a fresh map of c * q^k * p; no map of
-    product is shared into acc.
+    Words that cancel are deleted.  A word that acc does not hold yet gets a
+    fresh map, so no map of product is shared into acc.
     """
-    if len(scale) == 1:
-        ((k, c),) = scale.items()
-        for w, p in product:
-            d = acc.get(w)
-            if d is None:
-                acc[w] = laurent._scaled(p, k, c)
-            else:
-                laurent._add_into(d, p, k, c)
-                if not d:
-                    del acc[w]
-    else:
-        for w, p in product:
-            d = acc.setdefault(w, {})
-            laurent._mul_add(d, scale, p)
-            if not d:
-                del acc[w]
+    for w, p in product:
+        d = acc.setdefault(w, {})
+        laurent._mul_add(d, scale, p)
+        if not d:
+            del acc[w]
 
 
 def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[int, int]]:

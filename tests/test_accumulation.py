@@ -1,6 +1,6 @@
-"""The sparse-accumulation kernel: `laurent._scaled`, `laurent._add_into`
-and `laurent._mul_add` on raw exponent maps, the ring laws built on them,
-and the element operations: `+` and `scaled`, which accumulate through
+"""The sparse-accumulation kernel: `laurent._mul_add`, the one loop that
+accumulates into a raw exponent map, the ring laws built on it, and the
+element operations: `+` and `scaled`, which accumulate through
 `shuffle._scaled_into`, and those that map distinct words to distinct
 words, each against a plain dict-of-sums reference."""
 
@@ -28,17 +28,6 @@ def _reference(*contributions):
     return {e: c for e, c in sums.items() if c}
 
 
-@settings(max_examples=200, deadline=None)
-@given(exponent_maps, exponent_maps, st.integers(-6, 6), st.integers(-3, 3).filter(bool))
-def test_add_into_matches_plain_sums(acc, p, k, c):
-    p_before = dict(p)
-    expected = _reference(acc.items(), ((e + k, c * x) for e, x in p.items()))
-    laurent._add_into(acc, p, k, c)
-    assert acc == expected
-    assert all(acc.values())
-    assert p == p_before
-
-
 monomial_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4).filter(bool), min_size=1, max_size=1)
 long_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4).filter(bool), min_size=2, max_size=6)
 # _mul_add runs its shorter operand outside, so either operand may be the
@@ -61,18 +50,6 @@ def test_mul_add_matches_plain_sums(acc, pq):
     assert acc == expected
     assert all(acc.values())
     assert p == p_before and q == q_before
-
-
-@settings(max_examples=150, deadline=None)
-@given(exponent_maps, st.integers(-6, 6), st.integers(-3, 3).filter(bool))
-def test_scaled_is_a_fresh_map_of_the_product(p, k, c):
-    p_before = dict(p)
-    out = laurent._scaled(p, k, c)
-    assert LaurentPoly(out) == laurent.monomial(k, c) * LaurentPoly(p)
-    assert all(out.values())
-    assert out is not p
-    out[99] = 1
-    assert p == p_before
 
 
 @settings(max_examples=150, deadline=None)

@@ -119,7 +119,7 @@ def test_scaled_into_matches_element_arithmetic(acc, f_raw, c_raw):
     for w, v in f.terms.items():
         expected[w] = expected.get(w, ZERO) - v * c
     f_before, c_before = copy.deepcopy(f.terms), dict(c.terms)
-    shuffle._scaled_into(acc, shuffle._maps(f), laurent._scaled(c.terms, 0, -1))
+    shuffle._scaled_into(acc, shuffle._maps(f), (-c).terms)
     assert _elt(acc) == ShuffleElt(DATUM, WEIGHT, expected)
     assert all(d and all(d.values()) for d in acc.values())
     assert f.terms == f_before and c.terms == c_before

@@ -186,6 +186,25 @@ def test_every_module_memo_is_named():
     assert found == MODULE_MEMOS
 
 
+# The module-level private functions of `laurent.py`.  `_mul_add` is the one
+# loop that accumulates into a raw exponent map; a new raw-map loop needs a
+# reason and a line here.
+LAURENT_PRIVATE = {"_raw", "_mul_add", "_pack", "_unpack"}
+
+
+def test_one_loop_accumulates_into_exponent_maps():
+    tree = ast.parse((SRC / "laurent.py").read_text())
+    private = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    assert private == LAURENT_PRIVATE
+    for path in SRC.glob("*.py"):
+        used = {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and _name(node.value) == "laurent" and node.attr.startswith("_")
+        }
+        assert used <= LAURENT_PRIVATE, path.name
+
+
 # The memos of `GoodLyndonTable`, as attribute names: those kept for the
 # table's life, and the weight scope, which `_enter` resets with its weight.
 TABLE_MEMOS = {"_roots", "_kappa_cache"}
