@@ -363,32 +363,28 @@ def e_prime_dag(f: ShuffleElt, i: int) -> ShuffleElt:
     return _raw_elt(f.datum, cartan.sub(f.weight, alpha), terms)
 
 
-def _pair_sum(datum: CartanDatum, w: Word) -> int:
-    """sum over s < t of (alpha_{w_s}, alpha_{w_t})."""
-    bil = datum.bilinear
-    total = 0
-    for s in range(len(w)):
-        row = bil[w[s] - 1]
-        for t in range(s + 1, len(w)):
-            total += row[w[t] - 1]
-    return total
-
-
 def tau(f: ShuffleElt) -> ShuffleElt:
     """Word reversal, a bijection on words; an anti-automorphism of the shuffle product."""
     return _raw_elt(f.datum, f.weight, {w[::-1]: c for w, c in f.terms.items()})
 
 
+def sigma(f: ShuffleElt) -> ShuffleElt:
+    """bar composed with reversal: words kept, each coefficient c mapped to
+    bar(c) * q^{-N(nu)} for the weight nu of f.
+
+    The twist of a word w is q^{-sum_{s<t}(alpha_{w_s}, alpha_{w_t})}.  The
+    form is symmetric, so that sum is half of sum_{s != t}, which is
+    ((nu,nu) - sum_i c_i (alpha_i,alpha_i)) / 2 = N(nu) (`cartan.n_of`) for
+    every word of weight nu; one exponent serves the whole element."""
+    n = cartan.n_of(f.datum, f.weight)
+    return _raw_elt(f.datum, f.weight, {w: c.bar().shifted(-n) for w, c in f.terms.items()})
+
+
 def bar_elt(f: ShuffleElt) -> ShuffleElt:
     """q -> q^{-1} on coefficients, each word reversed and twisted by
-    q^{-sum_{s<t}(alpha_{w_s}, alpha_{w_t})}."""
-    terms = {w[::-1]: c.bar().shifted(-_pair_sum(f.datum, w)) for w, c in f.terms.items()}
-    return _raw_elt(f.datum, f.weight, terms)
-
-
-def sigma(f: ShuffleElt) -> ShuffleElt:
-    """bar composed with reversal: words kept, coefficients conjugated and twisted."""
-    return bar_elt(tau(f))
+    q^{-sum_{s<t}(alpha_{w_s}, alpha_{w_t})}, which is q^{-N(nu)} for every
+    word of weight nu (see `sigma`): the reversal of sigma(f)."""
+    return tau(sigma(f))
 
 
 # -- queries ---------------------------------------------------------------------

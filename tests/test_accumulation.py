@@ -7,12 +7,12 @@ words, each against a plain dict-of-sums reference."""
 from collections import defaultdict
 from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshuffle import cartan, laurent
 from qshuffle.laurent import ONE, ZERO, LaurentPoly, exact_div, sqrt_exact
-from qshuffle.shuffle import ShuffleElt, bar_elt, concat, e_prime, e_prime_dag, tau
+from qshuffle.shuffle import ShuffleElt, bar_elt, concat, e_prime, e_prime_dag, sigma, tau
 
 exponent_maps = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4).filter(bool), max_size=5)
 polys = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4), max_size=5).map(LaurentPoly)
@@ -85,9 +85,9 @@ WORDS_21 = _words(1, 1, 2)
 WORDS_12 = _words(1, 2, 2)
 
 
-def elements(words):
+def elements(words, datum=B2):
     raw = st.dictionaries(st.sampled_from(words), nonzero_polys, max_size=len(words))
-    return raw.map(lambda terms: ShuffleElt(B2, cartan.word_weight(B2, words[0]), terms))
+    return raw.map(lambda terms: ShuffleElt(datum, cartan.word_weight(datum, words[0]), terms))
 
 
 def _naive(pairs):
@@ -106,10 +106,6 @@ def _naive(pairs):
 def _raw_terms(f):
     assert all(c for c in f.terms.values()), "a stored word carries a zero coefficient"
     return {w: c.terms for w, c in f.terms.items()}
-
-
-def _pair_sum(w):
-    return sum(B2.bilinear[a - 1][b - 1] for s, a in enumerate(w) for b in w[s + 1 :])
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,11 +185,34 @@ def test_letter_deletions_match_naive_sum(f, i):
     assert e_prime(f, i).weight == e_prime_dag(f, i).weight == cartan.sub(f.weight, cartan.simple_root(B2, i))
 
 
-@settings(max_examples=100, deadline=None)
-@given(elements(WORDS_22))
+def _pair_sum(datum, w):
+    """sum over s < t of (alpha_{w_s}, alpha_{w_t}), word by word."""
+    return sum(datum.bilinear[a - 1][b - 1] for s, a in enumerate(w) for b in w[s + 1 :])
+
+
+D4 = cartan.parse("D4")
+# A3; C3 with d = 2 at node 1; G2 with d = 3 at node 2; D4 at a weight that
+# uses every node and at one that lacks node 4, so that e_prime(f, 4) is a
+# zero element whose weight tag lies outside the cone (the example pins one)
+TWIST_WORDS = [
+    (B2, WORDS_22),
+    (cartan.parse("A3"), _words(1, 2, 2, 3)),
+    (cartan.parse("C3"), _words(1, 1, 2, 3)),
+    (cartan.parse("G2"), _words(1, 1, 2, 2)),
+    (D4, _words(1, 2, 3, 4)),
+    (D4, _words(1, 2, 3, 3)),
+]
+twist_elements = st.sampled_from(TWIST_WORDS).flatmap(lambda dw: elements(dw[1], dw[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twist_elements)
+@example(ShuffleElt(D4, (1, 1, 2, 0), {(1, 3, 2, 3): ONE}))
 def test_twists_match_naive_sum(f):
-    reversed_ = [(w[::-1], c.terms.items()) for w, c in f.terms.items()]
-    barred = [(w[::-1], [(-e - _pair_sum(w), x) for e, x in c.terms.items()]) for w, c in f.terms.items()]
-    assert _raw_terms(tau(f)) == _naive(reversed_)
-    assert _raw_terms(bar_elt(f)) == _naive(barred)
-    assert tau(f).weight == bar_elt(f).weight == f.weight
+    datum = f.datum
+    for g in (f, *(e_prime(f, i) for i in range(1, datum.rank + 1))):
+        twisted = [(w, [(-e - _pair_sum(datum, w), x) for e, x in c.terms.items()]) for w, c in g.terms.items()]
+        assert _raw_terms(tau(g)) == _naive((w[::-1], c.terms.items()) for w, c in g.terms.items())
+        assert _raw_terms(bar_elt(g)) == _naive((w[::-1], terms) for w, terms in twisted)
+        assert _raw_terms(sigma(g)) == _naive(twisted)
+        assert tau(g).weight == bar_elt(g).weight == sigma(g).weight == g.weight

@@ -49,3 +49,14 @@ def test_every_dual_pbw_vector_is_the_oracle_product(label, max_height):
         for (g, factors), elt in zip(goods, vectors):
             expected, expected_kappa = oracle.dual_pbw(factors)
             assert _raw(elt) == _raw(expected) and elt.terms[g] == expected_kappa, g
+
+
+@pytest.mark.parametrize("good", [(1, 2), (1, 2, 1, 2)])
+def test_a_dual_root_vector_off_its_stored_kappa_fails_the_guard(good):
+    # kappa_l lives in the root record only; a guard that read it off E*_l
+    # would accept E*_l scaled away from it, alone or in a factor group
+    table = basis.GoodLyndonTable(cartan.parse("A2"))
+    r, root, kappa, d = table._root_i((1, 2))
+    table._roots[(1, 2)] = (r, root.scaled(2), kappa, d)
+    with pytest.raises(basis.StraighteningFailure, match="dual PBW vector has wrong leading term"):
+        table.dual_pbw(good)

@@ -127,6 +127,9 @@ def test_exact_div_examples():
     assert exact_div(P(e2=1, e0=2, em2=1), P(e1=1, em1=1)) == P(e1=1, em1=1)
     with pytest.raises(InexactDivision):
         exact_div(P(e1=1, e0=1), P(e1=1, e0=-1))
+    # a leading coefficient that does not divide: the quotient would leave Z
+    with pytest.raises(InexactDivision):
+        exact_div(P(e1=3, e0=2), P(e1=2, e0=2))
     with pytest.raises(ZeroDivisionError):
         exact_div(ONE, ZERO)
 

@@ -295,3 +295,21 @@ def is_real(table, vec):
     (table.x, y), z = vec
 """
     assert sorted(_writes_outside(ast.parse(spoilt), "GoodLyndonTable")) == [f"is_real:{n}" for n in range(3, 7)]
+
+
+def test_every_mutant_applies_once_and_names_tests_that_exist():
+    # tests/mutants.py runs no mutant here: each snippet must occur exactly
+    # once in its file, so a refactor that moves the code updates the list,
+    # and each killing test must still be defined where the id says
+    from mutants import MUTANTS
+
+    assert len(MUTANTS) >= 12 and len({m.name for m in MUTANTS}) == len(MUTANTS)
+    root = SRC.parent.parent
+    for m in MUTANTS:
+        assert (SRC / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new and m.kill, m.name
+        for node_id in m.kill:
+            path, _, name = node_id.partition("::")
+            tree = ast.parse((root / path).read_text())
+            defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            assert name.split("[")[0] in defined, (m.name, node_id)
