@@ -297,7 +297,7 @@ class GoodLyndonTable:
     def _kappa_i(self, factors: Iterable[tuple[Word, int]]) -> LaurentPoly:
         """The product over the factor groups (l, a) of kappa_l^a [a]_{d_l}!,
         each group's value built once per table."""
-        out = ONE
+        out = None
         for group in factors:
             value = self._kappa_cache.get(group)
             if value is None:
@@ -307,8 +307,8 @@ class GoodLyndonTable:
                 for _ in range(a):
                     value = value * kappa_l
                 self._kappa_cache[group] = value
-            out = out * value
-        return out
+            out = value if out is None else out * value
+        return ONE if out is None else out
 
     def kappa(self, g: Word | GoodWord) -> LaurentPoly:
         """The bar-symmetric leading coefficient attached to a good word."""

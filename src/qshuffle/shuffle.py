@@ -172,8 +172,13 @@ def _from_maps(datum: CartanDatum, weight: Weight, acc: dict[Word, dict[int, int
 # -- the q-shuffle product -----------------------------------------------------
 
 # Word-pair shuffles are memoized as raw {word: {exponent: coeff}} maps; cached
-# values are shared and must never be mutated.
+# values are shared and must never be mutated.  They are hash-consed: each
+# distinct word and each distinct map (keyed by its items in insertion order,
+# so reads iterate it as built) is held once, in intern tables that live as
+# long as the memo.
 _CACHE: dict[tuple[CartanDatum, Word, Word], dict[Word, dict[int, int]]] = {}
+_WORDS: dict[Word, Word] = {}
+_MAPS: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
 
 
 def _scaled_into(
@@ -208,6 +213,7 @@ def _shuffle_words(datum: CartanDatum, w1: Word, w2: Word) -> dict[Word, dict[in
     out = {u + (a,): dict(p) for u, p in _shuffle_words(datum, w1[:-1], w2).items()}
     shift = -sum(bil[x - 1][b - 1] for x in w1)
     _scaled_into(out, ((u + (b,), p) for u, p in _shuffle_words(datum, w1, w2[:-1]).items()), {shift: 1})
+    out = {_WORDS.setdefault(u, u): _MAPS.setdefault(tuple(p.items()), p) for u, p in out.items()}
     _CACHE[key] = out
     return out
 

@@ -89,6 +89,32 @@ MUTANTS = (
         ("tests/test_accumulation.py::test_add_and_scaled_share_no_map_of_an_operand",),
     ),
     Mutant(
+        # maps that share their exponents but not their coefficients become
+        # one cached map
+        "memo-maps-interned-by-exponents",
+        "shuffle.py",
+        "_MAPS.setdefault(tuple(p.items()), p)",
+        "_MAPS.setdefault(tuple(p), p)",
+        (
+            "tests/test_golden.py::test_scan_stdout_matches_the_golden_under_optimization[b2-reality]",
+            "tests/test_output_digests.py::test_stdout_digest[scan G2 --max-height 5 --check reality]",
+            "tests/test_kernel.py::test_the_memo_holds_each_distinct_word_and_map_once",
+        ),
+    ),
+    Mutant(
+        # the second branch then accumulates into a map that other memo
+        # entries share
+        "memo-first-branch-hands-over-cached-map",
+        "shuffle.py",
+        "{u + (a,): dict(p) for u, p in",
+        "{u + (a,): p for u, p in",
+        (
+            "tests/test_golden.py::test_scan_stdout_matches_the_golden_under_optimization[b2-reality]",
+            "tests/test_output_digests.py::test_stdout_digest[scan G2 --max-height 5 --check reality]",
+            "tests/test_kernel.py::test_the_memo_holds_each_distinct_word_and_map_once",
+        ),
+    ),
+    Mutant(
         "straightening-adds-correction",
         "basis.py",
         "shuffle._scaled_into(acc, shuffle._maps(b_pivot), (-gamma).terms)",

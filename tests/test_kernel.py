@@ -165,6 +165,25 @@ def test_scans_share_no_map_and_mutate_no_cached_map(monkeypatch):
         assert not set(maps) & (cache_maps | operand_maps)
 
 
+def test_the_memo_holds_each_distinct_word_and_map_once(monkeypatch):
+    # the word-pair memo is hash-consed: from an empty memo, equal words and
+    # equal maps among its values are one object, held by the intern tables
+    for name in ("_CACHE", "_WORDS", "_MAPS"):
+        monkeypatch.setattr(shuffle, name, {})
+    for label, max_height, check in [("A3", 5, "positivity"), ("B2", 4, "reality")]:
+        basis.scan(basis.GoodLyndonTable(cartan.parse(label)), max_height, check)
+    terms = [(u, p) for out in shuffle._CACHE.values() for u, p in out.items()]
+    words = {id(u): u for u, _ in terms}
+    maps = {id(p): p for _, p in terms}
+    assert len(words) == len(set(words.values())) == len(shuffle._WORDS)
+    assert len(maps) == len({frozenset(p.items()) for p in maps.values()}) == len(shuffle._MAPS)
+    assert all(shuffle._WORDS[u] is u for u in words.values())
+    assert all(shuffle._MAPS[tuple(p.items())] is p for p in maps.values())
+    # no shared map was written in place after it was interned
+    assert all(dict(key) == p and tuple(p.items()) == key for key, p in shuffle._MAPS.items())
+    assert len(maps) * 5 < len(terms)
+
+
 def test_q_binom_four_choose_two():
     assert laurent.q_binom(4, 2, 3) == LaurentPoly({12: 1, 6: 1, 0: 2, -6: 1, -12: 1})
     assert laurent.q_binom(4, 2) == LaurentPoly({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})

@@ -140,8 +140,16 @@ def test_a_character_process_loads_characters():
 
 # The module-level memos the package keeps, as `module.name`.  Every other
 # per-weight or per-scan memo belongs to an object with a visible scope, such
-# as the weight scope of `GoodLyndonTable`.
-MODULE_MEMOS = {"shuffle._CACHE", "cartan._POSITIVE_ROOTS", "shuffle._SERRE_WEIGHTS"}
+# as the weight scope of `GoodLyndonTable`.  `shuffle._WORDS` and
+# `shuffle._MAPS` are the intern tables of `shuffle._CACHE`: they hold each
+# distinct word and coefficient map of its values once, and live as long as it.
+MODULE_MEMOS = {
+    "shuffle._CACHE",
+    "shuffle._WORDS",
+    "shuffle._MAPS",
+    "cartan._POSITIVE_ROOTS",
+    "shuffle._SERRE_WEIGHTS",
+}
 CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
 
 
