@@ -83,15 +83,17 @@ class GoodLyndonTable:
         self._lyndon_of_root: dict[Weight, Word] = self._good_lyndon_map()
         self._root_of_lyndon = {l: b for b, l in self._lyndon_of_root.items()}
         # For the table's life: each good Lyndon word's (r_l, E*_l, kappa_l,
-        # d_l) and each factor group's kappa value.
+        # d_l), each factor group's kappa value and the dual PBW vector
+        # E*_{l^a} of each factor group, filed under its word l^a.
         self._roots: dict[Word, tuple[ShuffleElt, ShuffleElt, LaurentPoly, int]] = {}
         self._kappa_cache: dict[tuple[Word, int], LaurentPoly] = {}
+        self._group_memo: dict[Word, ShuffleElt] = {}
         # One weight scope, which only the table writes and entering another
-        # weight clears: the dual PBW vectors, with those of their factor groups
-        # l^j and of the groups of the good words of twice the weight, and the
-        # reality workspace, the good words of twice the weight, descending,
-        # with the solve's rows.  A vector's kappa is its coefficient at its own
-        # good word, checked against `_kappa_i` before it is held.
+        # weight clears: the dual PBW vectors of words of several factor
+        # groups, and the reality workspace, the good words of twice the
+        # weight, descending, with the solve's rows.  A vector's kappa is its
+        # coefficient at its own good word, checked against `_kappa_i` before
+        # it is held.
         self._pbw_memo_weight: Weight | None = None
         self._pbw_memo: dict[Word, ShuffleElt] = {}
         self._reality_workspace: (
@@ -320,13 +322,14 @@ class GoodLyndonTable:
             self._pbw_memo_weight, self._pbw_memo, self._reality_workspace = nui, {}, None
 
     def _dual_pbw_i(self, wi: Word, factors: tuple[tuple[Word, int], ...] | None = None) -> ShuffleElt:
-        """The one route to a dual PBW vector, memoised in the weight scope
-        that the caller enters.  A factor group l^a is a good word whose
-        vector is E*_l for a = 1 and E*_{l^(a-1)} * q^{(a-1) d_l} E*_l after,
-        so q^{C(a,2) d_l} E*_l^a; a word of several groups takes the plain
-        product of their vectors, smallest first.  Without `factors` the word
-        is factorized on a miss only."""
-        hit = self._pbw_memo.get(wi)
+        """The one route to a dual PBW vector.  A factor group l^a is a good
+        word whose vector is E*_l for a = 1 and E*_{l^(a-1)} * q^{(a-1) d_l}
+        E*_l after, so q^{C(a,2) d_l} E*_l^a, and is held in the table's
+        group memo for its life; a word of several groups takes the plain
+        product of their vectors, smallest first, and is memoised in the
+        weight scope that the caller enters.  Without `factors` the word is
+        factorized on a miss only."""
+        hit = self._group_memo.get(wi, self._pbw_memo.get(wi))
         if hit is not None:
             return hit
         if factors is None and (factors := self._factors_i(wi)) is None:
@@ -345,7 +348,7 @@ class GoodLyndonTable:
                 elt = shuffle.qshuffle(self._dual_pbw_i(l * (a - 1), ((l, a - 1),)), elt.scaled(shift))
         if shuffle.max_word(elt) != wi or elt.terms[wi] != self._kappa_i(factors):
             raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(wi)}")
-        self._pbw_memo[wi] = elt
+        (self._group_memo if len(factors) == 1 else self._pbw_memo)[wi] = elt
         return elt
 
     def _group_vectors(self, factors: tuple[tuple[Word, int], ...]) -> list[ShuffleElt]:
@@ -522,10 +525,13 @@ class GoodLyndonTable:
         row's kappa_h at h and subtracting the row.  It enters nu, whose
         reality workspace holds the good words of 2nu, descending, and each
         row: E*_h at the good words <= h, extracted once per weight from the
-        product of the scope's vectors E*_{l^a} of h's factor groups.  A good
-        word above top in the square, a top coefficient other than q^k
-        kappa_top or a row whose kappa_h is not `_kappa_i` of h's factors
-        breaks the theory and raises."""
+        product of the table's vectors E*_{l^a} of h's factor groups, or, for
+        h = l^a with one group and a >= 2, of the two half-powers E*_{l^b}
+        and q^{bc d_l} E*_{l^c}, b = ceil(a/2) and c = floor(a/2), so that no
+        full power of 2nu is built for a row.  A good word above top in the
+        square, a top coefficient other than q^k kappa_top or a row whose
+        kappa_h is not `_kappa_i` of h's factors breaks the theory and
+        raises."""
         self._enter(elt.weight)
         if self._reality_workspace is None:
             self._reality_workspace = self._good_words_i(cartan.add(elt.weight, elt.weight))[::-1], {}
@@ -548,7 +554,15 @@ class GoodLyndonTable:
                 continue
             row = rows.get(h)
             if row is None:
-                row = shuffle.product_coefficients(self._group_vectors(h_factors), (p for p, _ in goods[i:]))
+                if len(h_factors) == 1 and h_factors[0][1] > 1:
+                    # E*_{l^a} = q^{bc d_l} E*_{l^b} * E*_{l^c} for b + c = a, as powers of E*_l commute
+                    ((l, a),) = h_factors
+                    b, c, d_l = a - a // 2, a // 2, self._root_i(l)[3]
+                    shift = laurent.monomial(b * c * d_l)
+                    vectors = [self._dual_pbw_i(l * b, ((l, b),)), self._dual_pbw_i(l * c, ((l, c),)).scaled(shift)]
+                else:
+                    vectors = self._group_vectors(h_factors)
+                row = shuffle.product_coefficients(vectors, (p for p, _ in goods[i:]))
                 if row.get(h) != self._kappa_i(h_factors).terms:
                     raise StraighteningFailure(f"dual PBW vector has wrong leading term {self._where(h)}")
                 rows[h] = row

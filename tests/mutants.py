@@ -242,6 +242,37 @@ MUTANTS = (
         "    if len(matches) > 2:\n",
         ("tests/test_cli_parser.py::test_edge_cases",),
     ),
+    Mutant(
+        "half-split-twist-off-by-one",
+        "basis.py",
+        "shift = laurent.monomial(b * c * d_l)",
+        "shift = laurent.monomial((b * c + 1) * d_l)",
+        (
+            "tests/test_check_layer.py::test_every_row_is_the_product_of_the_full_group_vectors[B2-None-5-0]",
+            "tests/test_golden.py::test_scan_stdout_matches_the_golden_under_optimization[b2-reality]",
+        ),
+    ),
+    Mutant(
+        "enter-clears-the-group-memo",
+        "basis.py",
+        "            self._pbw_memo_weight, self._pbw_memo, self._reality_workspace = nui, {}, None\n",
+        "            self._pbw_memo_weight, self._pbw_memo, self._reality_workspace = nui, {}, None\n"
+        "            self._group_memo.clear()\n",
+        (
+            "tests/test_check_layer.py::test_entering_another_weight_drops_the_products_and_the_workspace_and_keeps_the_groups",
+            "tests/test_check_layer.py::test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight",
+        ),
+    ),
+    Mutant(
+        "multi-group-word-in-the-group-memo",
+        "basis.py",
+        "(self._group_memo if len(factors) == 1 else self._pbw_memo)[wi] = elt",
+        "(self._group_memo if factors else self._pbw_memo)[wi] = elt",
+        (
+            "tests/test_check_layer.py::test_expansion_memo_holds_one_weight_only",
+            "tests/test_dual_pbw.py::test_every_factor_group_vector_is_the_normalized_power[B2-6]",
+        ),
+    ),
 )
 
 

@@ -10,6 +10,10 @@ workspace of the table's scope at nu.
 This reference shares none of that route, and is kept only so tests can
 require the two to agree; it enters the square's weight in the table's scope
 like any straightening, which drops those rows.
+
+`row` is the row route that `_is_real_i` took before it split the row of a
+single factor group l^a into two half-powers: it extracts E*_h from the full
+vectors E*_{l^a} of all of h's factor groups.
 """
 
 from __future__ import annotations
@@ -36,3 +40,10 @@ def is_real(table: GoodLyndonTable, elt: ShuffleElt) -> bool:
     if not ratio.is_monomial() or ratio.leading_coefficient() != 1:
         return False
     return square == candidate.scaled(ratio)
+
+
+def row(table: GoodLyndonTable, factors: tuple[tuple[tuple[int, ...], int], ...], targets) -> dict:
+    """The raw coefficients of the dual PBW vector of a good word with these
+    grouped factors at the target words, from the product of the full vectors
+    of its factor groups."""
+    return shuffle.product_coefficients(table._group_vectors(factors), targets)

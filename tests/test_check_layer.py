@@ -1,9 +1,10 @@
 """The check layer: the run-length Serre membership test against the
 reference harvest in `serre_oracle`, the good-word reality solve against the
 full-vector comparison in `reality_oracle` and the guards it raises on, and
-the one-weight scope that the checks share: dual PBW vectors, those of
-their factor groups and the reality workspace, the good words and rows of
-the reality solve."""
+the memos that the checks share: the table's group memo, which keeps each
+factor group's vector for the table's life, and the one-weight scope, the
+dual PBW vectors of several groups and the reality workspace, the good words
+and rows of the reality solve."""
 
 from functools import reduce
 from itertools import permutations
@@ -131,9 +132,10 @@ def test_invariants_check_reports_an_off_diagonal_expansion_coefficient():
 
 def _count_builds(monkeypatch, table):
     """Wrap the table's dual PBW route; a call builds exactly when its word
-    is not in the one-weight memo yet.  Returns the builds asked for from
-    outside the route and, apart, the builds of factor groups l^j that a
-    build or a reality row asks for inside it."""
+    is in neither the table's group memo nor the one-weight memo yet.
+    Returns the builds asked for from outside the route and, apart, the
+    builds of factor groups l^j that a build or a reality row asks for
+    inside it."""
     real_pbw, real_groups = table._dual_pbw_i, table._group_vectors
     built, groups = [], []
     depth = 0
@@ -150,7 +152,7 @@ def _count_builds(monkeypatch, table):
         return call
 
     def counting(wi, factors=None):
-        if wi not in table._pbw_memo:
+        if wi not in table._group_memo and wi not in table._pbw_memo:
             (groups if depth else built).append(wi)
         return nested(real_pbw)(wi, factors)
 
@@ -164,6 +166,13 @@ def _group_words(table, words):
     return all(len(table._factors_i(w)) == 1 for w in words)
 
 
+def _groups_built_once(table, built, groups):
+    """True when no factor group's vector was built twice, from inside the
+    route or outside it: the group memo keeps each for the table's life."""
+    once = groups + [w for w in built if len(table._factors_i(w)) == 1]
+    return len(set(once)) == len(once)
+
+
 def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch):
     # one build per good word of D4 up to height 5: straightening builds the
     # dual PBW vectors of the good words it straightens, the expansions those
@@ -173,7 +182,11 @@ def test_invariants_scan_builds_each_dual_pbw_vector_once_per_weight(monkeypatch
     report = basis.scan(table, 5, "invariants")
     assert report.total_violations == 0 and report.total_vectors == 320
     assert len(built) == 320 and len(set(built)) == 320
-    assert groups and _group_words(table, groups)
+    # every factor group l^a is a good word of a lower weight, which the
+    # scan built first, and the group memo keeps its vector: no build asks
+    # for a group vector again
+    assert groups == []
+    assert set(table._group_memo) == {g for g in built if len(table._factors_i(g)) == 1}
 
 
 @pytest.mark.parametrize("label, nu", [("B2", (2, 2)), ("G2", (3, 2)), ("D4", (1, 1, 1, 1))])
@@ -196,9 +209,8 @@ def test_expanding_a_straightened_weight_builds_nothing(monkeypatch, label, nu):
 
 
 def _held_weights(table):
-    """The weights of every vector the table holds outside its per-root caches
-    and the factor groups of other weights in its dual PBW memo, which
-    `_groups_fit` checks."""
+    """The weights of every vector the table holds outside its table-lifetime
+    memos, the per-root records and the group memo."""
     found = set()
 
     def walk(x):
@@ -208,28 +220,27 @@ def _held_weights(table):
             for item in x.values() if isinstance(x, dict) else x:
                 walk(item)
 
-    others = set(_other_weights(table))
     for name, value in vars(table).items():
-        if name == "_pbw_memo":
-            value = {w: v for w, v in value.items() if w not in others}
-        if name != "_roots":
+        if name not in ("_roots", "_group_memo"):
             walk(value)
     return found
 
 
-def _other_weights(table):
-    """The words of the dual PBW memo whose weight is not the scope's."""
-    return [w for w in table._pbw_memo if cartan.word_weight(table._idatum, w) != table._pbw_memo_weight]
-
-
-def _groups_fit(table, *weights):
-    """The dual PBW memo holds words of other weights than the scope's, and
-    each is a factor group l^j with 1 <= j <= a for a factor group (l, a) of
+def _groups_of(table, *weights):
+    """Every factor group l^j with 1 <= j <= a for a factor group (l, a) of
     a good word of one of the weights."""
     factors = [group for mu in weights for _, groups in table._good_words_i(mu) for group in groups]
-    groups = {l * j for l, a in factors for j in range(1, a + 1)}
-    held = _other_weights(table)
-    return bool(held) and set(held) <= groups
+    return {l * j for l, a in factors for j in range(1, a + 1)}
+
+
+def _memos_fit(table):
+    """The group memo holds factor groups only, each filed under its own
+    word, and the one-weight memo only words of several groups of the
+    scope's weight."""
+    return all(len(table._factors_i(w)) == 1 for w in table._group_memo) and all(
+        len(table._factors_i(w)) > 1 and cartan.word_weight(table._idatum, w) == table._pbw_memo_weight
+        for w in table._pbw_memo
+    )
 
 
 def test_expansion_memo_holds_one_weight_only():
@@ -238,16 +249,18 @@ def test_expansion_memo_holds_one_weight_only():
         for g, elt, *_ in table._dual_canonical_weight_i(nu):
             assert table._expand_i(elt)[g] == 1
     assert table._pbw_memo_weight == (1, 2)
-    # beside the vectors of (1, 2), the memo holds only their factor groups
-    assert {cartan.word_weight(table._idatum, w) for w in table._pbw_memo} > {(1, 2)}
+    # the scope holds the vectors of (1, 2) of several groups, and the group
+    # memo every factor group of both weights, kept when the scope moved on
+    assert table._pbw_memo and _memos_fit(table)
+    assert set(table._group_memo) == _groups_of(table, (2, 1), (1, 2))
     assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, elt in table._pbw_memo.items())
-    # the dual canonical vectors share the memo's scope: straightening
-    # (1, 2) again builds no vector
-    held = set(table._pbw_memo)
+    assert all(elt.weight == cartan.word_weight(table._idatum, w) for w, elt in table._group_memo.items())
+    # the dual canonical vectors share the memos: straightening (1, 2)
+    # again builds no vector
+    held, groups = set(table._pbw_memo), set(table._group_memo)
     assert [g for g, *_ in table._dual_canonical_weight_i((1, 2))] == [g for g, _ in table._good_words_i((1, 2))]
-    assert set(table._pbw_memo) == held
+    assert set(table._pbw_memo) == held and set(table._group_memo) == groups
     assert _held_weights(table) == {(1, 2)}
-    assert _groups_fit(table, (1, 2))
     # no reality question was asked at (1, 2)
     assert table._reality_workspace is None
 
@@ -255,10 +268,10 @@ def test_expansion_memo_holds_one_weight_only():
 def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     # the reality check extracts what it reads at the weight 2nu of each
     # square, so a scan enters only the weights it reports, up to height 5,
-    # and keeps the last one with the dual PBW vectors it straightened, the
-    # factor group vectors of nu and 2nu, and the reality workspace: the good
-    # words of 2nu with the rows extracted there, each with kappa_h as its
-    # coefficient at h
+    # and keeps the last one with the dual PBW vectors of several groups it
+    # straightened and the reality workspace: the good words of 2nu with the
+    # rows extracted there, each with kappa_h as its coefficient at h; the
+    # group memo holds factor groups of the scanned weights and their doubles
     table = basis.GoodLyndonTable(B2)
     real = table._enter
     entered = []
@@ -269,11 +282,11 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
     assert max(cartan.height(nu) for nu in entered) == 5
     last = report.entries[-1].weight
     assert cartan.height(last) == 5 and table._pbw_memo_weight == last
-    held = set(table._pbw_memo)
+    held, groups = set(table._pbw_memo), set(table._group_memo)
     assert [g for g, *_ in table._dual_canonical_weight_i(last)] == [g for g, _ in table._good_words_i(last)]
-    assert set(table._pbw_memo) == held
-    assert _held_weights(table) == {last}
-    assert _groups_fit(table, last, cartan.add(last, last))
+    assert set(table._pbw_memo) == held and set(table._group_memo) == groups
+    assert _held_weights(table) <= {last} and _memos_fit(table)
+    assert _groups_of(table, *entered) <= groups <= _groups_of(table, *entered, *(cartan.add(nu, nu) for nu in entered))
     goods, rows = table._reality_workspace
     assert goods == table._good_words_i(cartan.add(last, last))[::-1]
     assert rows
@@ -283,15 +296,20 @@ def test_reality_scan_leaves_one_weight_in_scope(monkeypatch):
         assert all(p <= h for p in row)
 
 
-def test_entering_another_weight_drops_the_powers_and_the_workspace():
+def test_entering_another_weight_drops_the_products_and_the_workspace_and_keeps_the_groups():
     table, elt = _b2_21()
     assert table._is_real_i(elt) is None
+    table._dual_pbw_i((2, 1))  # straightening (1, 1) took b*_{w[2,1]} by reversal
     goods, rows = table._reality_workspace
-    assert _other_weights(table) and goods and rows
+    assert table._pbw_memo and goods and rows
+    groups = dict(table._group_memo)
+    assert any(cartan.word_weight(table._idatum, w) != (1, 2) for w in groups)
     table._enter((1, 2))
     assert table._pbw_memo_weight == (1, 2)
     assert table._pbw_memo == {}
     assert table._reality_workspace is None
+    assert table._group_memo.keys() == groups.keys()
+    assert all(table._group_memo[w] is elt for w, elt in groups.items())
 
 
 @pytest.mark.parametrize(
@@ -355,14 +373,36 @@ def test_reality_agrees_with_reference(label, order, max_height, imaginary):
     assert sum(len(goods) for goods in shared) == imaginary
 
 
+@pytest.mark.parametrize("label, order, max_height, imaginary", REALITY_CASES)
+def test_every_row_is_the_product_of_the_full_group_vectors(label, order, max_height, imaginary):
+    # each row the solve holds, kappa_h included, against a second table that
+    # extracts it from the full vectors E*_{l^a} of all of h's factor groups;
+    # the rows of one factor group with a >= 2 come from two half-powers
+    table = basis.GoodLyndonTable(cartan.parse(label), order)
+    reference = basis.GoodLyndonTable(cartan.parse(label), order)
+    compared = split = 0
+    for nu in cartan.weights_up_to_height(table.datum.rank, max_height):
+        basis._reality_violations(table, table._dual_canonical_weight_i(table._nu_in(nu)), {})
+        if table._reality_workspace is None:
+            continue
+        goods, rows = table._reality_workspace
+        for i, (h, factors) in enumerate(goods):
+            if h in rows:
+                assert rows[h] == reality_oracle.row(reference, factors, [p for p, _ in goods[i:]]), h
+                assert rows[h][h] == table._kappa_i(factors).terms
+                compared += 1
+                split += len(factors) == 1 and factors[0][1] > 1
+    assert split and compared > split
+
+
 def test_reality_scan_extracts_each_row_once(monkeypatch):
     # one square per solve, that is per vector that is its own origin, and
     # one extraction per distinct row E*_h of the square weights: 38 rows on
     # B2, against 75 with every vector solved and 162 with the rows
     # extracted afresh for each vector; each row computes its kappa_h once,
-    # and construction one per vector and one more per straightened vector,
-    # whose E*_g checks its own, so a kappa_i call of the solve's own would
-    # show here; the build of each factor group's vector checks its own kappa
+    # and construction one per vector (B2 has 40 and G2 44 up to height 5),
+    # so a kappa_i call of the solve's own would show here; each build of a dual PBW vector checks its own kappa,
+    # and no factor group's vector is built twice in the table's life
     real = shuffle.product_coefficients
     real_is_real = basis.GoodLyndonTable._is_real_i
 
@@ -378,16 +418,16 @@ def test_reality_scan_extracts_each_row_once(monkeypatch):
     monkeypatch.setattr(
         basis.GoodLyndonTable, "_is_real_i", lambda table, elt: solves.append(elt) or real_is_real(table, elt)
     )
-    for datum, counts in ((B2, (29, 38, 107)), (G2, (30, 45, 119))):
+    for datum, counts in ((B2, (29, 38, 78)), (G2, (30, 45, 89))):
         squares, rows, kappas, solves = [], [], [], []
         table = basis.GoodLyndonTable(datum)
         monkeypatch.setattr(table, "_kappa_i", lambda f, real_kappa=table._kappa_i: kappas.append(f) or real_kappa(f))
-        _, groups = _count_builds(monkeypatch, table)
+        built, groups = _count_builds(monkeypatch, table)
         basis.scan(table, 5, "reality")
         assert len(squares) == len(solves)
-        assert (len(squares), len(rows), len(kappas) - len(groups)) == counts
+        assert (len(squares), len(rows), len(kappas) - len(built) - len(groups)) == counts
         assert len(set(rows)) == len(rows)
-        assert _group_words(table, groups)
+        assert _group_words(table, groups) and _groups_built_once(table, built, groups)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])

@@ -29,16 +29,15 @@ def _weights(table, max_height):
 def test_every_factor_group_vector_is_the_normalized_power(label, max_height):
     table = basis.GoodLyndonTable(cartan.parse(label))
     oracle = Oracle(table)
-    seen = set()
     for _ in _weights(table, max_height):
-        for w, elt in table._pbw_memo.items():
-            factors = table._factors_i(w)
-            if len(factors) == 1 and w not in seen:
-                seen.add(w)
-                ((l, a),) = factors
-                assert _raw(elt) == _raw(oracle.group(l, a)) and elt.terms[w] == oracle.kappa(factors), w
+        # the weight scope holds only words of several groups, and the unit
+        assert all(len(table._factors_i(w)) != 1 for w in table._pbw_memo)
+    # the group memo, kept for the table's life, holds every group vector
+    for w, elt in table._group_memo.items():
+        ((l, a),) = factors = table._factors_i(w)
+        assert _raw(elt) == _raw(oracle.group(l, a)) and elt.terms[w] == oracle.kappa(factors), w
     # every group reached, powers of two and more among them
-    assert max(len(w) // len(table._factors_i(w)[0][0]) for w in seen) >= 3
+    assert max(len(w) // len(table._factors_i(w)[0][0]) for w in table._group_memo) >= 3
 
 
 @pytest.mark.parametrize("label, max_height", RANGES)

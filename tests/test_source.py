@@ -215,7 +215,7 @@ def test_one_loop_accumulates_into_exponent_maps():
 
 # The memos of `GoodLyndonTable`, as attribute names: those kept for the
 # table's life, and the weight scope, which `_enter` resets with its weight.
-TABLE_MEMOS = {"_roots", "_kappa_cache"}
+TABLE_MEMOS = {"_roots", "_kappa_cache", "_group_memo"}
 WEIGHT_SCOPE = {"_pbw_memo_weight", "_pbw_memo", "_reality_workspace"}
 
 
